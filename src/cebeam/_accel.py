@@ -1,116 +1,54 @@
-"""Hot numeric kernels, JIT-compiled when numba is available.
+"""Hot numeric kernels of the Monte Carlo detection loop, in plain numpy.
 
-The Monte Carlo pipeline spends nearly all of its time quantizing large
-sample batches and reducing per-trial detection statistics, so those two
-kernels get numba implementations with pure-numpy fallbacks.  Selection:
-
-* ``CEBEAM_DISABLE_NUMBA=1`` forces the numpy path (and is how the benchmark
-  and CI compare the two);
-* missing numba falls back silently;
-* ``CEBEAM_THREADS=<n>`` caps the numba thread pool.
-
-Each path is deterministic run-to-run (parallelism is only over independent
-output elements, never over a shared reduction); the two paths agree to
-floating-point roundoff.
+Monte Carlo detection spends nearly all of its time quantizing large sample
+batches and reducing per-trial detection statistics.  Both kernels work on
+the float64 view of complex data, so the real and imaginary parts are
+handled in one pass, and both are deterministic run to run.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("CEBEAM_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by CEBEAM_DISABLE_NUMBA")
-    from numba import njit, prange, set_num_threads
-
-    _threads = os.environ.get("CEBEAM_THREADS", "").strip()
-    if _threads:
-        set_num_threads(max(1, int(_threads)))
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
 
 def using_numba() -> bool:
-    """True when the JIT kernels are active."""
-    return HAVE_NUMBA
+    """Always False: every kernel is numpy (kept for artifact provenance)."""
+    return False
 
 
-# ---------------------------------------------------------------------------
-# Scalar quantization of large batches
-# ---------------------------------------------------------------------------
+def quantize_values(x: np.ndarray, thresholds: np.ndarray,
+                    levels: np.ndarray) -> np.ndarray:
+    """Map each real value to its level of an odd-symmetric codebook.
 
-def quantize_values_numpy(x: np.ndarray, thresholds: np.ndarray,
-                          levels: np.ndarray) -> np.ndarray:
-    """Map each real value to its codebook level (thresholds ascending)."""
-    return levels[np.searchsorted(thresholds, x)]
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _quantize_values_numba(x, thresholds, levels):
-        out = np.empty_like(x)
-        n_thr = thresholds.shape[0]
-        for i in prange(x.shape[0]):
-            v = x[i]
-            lo = 0
-            hi = n_thr
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if v < thresholds[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            out[i] = levels[lo]
-        return out
-
-    def quantize_values(x: np.ndarray, thresholds: np.ndarray,
-                        levels: np.ndarray) -> np.ndarray:
-        shape = x.shape
-        flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-        return _quantize_values_numba(flat, thresholds, levels).reshape(shape)
-
-else:
-    quantize_values = quantize_values_numpy
+    ``thresholds`` ascend and, like ``levels``, are odd-symmetric
+    (``levels == -levels[::-1]``), so the middle threshold is 0.  The
+    magnitude is looked up among the positive thresholds and the sign copied
+    from ``x``.  This equals ``levels[np.searchsorted(thresholds, x)]``
+    except at values exactly on a threshold, which occur with probability
+    zero for continuous input.
+    """
+    half = levels.size // 2
+    pos_thresholds, pos_levels = thresholds[half:], levels[half:]
+    if pos_thresholds.size == 0:
+        return np.copysign(pos_levels[0], x)
+    mag = np.abs(x)
+    idx = np.zeros(mag.shape, dtype=np.uint8)
+    for t in pos_thresholds:
+        idx += mag > t
+    del mag                            # free it before the output is allocated
+    out = np.asarray(pos_levels[idx])  # a 0-d index gives a scalar
+    return np.copysign(out, x, out=out)
 
 
-# ---------------------------------------------------------------------------
-# Per-trial quadratic detection statistic
-# ---------------------------------------------------------------------------
-
-def lrt_statistics_numpy(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+def lrt_statistics(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Sum over snapshots of y^H M y for each trial.
 
-    ``Y`` has shape (trials, n_rx, snapshots); ``M`` is Hermitian.
+    ``Y`` has shape (trials, n_rx, snapshots); ``M`` is Hermitian, so each
+    statistic is real: Re(conj(Y) * (M @ Y)) summed, which is the row-wise
+    dot product of the float64 views of ``Y`` and ``M @ Y``.
     """
-    return np.einsum("trl,rs,tsl->t", Y.conj(), M, Y, optimize=True).real
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _lrt_statistics_numba(Y, M):
-        n_trials, n_rx, n_snap = Y.shape
-        out = np.empty(n_trials, dtype=np.float64)
-        for t in prange(n_trials):
-            acc = 0.0
-            for l in range(n_snap):
-                for r in range(n_rx):
-                    inner = 0.0 + 0.0j
-                    for s in range(n_rx):
-                        inner += M[r, s] * Y[t, s, l]
-                    acc += (np.conj(Y[t, r, l]) * inner).real
-            out[t] = acc
-        return out
-
-    def lrt_statistics(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
-        return _lrt_statistics_numba(np.ascontiguousarray(Y, dtype=np.complex128),
-                                     np.ascontiguousarray(M, dtype=np.complex128))
-
-else:
-    lrt_statistics = lrt_statistics_numpy
+    Y = np.ascontiguousarray(Y, dtype=np.complex128)
+    MY = np.matmul(M, Y)
+    n = Y.shape[0]
+    return np.einsum("ti,ti->t", Y.view(np.float64).reshape(n, -1),
+                     MY.view(np.float64).reshape(n, -1))

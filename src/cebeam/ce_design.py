@@ -31,6 +31,7 @@ to decrease.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -87,9 +88,28 @@ class MmTrace:
     wall_time_s: float = 0.0
 
 
+@functools.lru_cache(maxsize=32)
+def _steering_and_gram(angle_bytes: bytes, n_tx: int) -> tuple[np.ndarray, float]:
+    angles = np.frombuffer(angle_bytes)
+    A = steering_matrix(angles, n_tx)
+    lam = float(np.linalg.eigvalsh(np.abs(A.conj().T @ A) ** 2)[-1]) if angles.size else 0.0
+    A.flags.writeable = False          # shared by every caller of the cache
+    return A, lam
+
+
+def profile_steering(profile: PowerProfile, n_tx: int) -> tuple[np.ndarray, float]:
+    """Steering matrix of the profile angles and its pattern-Gram top eigenvalue.
+
+    Returns the read-only (n_tx x P) matrix A = [a_1 .. a_P] and lam_max of
+    G[p,q] = |a_p^H a_q|^2, built once per (profile angles, n_tx): the design
+    loops evaluate them for a fixed profile on every objective call.
+    """
+    return _steering_and_gram(profile.all_angles().tobytes(), n_tx)
+
+
 def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
     """Sum of squared gaps between the achieved and requested pattern levels."""
-    A = steering_matrix(profile.all_angles(), T.shape[0])
+    A, _ = profile_steering(profile, T.shape[0])
     achieved = np.sum(np.abs(A.T @ T) ** 2, axis=1)
     return float(np.sum((achieved - profile.all_levels()) ** 2))
 
@@ -107,20 +127,15 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
 
 def pattern_gram_lambda(profile: PowerProfile, n_tx: int) -> float:
     """Top eigenvalue of the Gram matrix |a_p^H a_q|^2 of the profile angles."""
-    angles = profile.all_angles()
-    if angles.size == 0:
-        return 0.0
-    A = steering_matrix(angles, n_tx)
-    G = np.abs(A.conj().T @ A) ** 2
-    return float(np.linalg.eigvalsh(G)[-1])
+    return profile_steering(profile, n_tx)[1]
 
 
 def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float) -> MinorizerState:
     """Surrogate matrix Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H."""
     n_tx = T_m.shape[0]
-    angles = profile.all_angles()
-    if angles.size:
-        A = steering_matrix(angles, n_tx)
+    A, gram_lambda = profile_steering(profile, n_tx)
+    n_angles = A.shape[1]
+    if n_angles:
         achieved = np.sum(np.abs(A.T @ T_m) ** 2, axis=1)
         coeff = achieved - profile.all_levels()
         Q = (A.conj() * coeff) @ A.T
@@ -131,10 +146,10 @@ def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float) -> 
     Q = 0.5 * (Q + Q.conj().T)
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
-    lam = float(np.linalg.eigvalsh(Q)[-1]) if angles.size or penalty else 0.0
+    lam = float(np.linalg.eigvalsh(Q)[-1]) if n_angles or penalty else 0.0
     return MinorizerState(
         q_matrix=Q, lambda_max=lam,
-        gram_lambda=pattern_gram_lambda(profile, n_tx),
+        gram_lambda=gram_lambda,
         penalty=penalty,
         sigma_max=float(np.linalg.norm(T_m, 2)))
 

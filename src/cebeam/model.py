@@ -139,12 +139,21 @@ class Scenario:
     def validate(self) -> None:
         if min(self.n_tx, self.n_rx, self.n_rf, self.code_len) < 1:
             raise ModelError("array sizes and code length must be positive")
+        if self.n_rf > self.n_tx:
+            raise ModelError(
+                f"n_rf={self.n_rf} exceeds n_tx={self.n_tx}; "
+                "orthonormal beamformer columns need n_tx >= n_rf")
         if self.n_rf > self.code_len:
             raise ModelError(
                 f"n_rf={self.n_rf} exceeds code_len={self.code_len}; "
                 "orthogonal waveforms need code_len >= n_rf")
         if self.clutter_angles.size != self.clutter_powers.size:
             raise ModelError("clutter angle/power lists differ in length")
+        scalars = (self.target_mean_angle, self.target_uncertainty, self.target_grid_spacing,
+                   self.target_power, self.noise_power)
+        if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.clutter_angles))
+                and np.all(np.isfinite(self.clutter_powers))):
+            raise ModelError("angles, powers and grid settings must be finite")
         half_pi = math.pi / 2 + 1e-12
         angles = np.concatenate(([self.target_mean_angle], self.clutter_angles))
         if np.any(np.abs(angles) > half_pi):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ce_design import profile_steering
 from .model import ModelError, steering_matrix
 from .power_alloc import PowerProfile
 
@@ -90,7 +91,7 @@ def epm_objective(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
                   penalty_orth: float, penalty_bin: float) -> float:
     """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
     t = np.asarray(t, float).reshape(-1)
-    A = steering_matrix(profile.all_angles(), n_tx)
+    A, _ = profile_steering(profile, n_tx)
     T, _, achieved = _pattern_terms(t, A, n_tx, n_rf)
     mse = float(np.sum((achieved - profile.all_levels()) ** 2))
     gap = n_rf - np.sqrt(n_rf) * np.linalg.norm(t)
@@ -110,7 +111,7 @@ def epm_gradient(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
     norm = np.linalg.norm(t)
     if norm == 0.0:
         raise DegenerateIterateError("gradient undefined at t = 0")
-    A = steering_matrix(profile.all_angles(), n_tx)
+    A, _ = profile_steering(profile, n_tx)
     T, Z, achieved = _pattern_terms(t, A, n_tx, n_rf)
 
     coeff = 4.0 * (achieved - profile.all_levels())
@@ -129,7 +130,7 @@ def round_to_signs(t: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
 
 def onebit_objective(T: np.ndarray, profile: PowerProfile, penalty_orth: float) -> float:
     """Pattern MSE plus orthogonality penalty of a (real) one-bit beamformer."""
-    A = steering_matrix(profile.all_angles(), T.shape[0])
+    A, _ = profile_steering(profile, T.shape[0])
     achieved = np.sum(np.abs(A.T @ T) ** 2, axis=1)
     mse = float(np.sum((achieved - profile.all_levels()) ** 2))
     gram = T.T @ T - np.eye(T.shape[1])

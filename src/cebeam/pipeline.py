@@ -431,11 +431,18 @@ def run_pipeline(spec: ExperimentSpec) -> int:
 
 def _load_design(path: str, scenario: Scenario) -> np.ndarray:
     """Read a design file: phases in degrees, or a +-1 sign grid."""
-    raw = np.loadtxt(path)
+    try:
+        raw = np.loadtxt(path)
+    except OSError as exc:
+        raise ModelError(f"cannot read design file {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ModelError(f"design file {path!r} is not a numeric matrix: {exc}") from exc
     raw = np.atleast_2d(raw)
     if raw.shape != (scenario.n_tx, scenario.n_rf):
         raise ModelError(f"design shape {raw.shape} does not match "
                          f"({scenario.n_tx}, {scenario.n_rf})")
+    if not np.all(np.isfinite(raw)):
+        raise ModelError(f"design file {path!r} holds non-finite entries")
     if np.all(np.isin(raw, (-1.0, 1.0))):
         return raw / np.sqrt(scenario.n_tx)
     return unit_modulus(np.radians(raw), scenario.n_tx)

@@ -36,6 +36,13 @@ class ScalarQuantizer:
     levels: np.ndarray
     thresholds: np.ndarray
 
+    def __post_init__(self):
+        # the quantization kernel reads only the positive half of the codebook
+        if (self.thresholds.size != self.levels.size - 1
+                or np.any(self.levels != -self.levels[::-1])
+                or np.any(self.thresholds != -self.thresholds[::-1])):
+            raise ModelError("codebook must be odd-symmetric with one threshold between levels")
+
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Element-wise nearest-level quantization of real values."""
         return quantize_values(np.asarray(x, dtype=np.float64), self.thresholds, self.levels)
@@ -100,7 +107,7 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     """
     if quantizer is None:
         return Y
-    Y = np.asarray(Y)
+    Y = np.ascontiguousarray(Y, dtype=np.complex128)
     if row_power is None:
         axes = tuple(i for i in range(Y.ndim) if i != Y.ndim - 2)
         row_power = np.mean(np.abs(Y) ** 2, axis=axes)
@@ -108,6 +115,8 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     scale = np.where(scale > 0.0, scale, 1.0)
     if np.ndim(scale) == 1:
         scale = scale[:, None]
-    re = quantizer.quantize(Y.real / scale)
-    im = quantizer.quantize(Y.imag / scale)
-    return (re + 1j * im) * scale
+    # real and imaginary parts interleave along the last axis of the float64
+    # view, so one pass quantizes both and the row axis is unchanged
+    out = quantizer.quantize(Y.view(np.float64) / scale)
+    out *= scale
+    return out.view(np.complex128)

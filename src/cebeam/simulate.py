@@ -64,10 +64,17 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
     n_src = len(sources)
     L, n_r = scenario.code_len, scenario.n_rx
 
-    noise = (rng.standard_normal((trials, n_r, L)) + 1j * rng.standard_normal((trials, n_r, L)))
-    noise *= math.sqrt(scenario.noise_power / 2.0)
+    # draw order (noise real block, noise imaginary block, amplitude real and
+    # imaginary parts, Doppler frequencies) fixes the realization for a seed
+    Y = np.empty((trials, n_r, L), dtype=complex)
+    noise_scale = math.sqrt(scenario.noise_power / 2.0)
+    draw = rng.standard_normal((trials, n_r, L))
+    np.multiply(draw, noise_scale, out=Y.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, noise_scale, out=Y.imag)
+    del draw
     if n_src == 0:
-        return noise
+        return Y
 
     A_r = steering_matrix(np.asarray(sources), n_r)
     A_t = steering_matrix(np.asarray(sources), scenario.n_tx)
@@ -77,11 +84,17 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
     amps *= np.sqrt(np.asarray(powers) / 2.0)
     if doppler:
         freq = rng.uniform(0.0, 1.0, size=(trials, n_src))
-        ramps = np.exp(2j * np.pi * freq[:, :, None] * np.arange(L)[None, None, :])
+        phase = (2.0 * np.pi * freq)[:, :, None] * np.arange(L)
+        src_signals = np.empty(phase.shape, dtype=complex)     # Doppler ramps
+        np.cos(phase, out=src_signals.real)
+        np.sin(phase, out=src_signals.imag)
+        # complex products round differently with swapped operands: keep amps first
+        np.multiply(amps[:, :, None], src_signals, out=src_signals)
     else:
-        ramps = np.ones((trials, n_src, L))
-    src_signals = amps[:, :, None] * ramps * B[None, :, :]
-    return np.einsum("rk,tkl->trl", A_r, src_signals) + noise
+        src_signals = np.repeat(amps[:, :, None], L, axis=2)
+    src_signals *= B
+    Y += np.matmul(A_r, src_signals)
+    return Y
 
 
 @dataclass(frozen=True)
@@ -160,9 +173,9 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
         done = 0
         while done < n:
             m = min(batch_size, n - done)
-            Y = received_batch(sc, T, theta_t, m, rng)
-            Yq = quantize_received(Y, quant, row_power)
-            out[done:done + m] = lrt_statistics(Yq, M)
+            # nested so that no batch-sized array outlives its step
+            out[done:done + m] = lrt_statistics(
+                quantize_received(received_batch(sc, T, theta_t, m, rng), quant, row_power), M)
             done += m
         return out
 
@@ -215,7 +228,8 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
     while done < trials:
         m = min(batch_size, trials - done)
         Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, p0)
-        acc += np.einsum("trl,tsl->rs", Y, Y.conj())
+        Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
+        acc += Y @ Y.conj().T
         count += m * L
         done += m
     sample_cov = acc / count

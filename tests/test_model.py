@@ -236,6 +236,19 @@ class TestScenario:
         with pytest.raises(M.ModelError):
             M.Scenario(**{**_scenario_kwargs(tiny_scenario), "n_rf": 5, "code_len": 4})
 
+    def test_rf_chains_cannot_exceed_transmit_antennas(self, tiny_scenario):
+        with pytest.raises(M.ModelError):
+            M.Scenario(**{**_scenario_kwargs(tiny_scenario), "n_rf": 9, "code_len": 16})
+
+    @pytest.mark.parametrize("override", [
+        {"clutter_angles": [math.nan, 0.6]},
+        {"clutter_powers": [math.nan, 8.0]},
+        {"target_power": math.inf},
+    ])
+    def test_non_finite_values_rejected(self, tiny_scenario, override):
+        with pytest.raises(M.ModelError):
+            M.Scenario(**{**_scenario_kwargs(tiny_scenario), **override})
+
     def test_angles_outside_half_circle_rejected(self, tiny_scenario):
         with pytest.raises(M.ModelError):
             M.Scenario(**{**_scenario_kwargs(tiny_scenario), "clutter_angles": [2.0]})

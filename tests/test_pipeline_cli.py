@@ -155,6 +155,30 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("override", [
+        {"clutter_angles_deg": [math.nan, 30.0]},
+        {"clutter_powers_db": [math.nan, 15.0]},
+        {"target_power_db": math.inf},
+        {"n_rf": 17, "code_len": 32},
+    ])
+    def test_invalid_scenario_file_exits_2(self, mini_scenario_file, tmp_path, override):
+        with open(mini_scenario_file) as fh:
+            d = json.load(fh)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**d, **override}))
+        code = cli.main(["allocate-power", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    @pytest.mark.parametrize("content", [None, "not numbers\n", "nan nan nan nan\n" * 16],
+                             ids=["missing", "text", "nan"])
+    def test_evaluate_bad_design_file_exits_2(self, mini_scenario_file, tmp_path, content):
+        design = tmp_path / "design.txt"
+        if content is not None:
+            design.write_text(content)
+        code = cli.main(["evaluate", "--scenario", mini_scenario_file, "--design", str(design),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+
 
 class TestSweeps:
     def test_sweep_bits_rows(self, mini_scenario_file, tmp_path):

@@ -104,21 +104,41 @@ class TestQuantizeReceived:
 
 
 class TestKernelPaths:
-    def test_numba_and_numpy_agree(self):
+    """The one-pass kernels against the direct numpy formulas they replace."""
+
+    def test_quantizer_matches_searchsorted_oracle(self):
         rng = np.random.default_rng(6)
-        q = lloyd_max_codebook(3)
-        x = rng.standard_normal(10_000)
-        a = _accel.quantize_values(x, q.thresholds, q.levels)
-        b = _accel.quantize_values_numpy(x, q.thresholds, q.levels)
-        np.testing.assert_array_equal(a, b)
+        x = 2.0 * rng.standard_normal(10_000)
+        for bits in (1, 2, 3, 4, 5):
+            q = lloyd_max_codebook(bits)
+            oracle = q.levels[np.searchsorted(q.thresholds, x)]
+            np.testing.assert_array_equal(_accel.quantize_values(x, q.thresholds, q.levels),
+                                          oracle)
+            np.testing.assert_array_equal(q.quantize(x), oracle)
+
+    def test_quantize_received_matches_per_part_oracle(self):
+        rng = np.random.default_rng(9)
+        Y = rng.standard_normal((7, 5, 6)) + 1j * rng.standard_normal((7, 5, 6))
+        power = np.linspace(0.5, 3.0, 5)
+        scale = np.sqrt(power / 2.0)[:, None]
+        for bits in (1, 3):
+            q = lloyd_max_codebook(bits)
+            re = q.levels[np.searchsorted(q.thresholds, Y.real / scale)]
+            im = q.levels[np.searchsorted(q.thresholds, Y.imag / scale)]
+            np.testing.assert_array_equal(quantize_received(Y, q, row_power=power),
+                                          (re + 1j * im) * scale)
+
+    def test_asymmetric_codebook_rejected(self):
+        with pytest.raises(ModelError):
+            ScalarQuantizer(bits=1, levels=np.array([-1.0, 2.0]), thresholds=np.array([0.5]))
 
     def test_lrt_statistics_agree(self):
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((64, 8, 5)) + 1j * rng.standard_normal((64, 8, 5))
         H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         Mh = H + H.conj().T
-        np.testing.assert_allclose(_accel.lrt_statistics(Y, Mh),
-                                   _accel.lrt_statistics_numpy(Y, Mh), rtol=1e-10)
+        oracle = np.einsum("trl,rs,tsl->t", Y.conj(), Mh, Y).real
+        np.testing.assert_allclose(_accel.lrt_statistics(Y, Mh), oracle, rtol=1e-10)
 
     def test_statistic_matches_direct_loop(self):
         rng = np.random.default_rng(8)
