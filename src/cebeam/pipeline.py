@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .model import (ModelError, Scenario, averaged_relative_entropy, beampattern
                     relative_entropy, steering_matrix, unit_modulus)
 from .onebit import EpmTrace, OneBitParams, nesterov_epm, onebit_objective, round_to_signs
 from .power_alloc import PowerAllocationResult, PowerProfile, bcd_power_allocation
-from .simulate import detection_curve, steering_crosscorr_experiment
+from .simulate import check_detection_settings, detection_curve, steering_crosscorr_experiment
 
 COMMANDS = ("allocate-power", "design-ce", "design-onebit", "evaluate",
             "sweep-bits", "sweep-rf", "sweep-antennas", "sweep-snr", "fig2")
@@ -249,20 +249,6 @@ def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _resized(scenario: Scenario, **overrides) -> Scenario:
-    d = dict(
-        n_tx=scenario.n_tx, n_rx=scenario.n_rx, n_rf=scenario.n_rf,
-        code_len=scenario.code_len, target_mean_angle=scenario.target_mean_angle,
-        target_uncertainty=scenario.target_uncertainty,
-        target_grid_spacing=scenario.target_grid_spacing,
-        target_power=scenario.target_power,
-        clutter_angles=scenario.clutter_angles.copy(),
-        clutter_powers=scenario.clutter_powers.copy(),
-        noise_power=scenario.noise_power)
-    d.update(overrides)
-    return Scenario(**d)
-
-
 def sweep_bits(scenario: Scenario, seed: int, bit_list=(1, 2, 3, 4, 5, "ideal"),
                params: CeDesignParams | None = None) -> list[tuple]:
     rows = []
@@ -276,7 +262,7 @@ def sweep_rf(scenario: Scenario, seed: int, rf_list=(2, 4, 8),
              bits=1, params: CeDesignParams | None = None) -> list[tuple]:
     rows = []
     for n_rf in rf_list:
-        sc = _resized(scenario, n_rf=n_rf)
+        sc = replace(scenario, n_rf=n_rf)
         T, report, _, _ = run_ce_design(sc, bits, seed, "AMM", params)
         rows.append((n_rf, report.avg_relative_entropy))
     return rows
@@ -286,7 +272,7 @@ def sweep_antennas(scenario: Scenario, seed: int, rx_list=(32, 64, 128),
                    bits=1, params: CeDesignParams | None = None) -> list[tuple]:
     rows = []
     for n_rx in rx_list:
-        sc = _resized(scenario, n_rx=n_rx)
+        sc = replace(scenario, n_rx=n_rx)
         T, report, _, _ = run_ce_design(sc, bits, seed, "AMM", params)
         rows.append((n_rx, report.avg_relative_entropy))
     return rows
@@ -410,6 +396,7 @@ def run_pipeline(spec: ExperimentSpec) -> int:
         write_csv(out / "sweep_antennas.csv", ["n_rx", "relative_entropy"], rows, prov)
 
     elif spec.command == "sweep-snr":
+        check_detection_settings(spec.pfa, spec.trials)       # before the design runs
         T, report, _, _ = run_ce_design(scenario, spec.bits, spec.seed, spec.method,
                                         _design_params(spec))
         curve = detection_curve(T, scenario, spec.bits, spec.snr_grid_db,

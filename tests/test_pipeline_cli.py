@@ -180,6 +180,18 @@ class TestCli:
         assert code == 2
 
 
+    @pytest.mark.parametrize("pfa", ["0", "1.5", "-0.1", "nan"])
+    def test_sweep_snr_bad_pfa_exits_2_before_design(self, mini_scenario_file, tmp_path,
+                                                     monkeypatch, pfa):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design ran before pfa was checked")
+
+        monkeypatch.setattr(PL, "run_ce_design", no_design)
+        code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--pfa", pfa,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+
+
 class TestSweeps:
     def test_sweep_bits_rows(self, mini_scenario_file, tmp_path):
         sc = PL.load_scenario(mini_scenario_file)
