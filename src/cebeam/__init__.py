@@ -14,22 +14,20 @@ __version__ = "0.1.0"
 from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelError,
                     ModelError, QuantizationModel, Scenario, UnsupportedResolutionError,
                     averaged_relative_entropy, beampattern_power, beampattern_powers,
-                    hypothesis_covariances, is_unit_modulus, quantization_model,
-                    random_unit_modulus, relative_entropy, steering_matrix,
-                    steering_vector, unit_modulus)
-from .power_alloc import (AsymptoticScalars, PowerAllocationResult, PowerProfile,
-                          asymptotic_objective, asymptotic_scalars, bcd_power_allocation,
-                          profile_objective)
+                    hypothesis_covariances, is_unit_modulus, model_row_power,
+                    quantization_model, random_unit_modulus, relative_entropy,
+                    steering_matrix, steering_vector, unit_modulus)
+from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
+                          bcd_power_allocation, profile_objective)
 from .ce_design import (CeDesignParams, MinorizerState, MmTrace, beampattern_mse,
                         minorizer_matrix, mm_map, orthogonality_residual,
                         penalized_objective, plain_mm, squarem_accelerated_mm)
 from .onebit import (DegenerateIterateError, EpmTrace, LineSearchStallError, OneBitParams,
                      box_project, epm_gradient, epm_objective, exhaustive_onebit,
-                     nesterov_epm, onebit_objective, round_to_signs, v_update)
+                     nesterov_epm, round_to_signs, v_update)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 from .simulate import (DetectionCurve, DetectionPoint, detection_curve, lfm_waveforms,
-                       model_row_power, received_batch, sample_h0_covariance_error,
-                       simulate_detection, steering_crosscorr_experiment)
-from .bessel import bessel_j0
+                       received_batch, sample_h0_covariance_error, simulate_detection,
+                       steering_crosscorr_experiment)
 from .pipeline import (DesignReport, ExperimentSpec, load_scenario, projection_baseline,
                        run_ce_design, run_onebit_design, run_pipeline, run_power_allocation)

@@ -107,11 +107,20 @@ def profile_steering(profile: PowerProfile, n_tx: int) -> tuple[np.ndarray, floa
     return _steering_and_gram(profile.all_angles().tobytes(), n_tx)
 
 
+def pattern_terms(T: np.ndarray, profile: PowerProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Responses Z = A^T T and pattern gaps sum_r |Z[p, r]|^2 - level_p.
+
+    ``T`` may carry leading batch axes in front of its (n_tx x n_rf) shape;
+    Z and the gaps keep them.
+    """
+    A, _ = profile_steering(profile, T.shape[-2])
+    Z = A.T @ T
+    return Z, np.sum(np.abs(Z) ** 2, axis=-1) - profile.all_levels()
+
+
 def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
     """Sum of squared gaps between the achieved and requested pattern levels."""
-    A, _ = profile_steering(profile, T.shape[0])
-    achieved = np.sum(np.abs(A.T @ T) ** 2, axis=1)
-    return float(np.sum((achieved - profile.all_levels()) ** 2))
+    return float(np.sum(pattern_terms(T, profile)[1] ** 2))
 
 
 def orthogonality_residual(T: np.ndarray) -> float:
@@ -125,43 +134,20 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
     return beampattern_mse(T, profile) + penalty * orthogonality_residual(T) ** 2
 
 
-def pattern_gram_lambda(profile: PowerProfile, n_tx: int) -> float:
-    """Top eigenvalue of the Gram matrix |a_p^H a_q|^2 of the profile angles."""
-    return profile_steering(profile, n_tx)[1]
-
-
 def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float) -> MinorizerState:
     """Surrogate matrix Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H."""
-    n_tx = T_m.shape[0]
-    A, gram_lambda = profile_steering(profile, n_tx)
-    n_angles = A.shape[1]
-    if n_angles:
-        achieved = np.sum(np.abs(A.T @ T_m) ** 2, axis=1)
-        coeff = achieved - profile.all_levels()
-        Q = (A.conj() * coeff) @ A.T
-    else:
-        Q = np.zeros((n_tx, n_tx), dtype=complex)
+    A, gram_lambda = profile_steering(profile, T_m.shape[0])
+    Q = (A.conj() * pattern_terms(T_m, profile)[1]) @ A.T
     if penalty != 0.0:
         Q = Q + penalty * (T_m @ T_m.conj().T)
     Q = 0.5 * (Q + Q.conj().T)
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
-    lam = float(np.linalg.eigvalsh(Q)[-1]) if n_angles or penalty else 0.0
     return MinorizerState(
-        q_matrix=Q, lambda_max=lam,
+        q_matrix=Q, lambda_max=float(np.linalg.eigvalsh(Q)[-1]),
         gram_lambda=gram_lambda,
         penalty=penalty,
         sigma_max=float(np.linalg.norm(T_m, 2)))
-
-
-def _phase_step(T_m: np.ndarray, state: MinorizerState, shift: float) -> np.ndarray:
-    n_tx = T_m.shape[0]
-    W = (shift * np.eye(n_tx) - state.q_matrix) @ T_m
-    phases = np.angle(W)
-    dead = np.abs(W) == 0.0
-    if np.any(dead):
-        phases[dead] = np.angle(T_m)[dead]
-    return unit_modulus(phases, n_tx)
 
 
 def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
@@ -178,17 +164,18 @@ def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
         state = minorizer_matrix(T_m, profile, penalty)
     lam_p = state.gram_lambda + penalty
     base = penalized_objective(T_m, profile, penalty)
-    n_rf = T_m.shape[1]
+    n_tx, n_rf = T_m.shape
     shifts = (state.lambda_max + 0.5 * (state.sigma_max + 1.05) ** 2 * lam_p,
               state.lambda_max + 2.0 * n_rf * lam_p)
     for shift in shifts:
-        T_new = _phase_step(T_m, state, shift)
+        T_new = _project_phases((shift * np.eye(n_tx) - state.q_matrix) @ T_m, T_m, n_tx)
         if penalized_objective(T_new, profile, penalty) <= base + 1e-12:
             return T_new
     return T_m
 
 
 def _project_phases(Z: np.ndarray, fallback: np.ndarray, n_tx: int) -> np.ndarray:
+    """Unit-modulus matrix with the phases of Z; zero entries keep the fallback's phase."""
     phases = np.angle(Z)
     dead = np.abs(Z) == 0.0
     if np.any(dead):

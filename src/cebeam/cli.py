@@ -21,52 +21,41 @@ def _parse_bits(value: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommands whose flags are stored under ``ExperimentSpec`` field names.
+
+    Flags left out are absent from the parsed namespace, so every default
+    comes from ``ExperimentSpec``.
+    """
     parser = argparse.ArgumentParser(
         prog="cebeam",
         description="Constant-envelope / one-bit transmit beamformer design "
                     "and evaluation for few-bit-receiver MIMO radar")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--scenario", default="default128",
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--scenario",
                        help="scenario JSON path or built-in name (default128, desk32)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bits", type=_parse_bits, default=1,
-                       help="ADC resolution: 1..5 or 'ideal'")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--bits", type=_parse_bits, help="ADC resolution: 1..5 or 'ideal'")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--max-iters", type=int)
+        p.add_argument("--tol", type=float)
         if name == "design-ce":
-            p.add_argument("--method", choices=("AMM", "MM"), default="AMM")
+            p.add_argument("--method", choices=("AMM", "MM"))
         if name == "evaluate":
-            p.add_argument("--design", required=True,
+            p.add_argument("--design", dest="design_path",
                            help="phase matrix (degrees) or +-1 sign grid, text")
         if name == "sweep-snr":
-            p.add_argument("--pfa", type=float, default=1e-3)
-            p.add_argument("--trials", type=int, default=100_000)
-            p.add_argument("--snr", type=float, nargs="+",
-                           default=(-20.0, -15.0, -10.0, -5.0, 0.0))
+            p.add_argument("--pfa", type=float)
+            p.add_argument("--trials", type=int)
+            p.add_argument("--snr", dest="snr_grid_db", type=float, nargs="+")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = ExperimentSpec(
-        command=args.command,
-        scenario=args.scenario,
-        seed=args.seed,
-        bits=args.bits,
-        out_dir=args.out,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        method=getattr(args, "method", "AMM"),
-        design_path=getattr(args, "design", None),
-        pfa=getattr(args, "pfa", 1e-3),
-        trials=getattr(args, "trials", 100_000),
-        snr_grid_db=tuple(getattr(args, "snr", (-20.0, -15.0, -10.0, -5.0, 0.0))),
-    )
     try:
-        return run_pipeline(spec)
+        return run_pipeline(ExperimentSpec(**vars(args)))
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

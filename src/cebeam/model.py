@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -278,42 +278,50 @@ class HypothesisCovariances:
     r1: np.ndarray
 
 
-def quantizer_noise_floors(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
-                           theta_t: float) -> tuple[float, float]:
-    """Scalar quantization-noise variances per antenna under each hypothesis.
+def clutter_load(scenario: Scenario, phi_c) -> np.ndarray:
+    """Clutter power per receive antenna, sum_k sigma_k phi_k / N_r, over the last axis."""
+    return np.sum(scenario.clutter_powers * phi_c, axis=-1) / scenario.n_rx
 
-    The quantizer-noise covariance is alpha*beta*diag(R_Y); for a ULA the
-    diagonal is constant, so each hypothesis contributes a scaled identity.
+
+def _row_power(scenario: Scenario, phi_c: np.ndarray, phi_t: float | None = None) -> float:
+    power = float(clutter_load(scenario, phi_c)) + scenario.noise_power
+    if phi_t is not None:
+        power += scenario.target_power * phi_t / scenario.n_rx
+    return power
+
+
+def model_row_power(scenario: Scenario, T: np.ndarray, theta_t: float | None) -> float:
+    """Per-snapshot, per-antenna received variance before quantization.
+
+    Uniform across a ULA; ``theta_t=None`` gives the no-target value.
     """
-    L = scenario.code_len
-    phi_c = beampattern_powers(T, scenario.clutter_angles) if scenario.n_clutter else np.zeros(0)
-    clutter_sum = float(np.sum(scenario.clutter_powers * phi_c)) / scenario.n_rx
-    phi_t = beampattern_power(T, theta_t)
-    base = q.alpha * q.beta * L
-    rq0 = base * (clutter_sum + scenario.noise_power)
-    rq1 = base * (scenario.target_power * phi_t / scenario.n_rx + clutter_sum + scenario.noise_power)
-    return rq0, rq1
+    phi_t = None if theta_t is None else beampattern_power(T, theta_t)
+    return _row_power(scenario, beampattern_powers(T, scenario.clutter_angles), phi_t)
 
 
 def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
                            theta_t: float) -> HypothesisCovariances:
-    """Assemble the two N_r x N_r Hermitian covariances for a candidate target angle."""
+    """Assemble the two N_r x N_r Hermitian covariances for a candidate target angle.
+
+    The quantizer-noise covariance is alpha*beta*diag(R_Y); for a ULA the
+    diagonal is the constant row power, so each hypothesis adds a scaled
+    identity alpha*beta*L*row power.
+    """
     L = scenario.code_len
     a2L = q.alpha ** 2 * L
     n_r = scenario.n_rx
 
     A_c = steering_matrix(scenario.clutter_angles, n_r)
-    phi_c = beampattern_powers(T, scenario.clutter_angles) if scenario.n_clutter else np.zeros(0)
-    clutter_diag = scenario.clutter_powers * phi_c
+    phi_c = beampattern_powers(T, scenario.clutter_angles)
+    phi_t = beampattern_power(T, theta_t)
+    rq0 = q.alpha * q.beta * L * _row_power(scenario, phi_c)
+    rq1 = q.alpha * q.beta * L * _row_power(scenario, phi_c, phi_t)
 
-    rq0, rq1 = quantizer_noise_floors(scenario, T, q, theta_t)
-
-    base = a2L * (A_c * clutter_diag) @ A_c.conj().T if scenario.n_clutter else np.zeros((n_r, n_r), dtype=complex)
+    base = a2L * (A_c * (scenario.clutter_powers * phi_c)) @ A_c.conj().T
     eye = np.eye(n_r)
     r0 = base + (a2L * scenario.noise_power + rq0) * eye
 
     a_t = steering_vector(theta_t, n_r)
-    phi_t = beampattern_power(T, theta_t)
     r1 = (base
           + a2L * scenario.target_power * phi_t * np.outer(a_t, a_t.conj())
           + (a2L * scenario.noise_power + rq1) * eye)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ce_design import profile_steering
-from .model import ModelError, steering_matrix
+from .ce_design import pattern_terms, profile_steering
+from .model import ModelError
 from .power_alloc import PowerProfile
 
 
@@ -80,20 +80,12 @@ def v_update(t: np.ndarray, n_rf: int) -> np.ndarray:
     return np.sqrt(n_rf) * t / norm
 
 
-def _pattern_terms(t: np.ndarray, A: np.ndarray, n_tx: int, n_rf: int):
-    T = t.reshape((n_tx, n_rf), order="F")
-    Z = A.T @ T                      # per-angle, per-column complex responses
-    achieved = np.sum(np.abs(Z) ** 2, axis=1)
-    return T, Z, achieved
-
-
 def epm_objective(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
                   penalty_orth: float, penalty_bin: float) -> float:
     """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
     t = np.asarray(t, float).reshape(-1)
-    A, _ = profile_steering(profile, n_tx)
-    T, _, achieved = _pattern_terms(t, A, n_tx, n_rf)
-    mse = float(np.sum((achieved - profile.all_levels()) ** 2))
+    T = t.reshape((n_tx, n_rf), order="F")
+    mse = float(np.sum(pattern_terms(T, profile)[1] ** 2))
     gap = n_rf - np.sqrt(n_rf) * np.linalg.norm(t)
     gram = T.T @ T - np.eye(n_rf)
     return mse + penalty_bin * gap + penalty_orth * float(np.sum(gram ** 2))
@@ -112,9 +104,10 @@ def epm_gradient(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
     if norm == 0.0:
         raise DegenerateIterateError("gradient undefined at t = 0")
     A, _ = profile_steering(profile, n_tx)
-    T, Z, achieved = _pattern_terms(t, A, n_tx, n_rf)
+    T = t.reshape((n_tx, n_rf), order="F")
+    Z, gaps = pattern_terms(T, profile)
 
-    coeff = 4.0 * (achieved - profile.all_levels())
+    coeff = 4.0 * gaps
     g_pattern = np.real(A.conj() @ (coeff[:, None] * Z))
 
     g_bin = -penalty_bin * np.sqrt(n_rf) / norm * T
@@ -126,15 +119,6 @@ def round_to_signs(t: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
     """Nearest one-bit beamformer; zeros round up."""
     T = np.asarray(t, float).reshape((n_tx, n_rf), order="F")
     return np.where(T >= 0.0, 1.0, -1.0) / np.sqrt(n_tx)
-
-
-def onebit_objective(T: np.ndarray, profile: PowerProfile, penalty_orth: float) -> float:
-    """Pattern MSE plus orthogonality penalty of a (real) one-bit beamformer."""
-    A, _ = profile_steering(profile, T.shape[0])
-    achieved = np.sum(np.abs(A.T @ T) ** 2, axis=1)
-    mse = float(np.sum((achieved - profile.all_levels()) ** 2))
-    gram = T.T @ T - np.eye(T.shape[1])
-    return mse + penalty_orth * float(np.sum(gram ** 2))
 
 
 def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
@@ -249,9 +233,6 @@ def exhaustive_onebit(profile: PowerProfile, n_tx: int, n_rf: int,
     if n > MAX_EXHAUSTIVE_ENTRIES:
         raise ModelError(f"{n} one-bit entries means 2^{n} candidates; refusing beyond "
                          f"2^{MAX_EXHAUSTIVE_ENTRIES}")
-    angles = profile.all_angles()
-    levels = profile.all_levels()
-    A = steering_matrix(angles, n_tx)
     scale = 1.0 / np.sqrt(n_tx)
 
     best_val = np.inf
@@ -264,9 +245,7 @@ def exhaustive_onebit(profile: PowerProfile, n_tx: int, n_rf: int,
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         signs = (((idx[:, None] >> bit_id[None, :]) & 1) * 2 - 1).astype(np.float64)
         Tb = signs.reshape(-1, n_rf, n_tx).transpose(0, 2, 1) * scale   # column-major bits
-        Z = np.einsum("np,bnr->bpr", A, Tb.astype(complex))
-        achieved = np.sum(np.abs(Z) ** 2, axis=2)
-        mse = np.sum((achieved - levels[None, :]) ** 2, axis=1)
+        mse = np.sum(pattern_terms(Tb, profile)[1] ** 2, axis=-1)
         gram = np.einsum("bnr,bns->brs", Tb, Tb) - eye[None]
         vals = mse + penalty_orth * np.sum(gram ** 2, axis=(1, 2))
         k = int(np.argmin(vals))

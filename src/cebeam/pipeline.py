@@ -15,16 +15,14 @@ import numpy as np
 
 from . import __version__
 from .ce_design import (CeDesignParams, MmTrace, beampattern_mse, orthogonality_residual,
-                        plain_mm, squarem_accelerated_mm)
-from .model import (ModelError, Scenario, averaged_relative_entropy, beampattern_powers,
-                    hypothesis_covariances, quantization_model, random_unit_modulus,
-                    relative_entropy, steering_matrix, unit_modulus)
-from .onebit import EpmTrace, OneBitParams, nesterov_epm, onebit_objective, round_to_signs
+                        pattern_terms, plain_mm, profile_steering, squarem_accelerated_mm)
+from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
+                    beampattern_powers, hypothesis_covariances, quantization_model,
+                    random_unit_modulus, relative_entropy, unit_modulus)
+from .onebit import EpmTrace, OneBitParams, nesterov_epm, round_to_signs
 from .power_alloc import PowerAllocationResult, PowerProfile, bcd_power_allocation
+from .quantizer import lloyd_max_codebook
 from .simulate import check_detection_settings, detection_curve, steering_crosscorr_experiment
-
-COMMANDS = ("allocate-power", "design-ce", "design-onebit", "evaluate",
-            "sweep-bits", "sweep-rf", "sweep-antennas", "sweep-snr", "fig2")
 
 METHOD_TAGS = ("AMM", "MM", "BCD-direct", "projection-baseline", "Nesterov-EPM", "exhaustive")
 
@@ -49,6 +47,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ModelError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+        if str(self.method).upper() not in ("AMM", "MM"):
+            raise ModelError(f"unknown design method {self.method!r}; expected AMM or MM")
+        self.snr_grid_db = tuple(self.snr_grid_db)
 
 
 @dataclass
@@ -128,11 +129,9 @@ def evaluate_entropies(scenario: Scenario, T: np.ndarray, bits) -> tuple[float, 
     return avg, single
 
 
-def run_power_allocation(scenario: Scenario, bits, tol: float | None = None,
-                         max_sweeps: int = 100) -> PowerAllocationResult:
-    q = quantization_model(bits)
-    kwargs = {} if tol is None else {"tol": tol}
-    return bcd_power_allocation(scenario, q, max_sweeps=max_sweeps, **kwargs)
+def run_power_allocation(scenario: Scenario, bits, **options) -> PowerAllocationResult:
+    """Stage 1 at the given ADC resolution; ``options`` go to ``bcd_power_allocation``."""
+    return bcd_power_allocation(scenario, quantization_model(bits), **options)
 
 
 def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
@@ -156,13 +155,6 @@ def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
     return T, report, trace, profile
 
 
-def quantized_phase_init(T: np.ndarray) -> np.ndarray:
-    """One-bit starting point: phases snapped to {0, pi}, column-major vector."""
-    n_tx = T.shape[0]
-    signs = np.where(np.real(T) >= 0.0, 1.0, -1.0) / np.sqrt(n_tx)
-    return signs.reshape(-1, order="F")
-
-
 def run_onebit_design(scenario: Scenario, bits, seed: int,
                       params: OneBitParams | None = None,
                       profile: PowerProfile | None = None,
@@ -174,14 +166,15 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
     params = params or OneBitParams(seed=seed)
     T_ce, _, _, _ = run_ce_design(scenario, bits, seed, "AMM",
                                   ce_params or CeDesignParams(seed=seed), profile)
-    t0 = quantized_phase_init(T_ce)
+    # one-bit starting point: phases snapped to {0, pi}, column-major vector
+    t0 = round_to_signs(np.real(T_ce), scenario.n_tx, scenario.n_rf).reshape(-1, order="F")
     started = time.perf_counter()
     T, trace = nesterov_epm(t0, profile, scenario.n_tx, scenario.n_rf, params)
     avg, single = evaluate_entropies(scenario, T, bits)
     report = DesignReport(
         method="Nesterov-EPM", iterations=trace.iterations,
         wall_time_s=time.perf_counter() - started,
-        final_mse=onebit_objective(T, profile, 0.0),
+        final_mse=beampattern_mse(T, profile),
         orthogonality_residual=orthogonality_residual(T),
         avg_relative_entropy=avg, mean_angle_relative_entropy=single,
         converged=trace.converged,
@@ -200,19 +193,17 @@ def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0
     applied only at the end by keeping the phases.
     """
     n_tx, n_rf = scenario.n_tx, scenario.n_rf
-    A = steering_matrix(profile.all_angles(), n_tx)
-    levels = profile.all_levels()
+    A, _ = profile_steering(profile, n_tx)
     eye = np.eye(n_rf)
 
     def cost(T):
-        achieved = np.sum(np.abs(A.T @ T) ** 2, axis=1)
         gram = T.conj().T @ T - eye
-        return float(np.sum((achieved - levels) ** 2) + penalty * np.sum(np.abs(gram) ** 2))
+        return float(np.sum(pattern_terms(T, profile)[1] ** 2)
+                     + penalty * np.sum(np.abs(gram) ** 2))
 
     def grad(T):
-        Z = A.T @ T
-        achieved = np.sum(np.abs(Z) ** 2, axis=1)
-        g = 2.0 * (A.conj() * (achieved - levels)) @ Z
+        Z, gaps = pattern_terms(T, profile)
+        g = 2.0 * (A.conj() * gaps) @ Z
         return g + 2.0 * penalty * T @ (T.conj().T @ T - eye)
 
     started = time.perf_counter()
@@ -234,14 +225,13 @@ def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0
 
     phases = np.angle(T)
     T_proj = unit_modulus(phases, n_tx)
-    achieved = np.sum(np.abs(A.T @ T) ** 2, axis=1)
     report = DesignReport(
         method="projection-baseline", iterations=iters,
         wall_time_s=time.perf_counter() - started,
         final_mse=beampattern_mse(T_proj, profile),
         orthogonality_residual=orthogonality_residual(T_proj),
         extras={"unconstrained_cost": f,
-                "unconstrained_mse": float(np.sum((achieved - levels) ** 2))})
+                "unconstrained_mse": beampattern_mse(T, profile)})
     return T_proj, report
 
 
@@ -249,32 +239,19 @@ def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_bits(scenario: Scenario, seed: int, bit_list=(1, 2, 3, 4, 5, "ideal"),
-               params: CeDesignParams | None = None) -> list[tuple]:
+def sweep(scenario: Scenario, seed: int, swept: str, values, bits=1,
+          params: CeDesignParams | None = None) -> list[tuple]:
+    """(value, D) of an AMM design for each value of ``swept``.
+
+    ``swept`` is "bits" (the ADC resolution) or a ``Scenario`` field such as
+    "n_rf" or "n_rx"; the ADC resolution is otherwise held at ``bits``.
+    """
     rows = []
-    for bits in bit_list:
-        T, report, _, _ = run_ce_design(scenario, bits, seed, "AMM", params)
-        rows.append((bits, report.avg_relative_entropy))
-    return rows
-
-
-def sweep_rf(scenario: Scenario, seed: int, rf_list=(2, 4, 8),
-             bits=1, params: CeDesignParams | None = None) -> list[tuple]:
-    rows = []
-    for n_rf in rf_list:
-        sc = replace(scenario, n_rf=n_rf)
-        T, report, _, _ = run_ce_design(sc, bits, seed, "AMM", params)
-        rows.append((n_rf, report.avg_relative_entropy))
-    return rows
-
-
-def sweep_antennas(scenario: Scenario, seed: int, rx_list=(32, 64, 128),
-                   bits=1, params: CeDesignParams | None = None) -> list[tuple]:
-    rows = []
-    for n_rx in rx_list:
-        sc = replace(scenario, n_rx=n_rx)
-        T, report, _, _ = run_ce_design(sc, bits, seed, "AMM", params)
-        rows.append((n_rx, report.avg_relative_entropy))
+    for value in values:
+        sc = scenario if swept == "bits" else replace(scenario, **{swept: value})
+        _, report, _, _ = run_ce_design(sc, value if swept == "bits" else bits, seed, "AMM",
+                                        params)
+        rows.append((value, report.avg_relative_entropy))
     return rows
 
 
@@ -291,13 +268,127 @@ def fig2_rows(n_rx_list=(32, 64, 128, 256), clutter_counts=(5, 10, 20),
 # CLI pipeline
 # ---------------------------------------------------------------------------
 
-def _design_params(spec: ExperimentSpec) -> CeDesignParams:
-    kwargs = {"seed": spec.seed}
-    if spec.max_iters is not None:
-        kwargs["max_iters"] = spec.max_iters
-    if spec.tol is not None:
-        kwargs["tol"] = spec.tol
-    return CeDesignParams(**kwargs)
+def _limits(spec: ExperimentSpec, iters_name: str = "max_iters") -> dict:
+    """The --max-iters/--tol values given, keyed as the solver names them."""
+    given = {iters_name: spec.max_iters, "tol": spec.tol}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _allocate_power(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    alloc = run_power_allocation(scenario, spec.bits, **_limits(spec, "max_sweeps"))
+    prov = provenance(scenario, spec, {"bits": spec.bits, "grid_step": alloc.grid_step})
+    write_json(out / "power_profile.json", {"profile": alloc.profile.to_dict(),
+                                            "objective": alloc.objective,
+                                            "sweeps": alloc.sweeps,
+                                            "converged": alloc.converged}, prov)
+    write_csv(out / "power_trace.csv", ["iteration", "objective"],
+              list(enumerate(alloc.trace, start=1)), prov)
+    return alloc.converged
+
+
+def _design_ce(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    params = CeDesignParams(seed=spec.seed, **_limits(spec))
+    entropy_every = 50
+    entropy_marks: dict[int, float] = {}
+    q = quantization_model(spec.bits)
+
+    def monitor(it, T):
+        if it % entropy_every == 0:
+            entropy_marks[it] = averaged_relative_entropy(scenario, T, q)
+
+    T, report, trace, profile = run_ce_design(
+        scenario, spec.bits, spec.seed, spec.method, params, monitor=monitor)
+    prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
+    np.savetxt(out / "phases_deg.txt", np.degrees(np.angle(T)), fmt="%.10f")
+    rows = [(i + 1, trace.mse[i], trace.orth_residual[i], entropy_marks.get(i + 1))
+            for i in range(trace.iterations)]
+    write_csv(out / "design_trace.csv",
+              ["iteration", "mse", "penalty_residual", "relative_entropy"], rows, prov)
+    report.trace_path = str(out / "design_trace.csv")
+    write_json(out / "design_report.json",
+               {"report": asdict(report), "profile": profile.to_dict()}, prov)
+    return report.converged
+
+
+def _design_onebit(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    params = OneBitParams(seed=spec.seed, **_limits(spec))
+    T, report, trace, profile = run_onebit_design(scenario, spec.bits, spec.seed, params)
+    prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
+    np.savetxt(out / "signs.txt", np.sign(T).astype(int), fmt="%+d")
+    rows = [(i + 1, trace.objective[i], trace.grad_norm[i], trace.binary_gap[i])
+            for i in range(trace.iterations)]
+    write_csv(out / "onebit_trace.csv",
+              ["iteration", "objective", "grad_norm", "binary_gap"], rows, prov)
+    report.trace_path = str(out / "onebit_trace.csv")
+    write_json(out / "onebit_report.json",
+               {"report": asdict(report), "profile": profile.to_dict()}, prov)
+    return report.converged
+
+
+def _evaluate(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    if not spec.design_path:
+        raise ModelError("evaluate needs --design pointing at a phase or sign matrix")
+    T = _load_design(spec.design_path, scenario)
+    avg, single = evaluate_entropies(scenario, T, spec.bits)
+    prov = provenance(scenario, spec, {"bits": spec.bits, "design": spec.design_path})
+    grid = np.linspace(-90.0, 90.0, 721)
+    pattern = beampattern_powers(T, np.radians(grid))
+    write_csv(out / "beampattern.csv", ["angle_deg", "power"], list(zip(grid, pattern)), prov)
+    write_json(out / "evaluation.json",
+               {"avg_relative_entropy": avg, "mean_angle_relative_entropy": single,
+                "orthogonality_residual": orthogonality_residual(T)}, prov)
+    return True
+
+
+# swept field and values of each sweep command; its CSV is named after the command
+SWEEPS = {"sweep-bits": ("bits", (1, 2, 3, 4, 5, "ideal")),
+          "sweep-rf": ("n_rf", (2, 4, 8)),
+          "sweep-antennas": ("n_rx", (32, 64, 128))}
+
+
+def _sweep(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    swept, values = SWEEPS[spec.command]
+    rows = sweep(scenario, spec.seed, swept, values, spec.bits,
+                 CeDesignParams(seed=spec.seed, **_limits(spec)))
+    prov = provenance(scenario, spec, {"bit_list": list(values)} if swept == "bits"
+                      else {"bits": spec.bits})
+    write_csv(out / f"{spec.command.replace('-', '_')}.csv", [swept, "relative_entropy"],
+              rows, prov)
+    if swept == "bits":
+        beta_rows = [(b, lloyd_max_codebook(b).distortion(), ADC_DISTORTION[b])
+                     for b in sorted(ADC_DISTORTION)]
+        write_csv(out / "quantizer_beta.csv", ["bits", "measured_beta", "table_beta"],
+                  beta_rows, prov)
+    return True
+
+
+def _sweep_snr(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    check_detection_settings(spec.pfa, spec.trials)       # before the design runs
+    T, report, _, _ = run_ce_design(scenario, spec.bits, spec.seed, spec.method,
+                                    CeDesignParams(seed=spec.seed, **_limits(spec)))
+    curve = detection_curve(T, scenario, spec.bits, spec.snr_grid_db,
+                            spec.pfa, spec.trials, spec.seed)
+    prov = provenance(scenario, spec, {"bits": spec.bits, "pfa": spec.pfa,
+                                       "trials": spec.trials})
+    write_csv(out / "detection.csv", ["snr_db", "pd", "ci_halfwidth"],
+              list(zip(curve.snr_db, curve.pd, curve.ci_halfwidth)), prov)
+    return report.converged
+
+
+def _fig2(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
+    prov = provenance(scenario, spec, {"trials": 10_000})
+    write_csv(out / "steering_gram_error.csv", ["n_clutter", "n_rx", "mean_error"],
+              fig2_rows(seed=spec.seed), prov)
+    return True
+
+
+# command -> handler(spec, scenario, out dir); a handler returns whether every
+# stage converged
+HANDLERS = {"allocate-power": _allocate_power, "design-ce": _design_ce,
+            "design-onebit": _design_onebit, "evaluate": _evaluate,
+            "sweep-bits": _sweep, "sweep-rf": _sweep, "sweep-antennas": _sweep,
+            "sweep-snr": _sweep_snr, "fig2": _fig2}
+COMMANDS = tuple(HANDLERS)
 
 
 def run_pipeline(spec: ExperimentSpec) -> int:
@@ -309,111 +400,7 @@ def run_pipeline(spec: ExperimentSpec) -> int:
     scenario = load_scenario(spec.scenario)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ok = True
-
-    if spec.command == "allocate-power":
-        alloc = run_power_allocation(scenario, spec.bits, tol=spec.tol)
-        prov = provenance(scenario, spec, {"bits": spec.bits, "grid_step": alloc.grid_step})
-        write_json(out / "power_profile.json", {"profile": alloc.profile.to_dict(),
-                                                "objective": alloc.objective,
-                                                "sweeps": alloc.sweeps,
-                                                "converged": alloc.converged}, prov)
-        write_csv(out / "power_trace.csv", ["iteration", "objective"],
-                  list(enumerate(alloc.trace, start=1)), prov)
-        ok = alloc.converged
-
-    elif spec.command == "design-ce":
-        params = _design_params(spec)
-        entropy_every = 50
-        entropy_marks: dict[int, float] = {}
-        q = quantization_model(spec.bits)
-
-        def monitor(it, T):
-            if it % entropy_every == 0:
-                entropy_marks[it] = averaged_relative_entropy(scenario, T, q)
-
-        T, report, trace, profile = run_ce_design(
-            scenario, spec.bits, spec.seed, spec.method, params, monitor=monitor)
-        prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
-        np.savetxt(out / "phases_deg.txt", np.degrees(np.angle(T)), fmt="%.10f")
-        rows = [(i + 1, trace.mse[i], trace.orth_residual[i], entropy_marks.get(i + 1))
-                for i in range(trace.iterations)]
-        write_csv(out / "design_trace.csv",
-                  ["iteration", "mse", "penalty_residual", "relative_entropy"], rows, prov)
-        report.trace_path = str(out / "design_trace.csv")
-        write_json(out / "design_report.json",
-                   {"report": asdict(report), "profile": profile.to_dict()}, prov)
-        ok = report.converged
-
-    elif spec.command == "design-onebit":
-        params = OneBitParams(seed=spec.seed, **({"max_iters": spec.max_iters}
-                                                 if spec.max_iters is not None else {}))
-        T, report, trace, profile = run_onebit_design(scenario, spec.bits, spec.seed, params)
-        prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
-        np.savetxt(out / "signs.txt", np.sign(T).astype(int), fmt="%+d")
-        rows = [(i + 1, trace.objective[i], trace.grad_norm[i], trace.binary_gap[i])
-                for i in range(trace.iterations)]
-        write_csv(out / "onebit_trace.csv",
-                  ["iteration", "objective", "grad_norm", "binary_gap"], rows, prov)
-        report.trace_path = str(out / "onebit_trace.csv")
-        write_json(out / "onebit_report.json",
-                   {"report": asdict(report), "profile": profile.to_dict()}, prov)
-        ok = report.converged
-
-    elif spec.command == "evaluate":
-        if not spec.design_path:
-            raise ModelError("evaluate needs --design pointing at a phase or sign matrix")
-        T = _load_design(spec.design_path, scenario)
-        avg, single = evaluate_entropies(scenario, T, spec.bits)
-        prov = provenance(scenario, spec, {"bits": spec.bits, "design": spec.design_path})
-        grid = np.linspace(-90.0, 90.0, 721)
-        pattern = beampattern_powers(T, np.radians(grid))
-        write_csv(out / "beampattern.csv", ["angle_deg", "power"],
-                  list(zip(grid, pattern)), prov)
-        write_json(out / "evaluation.json",
-                   {"avg_relative_entropy": avg, "mean_angle_relative_entropy": single,
-                    "orthogonality_residual": orthogonality_residual(T)}, prov)
-
-    elif spec.command == "sweep-bits":
-        rows = sweep_bits(scenario, spec.seed, params=_design_params(spec))
-        prov = provenance(scenario, spec, {"bit_list": [r[0] for r in rows]})
-        write_csv(out / "sweep_bits.csv", ["bits", "relative_entropy"], rows, prov)
-        from .model import ADC_DISTORTION
-        from .quantizer import lloyd_max_codebook
-        beta_rows = [(b, lloyd_max_codebook(b).distortion(), ADC_DISTORTION[b])
-                     for b in sorted(ADC_DISTORTION)]
-        write_csv(out / "quantizer_beta.csv", ["bits", "measured_beta", "table_beta"],
-                  beta_rows, prov)
-
-    elif spec.command == "sweep-rf":
-        rows = sweep_rf(scenario, spec.seed, bits=spec.bits, params=_design_params(spec))
-        prov = provenance(scenario, spec, {"bits": spec.bits})
-        write_csv(out / "sweep_rf.csv", ["n_rf", "relative_entropy"], rows, prov)
-
-    elif spec.command == "sweep-antennas":
-        rows = sweep_antennas(scenario, spec.seed, bits=spec.bits, params=_design_params(spec))
-        prov = provenance(scenario, spec, {"bits": spec.bits})
-        write_csv(out / "sweep_antennas.csv", ["n_rx", "relative_entropy"], rows, prov)
-
-    elif spec.command == "sweep-snr":
-        check_detection_settings(spec.pfa, spec.trials)       # before the design runs
-        T, report, _, _ = run_ce_design(scenario, spec.bits, spec.seed, spec.method,
-                                        _design_params(spec))
-        curve = detection_curve(T, scenario, spec.bits, spec.snr_grid_db,
-                                spec.pfa, spec.trials, spec.seed)
-        prov = provenance(scenario, spec, {"bits": spec.bits, "pfa": spec.pfa,
-                                           "trials": spec.trials})
-        write_csv(out / "detection.csv", ["snr_db", "pd", "ci_halfwidth"],
-                  list(zip(curve.snr_db, curve.pd, curve.ci_halfwidth)), prov)
-        ok = report.converged
-
-    elif spec.command == "fig2":
-        rows = fig2_rows(seed=spec.seed)
-        prov = provenance(scenario, spec, {"trials": 10_000})
-        write_csv(out / "steering_gram_error.csv", ["n_clutter", "n_rx", "mean_error"],
-                  rows, prov)
-
-    return 0 if ok else 1
+    return 0 if HANDLERS[spec.command](spec, scenario, out) else 1
 
 
 def _load_design(path: str, scenario: Scenario) -> np.ndarray:

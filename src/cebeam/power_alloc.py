@@ -5,11 +5,11 @@ entropy, one coordinate at a time with an exhaustive grid search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, QuantizationModel, Scenario
+from .model import ModelError, QuantizationModel, Scenario, clutter_load
 
 
 @dataclass
@@ -67,33 +67,6 @@ class PowerProfile:
                    scenario.clutter_angles, np.full(scenario.n_clutter, clutter_level))
 
 
-@dataclass(frozen=True)
-class AsymptoticScalars:
-    """Noise-plus-leakage scalars of the large-array surrogate.
-
-    chi/gamma carry the target-dependent quantization floor, varpi/eta the
-    target-free one; eta <= gamma and varpi <= chi whenever the target term
-    is nonnegative.
-    """
-
-    chi: float
-    varpi: float
-    gamma: float
-    eta: float
-
-
-def asymptotic_scalars(phi_t, phi_c, scenario: Scenario, q: QuantizationModel) -> AsymptoticScalars:
-    L, n_r = scenario.code_len, scenario.n_rx
-    clutter_sum = float(np.sum(scenario.clutter_powers * np.asarray(phi_c, float))) / n_r
-    a2L = q.alpha ** 2 * L
-    abL = q.alpha * q.beta * L
-    with_target = a2L * scenario.noise_power + abL * (
-        scenario.target_power * float(phi_t) / n_r + clutter_sum + scenario.noise_power)
-    without_target = a2L * scenario.noise_power + abL * (clutter_sum + scenario.noise_power)
-    return AsymptoticScalars(chi=with_target, varpi=without_target,
-                             gamma=with_target, eta=without_target)
-
-
 def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel):
     """Large-array relative-entropy surrogate for one target-grid power.
 
@@ -108,7 +81,7 @@ def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel)
     a2L = q.alpha ** 2 * L
     abL = q.alpha * q.beta * L
 
-    clutter_sum = np.sum(scenario.clutter_powers * phi_c, axis=-1) / n_r
+    clutter_sum = clutter_load(scenario, phi_c)
     chi = a2L * scenario.noise_power + abL * (
         scenario.target_power * phi_t / n_r + clutter_sum + scenario.noise_power)
     varpi = a2L * scenario.noise_power + abL * (clutter_sum + scenario.noise_power)
@@ -120,10 +93,9 @@ def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel)
         + np.sum(np.log1p(clutter_gain / chi[..., None]), axis=-1)
     log_h0 = n_r * np.log(varpi) + np.sum(np.log1p(clutter_gain / varpi[..., None]), axis=-1)
 
-    gamma, eta = chi, varpi
-    trace = eta / (gamma + target_gain) \
-        + np.sum((eta[..., None] + clutter_gain) / (gamma[..., None] + clutter_gain), axis=-1) \
-        + eta / gamma * (n_r - K - 1)
+    trace = varpi / (chi + target_gain) \
+        + np.sum((varpi[..., None] + clutter_gain) / (chi[..., None] + clutter_gain), axis=-1) \
+        + varpi / chi * (n_r - K - 1)
 
     return log_h1 - log_h0 + trace - n_r
 
@@ -165,6 +137,8 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     """
     if not (0.0 < grid_step <= 0.5):
         raise ModelError(f"grid step must lie in (0, 0.5], got {grid_step}")
+    if max_sweeps < 1 or not tol > 0:
+        raise ModelError(f"max_sweeps >= 1 and tol > 0 required, got {max_sweeps} and {tol}")
     n_steps = int(round(1.0 / grid_step))
     candidates = np.linspace(0.0, 1.0, n_steps + 1)
 
@@ -173,18 +147,14 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     t_lvl = np.full(n_t, float(init_level))
     c_lvl = np.full(K, float(init_level))
 
-    def evaluate(cand_t: np.ndarray, cand_c: np.ndarray) -> np.ndarray:
-        # single canonical broadcast path so identical configurations always
-        # evaluate bitwise-identically, keeping the trace exactly monotone
-        return profile_objective(cand_t, cand_c, scenario, q)
-
-    def update_coordinate(levels: np.ndarray, idx: int, is_target: bool,
-                          current: float) -> float:
+    def update_coordinate(levels: np.ndarray, idx: int, is_target: bool) -> float:
         n_cand = candidates.size
         cand_t = np.tile(t_lvl, (n_cand, 1))
         cand_c = np.tile(c_lvl, (n_cand, 1))
         (cand_t if is_target else cand_c)[:, idx] = candidates
-        vals = evaluate(cand_t, cand_c)
+        # one broadcast path for every evaluation, so identical configurations
+        # evaluate bitwise-identically and the trace stays exactly monotone
+        vals = profile_objective(cand_t, cand_c, scenario, q)
         cur_idx = int(round(levels[idx] / grid_step))
         v_cur = vals[cur_idx]
         # smallest level within a hair of the maximum wins plateaus, but never
@@ -195,16 +165,16 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
         return float(vals[best])
 
     trace = []
-    current = float(evaluate(t_lvl[None, :], c_lvl[None, :])[0])
+    current = float(profile_objective(t_lvl[None, :], c_lvl[None, :], scenario, q)[0])
     converged = False
     sweep = 0
     for sweep in range(1, max_sweeps + 1):
         before = current
         for i in range(n_t):
-            current = update_coordinate(t_lvl, i, True, current)
+            current = update_coordinate(t_lvl, i, True)
             trace.append(current)
         for k in range(K):
-            current = update_coordinate(c_lvl, k, False, current)
+            current = update_coordinate(c_lvl, k, False)
             trace.append(current)
         if current - before < tol:
             converged = True

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._accel import lrt_statistics
-from .model import (ModelError, QuantizationModel, Scenario, hypothesis_covariances,
-                    quantization_model, steering_matrix, steering_vector,
-                    beampattern_power, beampattern_powers)
+from .model import (ModelError, Scenario, hypothesis_covariances, model_row_power,
+                    quantization_model, steering_matrix)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
 DEFAULT_BATCH = 8192
@@ -39,18 +38,6 @@ def lfm_waveforms(n_rf: int, code_len: int) -> np.ndarray:
     chirp = np.exp(1j * np.pi * ell ** 2 / code_len)
     shifts = np.exp(2j * np.pi * np.outer(np.arange(n_rf), ell) / code_len)
     return shifts * chirp[None, :]
-
-
-def model_row_power(scenario: Scenario, T: np.ndarray, theta_t: float | None) -> float:
-    """Per-snapshot, per-antenna received variance before quantization.
-
-    Uniform across a ULA; ``theta_t=None`` gives the no-target value.
-    """
-    phi_c = beampattern_powers(T, scenario.clutter_angles) if scenario.n_clutter else np.zeros(0)
-    power = float(np.sum(scenario.clutter_powers * phi_c)) / scenario.n_rx + scenario.noise_power
-    if theta_t is not None:
-        power += scenario.target_power * beampattern_power(T, theta_t) / scenario.n_rx
-    return power
 
 
 def _sources(scenario: Scenario, T: np.ndarray, theta_t: float | None):

@@ -12,7 +12,8 @@ from cebeam import model as M
 from cebeam import onebit as OB
 from cebeam import pipeline as PL
 from cebeam import simulate as SIM
-from cebeam.ce_design import CeDesignParams, plain_mm, squarem_accelerated_mm
+from cebeam.ce_design import (CeDesignParams, penalized_objective, plain_mm,
+                               squarem_accelerated_mm)
 from cebeam.model import ADC_DISTORTION
 from cebeam.power_alloc import PowerProfile, bcd_power_allocation
 from cebeam.quantizer import lloyd_max_codebook
@@ -133,7 +134,7 @@ def test_onebit_matches_exhaustive_within_ten_percent():
         rng = np.random.default_rng(seed)
         start = rng.choice([-1.0, 1.0], n_tx * n_rf) * 0.9 / np.sqrt(n_tx)
         T, _ = OB.nesterov_epm(start, prof, n_tx, n_rf, OB.OneBitParams(seed=seed))
-        gaps.append((OB.onebit_objective(T, prof, penalty) - v_opt) / v_opt)
+        gaps.append((penalized_objective(T, prof, penalty) - v_opt) / v_opt)
     worst = max(gaps)
     report("one-bit design within 10% of exhaustive optimum",
            worst <= 0.10, f"worst relative gap {worst:.3f} over 10 seeds (optimum {v_opt:.5f})",
@@ -217,8 +218,7 @@ def test_entropy_trends_in_bits_and_rf_chains():
 
     rf_monotone = {}
     for bits in (1, 3, "ideal"):
-        vals = [r[1] for r in PL.sweep_rf(sc, seed=0, rf_list=(2, 4, 8),
-                                          bits=bits, params=params)]
+        vals = [r[1] for r in PL.sweep(sc, 0, "n_rf", (2, 4, 8), bits=bits, params=params)]
         rf_monotone[bits] = all(a <= b for a, b in zip(vals, vals[1:]))
     ok = bits_monotone and gap < 0.10 and all(rf_monotone.values())
     report("relative entropy non-decreasing in bits and RF chains",

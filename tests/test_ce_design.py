@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cebeam import ce_design as C
 from cebeam import model as M
+from cebeam import onebit as OB
 from cebeam.power_alloc import PowerProfile
 
 
@@ -109,7 +111,7 @@ class TestMinorizer:
             X = M.random_unit_modulus(n_tx, n_rf, rng)
             prof = random_profile(rng)
             pen = float(rng.uniform(0, 2))
-            lam_p = C.pattern_gram_lambda(prof, n_tx) + pen
+            lam_p = C.profile_steering(prof, n_tx)[1] + pen
             state = C.minorizer_matrix(X, prof, pen)
             delta = T @ T.conj().T - X @ X.conj().T
             bound = (C.penalized_objective(X, prof, pen)
@@ -184,7 +186,8 @@ class TestMmMap:
         def surrogate(t):
             return np.real(t_m.conj() @ B @ t)
 
-        closed = C._phase_step(T, state, shift).reshape(-1, order="F")
+        W = (shift * np.eye(n_tx) - state.q_matrix) @ T
+        closed = C._project_phases(W, T, n_tx).reshape(-1, order="F")
         best = np.inf
         grid = np.linspace(0, 2 * np.pi, 360, endpoint=False)
         for p0 in grid:
@@ -275,3 +278,52 @@ class TestParams:
             C.CeDesignParams(penalty_init=0.0)
         with pytest.raises(M.ModelError):
             C.CeDesignParams(max_iters=0)
+
+
+@st.composite
+def small_designs(draw):
+    """A random small profile with a complex unit-modulus and a real one-bit design."""
+    n_tx = draw(st.integers(2, 5))
+    n_rf = draw(st.integers(1, 8 // n_tx))
+    angles = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=6, unique=True))
+    angles = np.asarray(angles)
+    levels = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=angles.size,
+                                      max_size=angles.size)))
+    n_target = draw(st.integers(1, angles.size))
+    prof = PowerProfile(angles[:n_target], levels[:n_target],
+                        angles[n_target:], levels[n_target:])
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    T_ce = M.random_unit_modulus(n_tx, n_rf, rng)
+    T_bit = rng.choice([-1.0, 1.0], (n_tx, n_rf)) / np.sqrt(n_tx)
+    return prof, T_ce, T_bit, draw(st.floats(0.0, 2.0))
+
+
+class TestPatternCore:
+    """Every user of the shared pattern core against the per-angle oracle."""
+
+    @staticmethod
+    def oracle_gaps(T, prof):
+        return np.array([M.beampattern_power(T, th) - lvl
+                         for th, lvl in zip(prof.all_angles(), prof.all_levels())])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_designs())
+    def test_pattern_users_match_per_angle_oracle(self, case):
+        prof, T_ce, T_bit, penalty = case
+        n_tx, n_rf = T_bit.shape
+        for T in (T_ce, T_bit):
+            gaps = self.oracle_gaps(T, prof)
+            mse = float(np.sum(gaps ** 2))
+            assert C.beampattern_mse(T, prof) == pytest.approx(mse, rel=1e-10, abs=1e-13)
+            A = M.steering_matrix(prof.all_angles(), n_tx)
+            Q = (A.conj() * gaps) @ A.T
+            np.testing.assert_allclose(C.minorizer_matrix(T, prof, 0.0).q_matrix, Q,
+                                       rtol=0, atol=1e-12 * max(1.0, np.abs(Q).max()))
+        mse_bit = float(np.sum(self.oracle_gaps(T_bit, prof) ** 2))
+        t = T_bit.reshape(-1, order="F")
+        assert OB.epm_objective(t, prof, n_tx, n_rf, 0.0, 0.0) == pytest.approx(
+            mse_bit, rel=1e-10, abs=1e-13)
+        # the exhaustive search scores its argmin as the penalized objective does
+        T_opt, value = OB.exhaustive_onebit(prof, n_tx, n_rf, penalty)
+        assert value == pytest.approx(C.penalized_objective(T_opt, prof, penalty), rel=1e-12)

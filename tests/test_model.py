@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0 as scipy_j0
 
 from cebeam import model as M
 
@@ -94,9 +95,21 @@ class TestHypothesisCovariances:
         np.testing.assert_array_equal(cov.r0, cov.r1)
 
     def test_ideal_adc_has_no_quantizer_floor(self, tiny_scenario):
+        # without quantization the covariances are the unquantized model: L times
+        # clutter plus noise, and the target outer product under H1
+        sc = tiny_scenario
         T = M.random_unit_modulus(8, 2, np.random.default_rng(1))
-        rq0, rq1 = M.quantizer_noise_floors(tiny_scenario, T, M.quantization_model("ideal"), 0.1)
-        assert rq0 == 0.0 and rq1 == 0.0
+        cov = M.hypothesis_covariances(sc, T, M.quantization_model("ideal"), 0.1)
+        A_c = M.steering_matrix(sc.clutter_angles, sc.n_rx)
+        phi_c = [M.beampattern_power(T, th) for th in sc.clutter_angles]
+        r0 = sc.code_len * ((A_c * (sc.clutter_powers * phi_c)) @ A_c.conj().T
+                            + sc.noise_power * np.eye(sc.n_rx))
+        a_t = M.steering_vector(0.1, sc.n_rx)
+        r1 = r0 + sc.code_len * sc.target_power * M.beampattern_power(T, 0.1) * np.outer(
+            a_t, a_t.conj())
+        scale = np.abs(r1).max()
+        np.testing.assert_allclose(cov.r0, r0, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(cov.r1, r1, rtol=0, atol=1e-12 * scale)
 
     def test_noise_only_closed_form(self):
         sc = M.Scenario(n_tx=8, n_rx=6, n_rf=2, code_len=4, target_mean_angle=0.0,
@@ -200,6 +213,16 @@ class TestLargeArrayOrthogonality:
                 acc += abs(np.vdot(a, b)) ** 2
             means.append(acc / 400)
         assert means[0] > means[1] > means[2]
+
+    def test_expected_angle_average_identity(self):
+        # E[exp(1j pi n sin(theta))] over uniform theta equals J0(pi n), whose
+        # decay along the integers backs the large-array orthogonality argument
+        rng = np.random.default_rng(0)
+        theta = rng.uniform(-np.pi / 2, np.pi / 2, 4_000_000)
+        for n in (1, 2):
+            mc = np.mean(np.exp(1j * np.pi * n * np.sin(theta)))
+            assert mc.real == pytest.approx(scipy_j0(math.pi * n), abs=2e-3)
+            assert abs(mc.imag) < 2e-3
 
 
 class TestDopplerInvariance:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cebeam import ce_design as C
 from cebeam import model as M
 from cebeam import onebit as OB
 from cebeam.power_alloc import PowerProfile
@@ -181,8 +182,8 @@ class TestNesterovEpm:
         t0 = rng.choice([-1.0, 1.0], 8) * 0.9 / 2.0
         Ta, _ = OB.nesterov_epm(t0, prof, 4, 2, OB.OneBitParams())
         Tb, _ = OB.nesterov_epm(-t0, prof, 4, 2, OB.OneBitParams())
-        assert OB.onebit_objective(Ta, prof, 1.0) == pytest.approx(
-            OB.onebit_objective(Tb, prof, 1.0), rel=1e-12)
+        assert C.penalized_objective(Ta, prof, 1.0) == pytest.approx(
+            C.penalized_objective(Tb, prof, 1.0), rel=1e-12)
 
     def test_iterate_reaches_box_walls(self):
         rng = np.random.default_rng(10)
@@ -216,12 +217,12 @@ class TestExhaustive:
         rng = np.random.default_rng(11)
         for _ in range(1000):
             R = rng.choice([-1.0, 1.0], (4, 2)) / 2.0
-            assert OB.onebit_objective(R, prof, 1.0) >= val - 1e-12
+            assert C.penalized_objective(R, prof, 1.0) >= val - 1e-12
 
     def test_sign_flip_invariance(self):
         prof = three_angle_profile()
         T, val = OB.exhaustive_onebit(prof, 4, 2, 1.0)
-        assert OB.onebit_objective(-T, prof, 1.0) == pytest.approx(val, rel=1e-12)
+        assert C.penalized_objective(-T, prof, 1.0) == pytest.approx(val, rel=1e-12)
 
     def test_size_limit_enforced(self):
         with pytest.raises(M.ModelError):

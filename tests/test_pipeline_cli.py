@@ -135,6 +135,10 @@ class TestPipelineCommands:
         with pytest.raises(M.ModelError):
             PL.ExperimentSpec(command="explode")
 
+    def test_unknown_method_rejected_up_front(self):
+        with pytest.raises(M.ModelError):
+            PL.ExperimentSpec(command="design-ce", method="foo")
+
 
 class TestCli:
     def test_parser_bits_handling(self):
@@ -192,18 +196,62 @@ class TestCli:
         assert code == 2
 
 
+class TestCliSpec:
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda spec: specs.append(spec) or 0)
+        return specs
+
+    @pytest.mark.parametrize("command", PL.COMMANDS)
+    def test_defaults_come_from_spec(self, captured, command):
+        assert cli.main([command]) == 0
+        assert captured == [PL.ExperimentSpec(command=command)]
+
+    def test_flags_land_on_fields(self, captured):
+        cli.main(["evaluate", "--scenario", "desk32", "--seed", "4", "--bits", "ideal",
+                  "--out", "o", "--max-iters", "7", "--tol", "0.5", "--design", "d.txt"])
+        cli.main(["sweep-snr", "--pfa", "0.01", "--trials", "2000", "--snr", "-3", "0"])
+        cli.main(["design-ce", "--method", "MM"])
+        assert captured == [
+            PL.ExperimentSpec(command="evaluate", scenario="desk32", seed=4, bits="ideal",
+                              out_dir="o", max_iters=7, tol=0.5, design_path="d.txt"),
+            PL.ExperimentSpec(command="sweep-snr", pfa=0.01, trials=2000,
+                              snr_grid_db=(-3.0, 0.0)),
+            PL.ExperimentSpec(command="design-ce", method="MM"),
+        ]
+
+
+class TestIterationFlags:
+    def test_onebit_tol_is_honored(self, mini_scenario_file, tmp_path):
+        out = tmp_path / "ob"
+        cli.main(["design-onebit", "--scenario", mini_scenario_file, "--tol", "1e9",
+                  "--out", str(out)])
+        report = json.loads((out / "onebit_report.json").read_text())
+        assert report["report"]["iterations"] == 1
+        assert report["provenance"]["params"]["tol"] == 1e9
+
+    def test_allocate_max_iters_is_honored(self, mini_scenario_file, tmp_path):
+        out = tmp_path / "alloc"
+        cli.main(["allocate-power", "--scenario", mini_scenario_file, "--max-iters", "1",
+                  "--out", str(out)])
+        assert json.loads((out / "power_profile.json").read_text())["sweeps"] == 1
+        for flag, value in (("--max-iters", "0"), ("--tol", "-1"), ("--tol", "nan")):
+            code = cli.main(["allocate-power", "--scenario", mini_scenario_file, flag, value,
+                             "--out", str(out)])
+            assert code == 2
+
+
 class TestSweeps:
     def test_sweep_bits_rows(self, mini_scenario_file, tmp_path):
         sc = PL.load_scenario(mini_scenario_file)
         from cebeam.ce_design import CeDesignParams
-        rows = PL.sweep_bits(sc, seed=0, bit_list=(1, "ideal"),
-                             params=CeDesignParams(max_iters=80))
+        rows = PL.sweep(sc, 0, "bits", (1, "ideal"), params=CeDesignParams(max_iters=80))
         assert [r[0] for r in rows] == [1, "ideal"]
         assert all(np.isfinite(r[1]) for r in rows)
 
     def test_sweep_rf_resizes(self, mini_scenario_file):
         sc = PL.load_scenario(mini_scenario_file)
         from cebeam.ce_design import CeDesignParams
-        rows = PL.sweep_rf(sc, seed=0, rf_list=(2, 4), bits=1,
-                           params=CeDesignParams(max_iters=60))
+        rows = PL.sweep(sc, 0, "n_rf", (2, 4), bits=1, params=CeDesignParams(max_iters=60))
         assert [r[0] for r in rows] == [2, 4]

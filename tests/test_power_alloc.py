@@ -32,19 +32,6 @@ def straight_line_objective(phi_t, phi_c, sc, q):
     return log_h1 - log_h0 + trace - n_r
 
 
-class TestAsymptoticScalars:
-    def test_positive_and_ordered(self, tiny_scenario):
-        q = M.quantization_model(1)
-        s = P.asymptotic_scalars(0.7, [0.2, 0.9], tiny_scenario, q)
-        assert min(s.chi, s.varpi, s.gamma, s.eta) > 0.0
-        assert s.eta <= s.gamma and s.varpi <= s.chi
-
-    def test_equal_when_target_silent(self, tiny_scenario):
-        q = M.quantization_model(2)
-        s = P.asymptotic_scalars(0.0, [0.5, 0.5], tiny_scenario, q)
-        assert s.chi == s.varpi and s.gamma == s.eta
-
-
 class TestAsymptoticObjective:
     def test_matches_straight_line_reimplementation(self, tiny_scenario):
         rng = np.random.default_rng(0)
