@@ -12,10 +12,11 @@ quantizer in the loop.
 __version__ = "0.1.0"
 
 from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelError,
-                    ModelError, QuantizationModel, Scenario, UnsupportedResolutionError,
-                    averaged_relative_entropy, beampattern_power, beampattern_powers,
-                    hypothesis_covariances, is_unit_modulus, model_row_power,
-                    quantization_model, random_unit_modulus, relative_entropy,
+                    LowRankCovariances, ModelError, QuantizationModel, Scenario,
+                    UnsupportedResolutionError, averaged_relative_entropy, beampattern_power,
+                    beampattern_powers, hypothesis_covariances, is_unit_modulus,
+                    low_rank_covariances, model_row_power, quantization_model,
+                    random_unit_modulus, relative_entropies, relative_entropy,
                     steering_matrix, steering_vector, unit_modulus)
 from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
                           bcd_power_allocation, profile_objective)

@@ -134,13 +134,27 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
     return beampattern_mse(T, profile) + penalty * orthogonality_residual(T) ** 2
 
 
-def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float) -> MinorizerState:
-    """Surrogate matrix Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H."""
-    A, gram_lambda = profile_steering(profile, T_m.shape[0])
-    Q = (A.conj() * pattern_terms(T_m, profile)[1]) @ A.T
+def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float,
+                     work: np.ndarray | None = None) -> MinorizerState:
+    """Surrogate matrix Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H.
+
+    ``work`` is an optional (2, n_tx, n_tx) complex scratch, reused by the
+    design loop for every call; Q is then ``work[0]``.  Fresh n_tx x n_tx
+    temporaries on every call made glibc hand the top of the heap back to
+    the OS and page-fault it in again, about 64,000 faults per default128
+    design.  Q is the same to the last bit either way.
+    """
+    n_tx = T_m.shape[0]
+    if work is None:
+        work = np.empty((2, n_tx, n_tx), dtype=complex)
+    A, gram_lambda = profile_steering(profile, n_tx)
+    Q = np.matmul(A.conj() * pattern_terms(T_m, profile)[1], A.T, out=work[0])
     if penalty != 0.0:
-        Q = Q + penalty * (T_m @ T_m.conj().T)
-    Q = 0.5 * (Q + Q.conj().T)
+        gram = np.matmul(T_m, T_m.conj().T, out=work[1])
+        gram *= penalty
+        Q += gram
+    Q += np.conjugate(Q.T, out=work[1])
+    Q *= 0.5
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
     return MinorizerState(
@@ -151,17 +165,18 @@ def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float) -> 
 
 
 def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
-           state: MinorizerState | None = None) -> np.ndarray:
+           state: MinorizerState | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """One closed-form phase update of the fixed-point map.
 
     New phases are the arguments of (shift*I - Q) T_m applied column by
     column; entries where that product vanishes keep their previous phase.
     An optimistic shift (valid near orthonormal iterates) is tried first and
     replaced by the worst-case one whenever the penalized objective would
-    grow, so the map never ascends.
+    grow, so the map never ascends.  ``work`` goes to ``minorizer_matrix``.
     """
     if state is None:
-        state = minorizer_matrix(T_m, profile, penalty)
+        state = minorizer_matrix(T_m, profile, penalty, work)
     lam_p = state.gram_lambda + penalty
     base = penalized_objective(T_m, profile, penalty)
     n_tx, n_rf = T_m.shape
@@ -194,10 +209,11 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     period_max_step = 0.0
     started = time.perf_counter()
 
+    work = np.empty((2, n_tx, n_tx), dtype=complex)     # minorizer scratch
     for it in range(1, params.max_iters + 1):
         if accelerated:
-            T1 = mm_map(T, profile, penalty)
-            T2 = mm_map(T1, profile, penalty)
+            T1 = mm_map(T, profile, penalty, work=work)
+            T2 = mm_map(T1, profile, penalty, work=work)
             map_evals += 2
             Y1 = T1 - T
             Y2 = T2 - T1 - Y1
@@ -211,7 +227,7 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
                 if penalized_objective(T_acc, profile, penalty) <= penalized_objective(T2, profile, penalty):
                     T_new = T_acc
         else:
-            T_new = mm_map(T, profile, penalty)
+            T_new = mm_map(T, profile, penalty, work=work)
             map_evals += 1
 
         step = float(np.linalg.norm(T_new - T) ** 2)

@@ -22,8 +22,11 @@ import numpy as np
 # alpha*beta*diag(input covariance).
 ADC_DISTORTION = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
-# Hermitian matrices worse conditioned than this are refused by the
-# relative-entropy evaluator rather than silently inverted.
+# Covariances worse conditioned than this are refused rather than silently
+# inverted.  For R = c*I + U diag(g) U^H, with m columns in U, the condition
+# number is closed-form: (c + w_1)/c when m < N_r and (c + w_1)/(c + w_{N_r})
+# otherwise, where w_1 >= w_2 >= ... are the eigenvalues of the m x m form
+# diag(g)^1/2 U^H U diag(g)^1/2.
 MAX_CONDITION = 1e12
 
 
@@ -332,6 +335,118 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
     return HypothesisCovariances(r0=r0, r1=r1)
 
 
+@dataclass(frozen=True)
+class LowRankCovariances:
+    """Both hypothesis covariances as a scaled identity plus low rank.
+
+    R0 = c0*I + A_c diag(g0) A_c^H and, for target angle i,
+    R1_i = c1[i]*I + U_i diag(g1[i]) U_i^H with U_i = [a_t,i, A_c].  Each is
+    held through its small symmetric form W = diag(g)^1/2 (U^H U) diag(g)^1/2
+    = V diag(w) V^H (w ascending), which stays valid when some g_k = 0.  R
+    then has eigenvalues c + w, plus c repeated N_r - m times when U has
+    m < N_r columns.
+    """
+
+    steering: np.ndarray           # [a_t,0 .. a_t,n-1, A_c], N_r x (n + K)
+    c0: float
+    sqrt_g0: np.ndarray            # (K,)
+    w0: np.ndarray                 # (K,)
+    v0: np.ndarray                 # (K, K)
+    c1: np.ndarray                 # (n,)
+    sqrt_g1: np.ndarray            # (n, K+1)
+    w1: np.ndarray                 # (n, K+1)
+    v1: np.ndarray                 # (n, K+1, K+1)
+
+    def lrt_matrix(self, i: int, L: int) -> np.ndarray:
+        """L*(R0^-1 - R1_i^-1) as gamma*I + U_i H U_i^H.
+
+        Woodbury in the small form: R^-1 = (I - U P U^H)/c with
+        P = diag(g)^1/2 V diag(1/(c + w)) V^H diag(g)^1/2.
+        """
+        def p(sqrt_g, w, v, c):
+            x = sqrt_g[:, None] * v
+            return (x / (c + w)) @ x.conj().T
+
+        H = (L / self.c1[i]) * p(self.sqrt_g1[i], self.w1[i], self.v1[i], self.c1[i])
+        H[1:, 1:] -= (L / self.c0) * p(self.sqrt_g0, self.w0, self.v0, self.c0)
+        U = self.steering[:, np.r_[i, self.c1.size:self.steering.shape[1]]]
+        M = (U @ H) @ U.conj().T
+        M[np.diag_indices_from(M)] += L * (1.0 / self.c0 - 1.0 / self.c1[i])
+        return 0.5 * (M + M.conj().T)
+
+
+def _check_condition(c, w: np.ndarray, n_r: int) -> None:
+    """Refuse c*I + U diag(g) U^H whose small form has ascending eigenvalues ``w``."""
+    m = w.shape[-1]
+    top = c + (w[..., -1] if m else 0.0)
+    low = c + w[..., m - n_r] if m >= n_r else c
+    cond = top / np.maximum(low, 1e-300)
+    if np.any((low <= 0.0) | (cond > MAX_CONDITION)):
+        raise IllConditionedModelError(
+            f"covariance condition number {np.max(cond):.3e} exceeds {MAX_CONDITION:.0e}")
+
+
+def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
+                         thetas) -> LowRankCovariances:
+    """The two hypothesis covariances of ``hypothesis_covariances`` at each target
+    angle in ``thetas``, in scaled-identity-plus-low-rank form.
+
+    R0 does not depend on the target angle and is factored once.  Raises
+    ``IllConditionedModelError`` where the dense check would, from the exact
+    condition number (see ``MAX_CONDITION``).
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    n, K, n_r, L = thetas.size, scenario.n_clutter, scenario.n_rx, scenario.code_len
+    a2L = q.alpha ** 2 * L
+    phi_c = beampattern_powers(T, scenario.clutter_angles)
+    phi_t = beampattern_powers(T, thetas)
+    row0 = _row_power(scenario, phi_c)
+    row1 = row0 + scenario.target_power * phi_t / n_r
+    c0 = a2L * scenario.noise_power + q.alpha * q.beta * L * row0
+    c1 = a2L * scenario.noise_power + q.alpha * q.beta * L * row1
+
+    steering = steering_matrix(np.concatenate((thetas, scenario.clutter_angles)), n_r)
+    gram = steering.conj().T @ steering
+    sqrt_g0 = np.sqrt(a2L * scenario.clutter_powers * phi_c)
+    sqrt_g1 = np.column_stack((np.sqrt(a2L * scenario.target_power * phi_t),
+                               np.tile(sqrt_g0, (n, 1))))
+    idx = np.column_stack((np.arange(n), np.tile(np.arange(n, n + K), (n, 1))))
+    gram1 = gram[idx[:, :, None], idx[:, None, :]]
+
+    w0, v0 = np.linalg.eigh(sqrt_g0[:, None] * gram[n:, n:] * sqrt_g0)
+    w1, v1 = np.linalg.eigh(sqrt_g1[:, :, None] * gram1 * sqrt_g1[:, None, :])
+    _check_condition(c0, w0, n_r)
+    _check_condition(c1, w1, n_r)
+    # U has rank <= N_r, so all but the top N_r eigenvalues are zero exactly
+    w0[:max(K - n_r, 0)] = 0.0
+    w1[:, :max(K + 1 - n_r, 0)] = 0.0
+    return LowRankCovariances(steering=steering, c0=c0, sqrt_g0=sqrt_g0, w0=w0, v0=v0,
+                              c1=c1, sqrt_g1=sqrt_g1, w1=w1, v1=v1)
+
+
+def relative_entropies(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
+                       thetas) -> np.ndarray:
+    """Relative entropy D at each target angle in ``thetas``, without N_r x N_r work.
+
+    With x = c0/c1 - 1 and R1 - R0 = (c1 - c0) I + g_t a_t a_t^H,
+        D = N_r (x - log1p(x)) + log|S1| - log|S0|
+            - x Tr(W1 (c1 + W1)^-1) - [W1 (c1 + W1)^-1]_00,
+    where log|S| = sum log1p(w/c) (determinant lemma) and the trace terms are
+    Woodbury's Tr(R1^-1) and g_t a_t^H R1^-1 a_t.  The O(N_r) parts combine
+    into one small term instead of a difference of large log-determinants;
+    log1p(x) is taken as log(c0/c1) when c0/c1 < 1/2, where x is inexact.
+    """
+    f = low_rank_covariances(scenario, T, q, thetas)
+    c1 = f.c1[:, None]
+    ratio = f.c0 / f.c1                         # in (0, 1]: c1 adds the target's floor
+    x = ratio - 1.0                             # exact for ratio >= 1/2
+    log_ratio = np.where(ratio >= 0.5, np.log1p(x), np.log(ratio))
+    shrink = f.w1 / (c1 + f.w1)
+    logdets = np.sum(np.log1p(f.w1 / c1), axis=1) - np.sum(np.log1p(f.w0 / f.c0))
+    return (scenario.n_rx * (x - log_ratio) + logdets - x * np.sum(shrink, axis=1)
+            - np.sum(np.abs(f.v1[:, 0, :]) ** 2 * shrink, axis=1))
+
+
 def _logdet_and_eigs(r: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(r)
     if w[0] <= 0.0 or w[-1] / w[0] > MAX_CONDITION:
@@ -361,6 +476,4 @@ def averaged_relative_entropy(scenario: Scenario, T: np.ndarray, q: Quantization
     the plain relative entropy; any positive constant gives the same argmax
     over beamformers.
     """
-    grid = scenario.target_grid()
-    vals = [relative_entropy(hypothesis_covariances(scenario, T, q, th)) for th in grid]
-    return float(np.mean(vals))
+    return float(np.mean(relative_entropies(scenario, T, q, scenario.target_grid())))

@@ -17,14 +17,16 @@ from . import __version__
 from .ce_design import (CeDesignParams, MmTrace, beampattern_mse, orthogonality_residual,
                         pattern_terms, plain_mm, profile_steering, squarem_accelerated_mm)
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
-                    beampattern_powers, hypothesis_covariances, quantization_model,
-                    random_unit_modulus, relative_entropy, unit_modulus)
+                    beampattern_powers, quantization_model, random_unit_modulus,
+                    relative_entropies, unit_modulus)
+# the dense oracle, under the names perfbench's tracer wraps in this module
+from .model import hypothesis_covariances, relative_entropy  # noqa: F401
 from .onebit import EpmTrace, OneBitParams, nesterov_epm, round_to_signs
 from .power_alloc import PowerAllocationResult, PowerProfile, bcd_power_allocation
 from .quantizer import lloyd_max_codebook
 from .simulate import check_detection_settings, detection_curve, steering_crosscorr_experiment
 
-METHOD_TAGS = ("AMM", "MM", "BCD-direct", "projection-baseline", "Nesterov-EPM", "exhaustive")
+METHOD_TAGS = ("AMM", "MM", "projection-baseline", "Nesterov-EPM")
 
 
 @dataclass
@@ -49,6 +51,8 @@ class ExperimentSpec:
             raise ModelError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if str(self.method).upper() not in ("AMM", "MM"):
             raise ModelError(f"unknown design method {self.method!r}; expected AMM or MM")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         self.snr_grid_db = tuple(self.snr_grid_db)
 
 
@@ -125,7 +129,7 @@ def evaluate_entropies(scenario: Scenario, T: np.ndarray, bits) -> tuple[float, 
     """(grid-averaged, mean-angle) relative entropy of a design."""
     q = quantization_model(bits)
     avg = averaged_relative_entropy(scenario, T, q)
-    single = relative_entropy(hypothesis_covariances(scenario, T, q, scenario.target_mean_angle))
+    single = float(relative_entropies(scenario, T, q, scenario.target_mean_angle)[0])
     return avg, single
 
 

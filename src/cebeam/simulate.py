@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._accel import lrt_statistics
-from .model import (ModelError, Scenario, hypothesis_covariances, model_row_power,
-                    quantization_model, steering_matrix)
+from .model import (ModelError, Scenario, hypothesis_covariances, low_rank_covariances,
+                    model_row_power, quantization_model, steering_matrix)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
 DEFAULT_BATCH = 8192
@@ -235,7 +235,8 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
     hypothesis, passed through the true quantizer (gain-controlled by the
     model row variance of its own hypothesis), and reduced by the Gaussian
     likelihood-ratio statistic sum_l y^H (R0^-1 - R1^-1) y built from the
-    model covariances at the mean target angle.  The threshold is the
+    low-rank model covariances at the mean target angle
+    (``LowRankCovariances.lrt_matrix``).  The threshold is the
     empirical (1 - pfa) quantile of an independent calibration batch; the
     returned false-alarm rate is measured on a second, disjoint batch.
     """
@@ -245,10 +246,7 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     theta = sc.target_mean_angle
 
-    cov = hypothesis_covariances(sc, T, q, theta)
-    L = sc.code_len
-    M = np.linalg.inv(cov.r0 / L) - np.linalg.inv(cov.r1 / L)
-    M = 0.5 * (M + M.conj().T)
+    M = low_rank_covariances(sc, T, q, theta).lrt_matrix(0, sc.code_len)
 
     p0 = model_row_power(sc, T, None)
     p1 = model_row_power(sc, T, theta)

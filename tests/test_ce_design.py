@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +123,54 @@ class TestMinorizer:
                      + 2.0 * np.trace(state.q_matrix @ delta).real
                      + lam_p * np.linalg.norm(delta) ** 2)
             assert C.penalized_objective(T, prof, pen) <= bound + 1e-9
+
+
+    @pytest.mark.parametrize("pen", [0.0, 0.7])
+    def test_scratch_keeps_every_bit(self, pen):
+        # the in-place build against the plain expression it replaced
+        rng = np.random.default_rng(8)
+        T = M.random_unit_modulus(12, 3, rng)
+        prof = random_profile(rng)
+        A = C.profile_steering(prof, 12)[0]
+        Q = (A.conj() * C.pattern_terms(T, prof)[1]) @ A.T
+        if pen != 0.0:
+            Q = Q + pen * (T @ T.conj().T)
+        Q = 0.5 * (Q + Q.conj().T)
+        work = np.full((2, 12, 12), np.nan, dtype=complex)
+        for scratch in (None, work, work):
+            np.testing.assert_array_equal(C.minorizer_matrix(T, prof, pen, scratch).q_matrix, Q)
+
+
+# minor page faults over 15 SQUAREM iterations of a default128 design, after
+# 5 of warm-up
+_STAGE2_FAULTS = """
+import resource
+import numpy as np
+from cebeam import model as M
+from cebeam.ce_design import CeDesignParams, squarem_accelerated_mm
+from cebeam.pipeline import load_scenario, run_power_allocation
+sc = load_scenario("default128")
+profile = run_power_allocation(sc, 1).profile
+faults = {}
+def monitor(it, T):
+    faults[it] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+T0 = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(0))
+squarem_accelerated_mm(T0, profile, CeDesignParams(max_iters=20), monitor=monitor)
+print(faults[20] - faults[5])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_design_loop_does_not_page_fault():
+    # fresh 128 x 128 temporaries on every map made glibc return the top of the
+    # heap to the OS and fault it back in: about 6,000 faults here.  One BLAS
+    # thread, as multithreaded OpenBLAS allocates per call on its own.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(C.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _STAGE2_FAULTS], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 class TestMmMap:

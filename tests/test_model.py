@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import j0 as scipy_j0
 
 from cebeam import model as M
@@ -199,6 +200,118 @@ class TestAveragedRelativeEntropy:
         vals = [M.averaged_relative_entropy(flagship_scenario, T, M.quantization_model(b))
                 for b in (1, 2, 3, "ideal")]
         assert vals == sorted(vals)
+
+
+def _balanced_signs(n_tx: int, n_rf: int, rng: np.random.Generator) -> np.ndarray:
+    """One-bit design whose columns sum to zero, so its broadside power is exactly 0.
+
+    Every entry is +-1/sqrt(n_tx); for n_tx = 4 or 16 that is a power of two,
+    and the broadside steering vector is the constant 1/sqrt(n_tx).
+    """
+    cols = [rng.permutation(np.repeat([1.0, -1.0], n_tx // 2)) for _ in range(n_rf)]
+    return np.stack(cols, axis=1) / math.sqrt(n_tx)
+
+
+def _small_case(n_rx, n_tx, n_rf, code_len, mean_deg, width_deg, target_power, clutter_deg,
+                clutter_db, noise_power, bits, nulled, seed):
+    sc = M.Scenario(n_tx=n_tx, n_rx=n_rx, n_rf=n_rf, code_len=code_len,
+                    target_mean_angle=math.radians(mean_deg),
+                    target_uncertainty=math.radians(width_deg),
+                    target_grid_spacing=math.radians(1.0), target_power=target_power,
+                    clutter_angles=np.radians(clutter_deg),
+                    clutter_powers=10.0 ** (np.asarray(clutter_db, dtype=float) / 10.0),
+                    noise_power=noise_power)
+    rng = np.random.default_rng(seed)
+    T = (_balanced_signs(n_tx, n_rf, rng) if nulled
+         else M.random_unit_modulus(n_tx, n_rf, rng))
+    return sc, T, bits
+
+
+@st.composite
+def small_cases(draw):
+    """Random small scenarios, from well conditioned to past MAX_CONDITION.
+
+    A "nulled" case puts a clutter direction at broadside under a design with
+    exactly zero power there (g_k = 0); target power is 0 in about half the
+    cases; K + 1 >= N_r whenever there are at least N_r - 1 clutter angles.
+    """
+    n_rf = draw(st.integers(1, 3))
+    nulled = draw(st.booleans())
+    clutter = ([0] if nulled else []) + draw(st.lists(st.integers(-85, -1), unique=True,
+                                                      max_size=4))
+    return _small_case(
+        n_rx=draw(st.integers(1, 6)), n_tx=draw(st.sampled_from([4, 16])), n_rf=n_rf,
+        code_len=n_rf + draw(st.integers(0, 3)), mean_deg=draw(st.integers(20, 40)),
+        width_deg=draw(st.sampled_from([0, 2, 4])),
+        target_power=draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-2, 2))])),
+        clutter_deg=clutter,
+        clutter_db=draw(st.lists(st.floats(0, 40), min_size=len(clutter),
+                                 max_size=len(clutter))),
+        noise_power=10.0 ** draw(st.floats(-16, 1)),
+        bits=draw(st.sampled_from([1, 2, 3, 5, "ideal"]) | st.just("ideal")), nulled=nulled,
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestLowRankCovariances:
+    """The low-rank evaluator against the dense covariances and eigensolves."""
+
+    @staticmethod
+    def dense_condition(r: np.ndarray) -> float:
+        w = np.linalg.eigvalsh(r)
+        return w[-1] / w[0] if w[0] > 0 else math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_cases())
+    # N_r = 2 with 3 clutter angles, a nulled one among them, and no target
+    @example(_small_case(2, 4, 2, 3, 30, 2, 0.0, [0, -50, -20], [20, 30, 10], 1.0, 1,
+                         True, 1))
+    # ideal ADCs over a tiny noise floor: past MAX_CONDITION
+    @example(_small_case(4, 16, 2, 2, 25, 0, 1.0, [-30, -60], [30, 30], 1e-14, "ideal",
+                         False, 2))
+    def test_matches_dense_oracle(self, case):
+        sc, T, bits = case
+        q = M.quantization_model(bits)
+        grid = sc.target_grid()
+        covs = [M.hypothesis_covariances(sc, T, q, th) for th in grid]
+        conds = [self.dense_condition(r) for c in covs for r in (c.r0, c.r1)]
+        assume(all(abs(k / M.MAX_CONDITION - 1.0) > 1e-6 for k in conds))
+        if 0.0 in sc.clutter_angles:
+            assert M.beampattern_powers(T, [0.0])[0] == 0.0
+        if max(conds) > M.MAX_CONDITION:
+            with pytest.raises(M.IllConditionedModelError):
+                M.relative_entropy(covs[np.argmax(conds) // 2])
+            with pytest.raises(M.IllConditionedModelError):
+                M.relative_entropies(sc, T, q, grid)
+            return
+        got = M.relative_entropies(sc, T, q, grid)
+        dense = np.array([M.relative_entropy(c) for c in covs])
+        # 1e-9 relative, plus what the dense eigensolves lose: N_r eps kappa
+        slack = 4.0 * sc.n_rx * np.finfo(float).eps * max(conds)
+        np.testing.assert_array_less(np.abs(got - dense), 1e-9 * np.abs(dense) + 1e-11 + slack)
+        assert np.all(got >= -1e-12)
+
+    @pytest.mark.parametrize("bits", [1, 3, "ideal"])
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0])
+    def test_lrt_matrix_matches_inverses(self, desk_scenario, bits, snr_db):
+        sc = M.Scenario(**{**_scenario_kwargs(desk_scenario),
+                           "target_power": desk_scenario.noise_power * 10.0 ** (snr_db / 10)})
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(8))
+        q = M.quantization_model(bits)
+        L, theta = sc.code_len, sc.target_mean_angle
+        cov = M.hypothesis_covariances(sc, T, q, theta)
+        dense = np.linalg.inv(cov.r0 / L) - np.linalg.inv(cov.r1 / L)
+        got = M.low_rank_covariances(sc, T, q, theta).lrt_matrix(0, L)
+        np.testing.assert_allclose(got, dense, rtol=1e-10, atol=1e-10 * np.abs(dense).max())
+        np.testing.assert_array_equal(got, got.conj().T)
+
+    def test_mean_angle_entropy_matches_dense(self, flagship_scenario):
+        sc = flagship_scenario
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(9))
+        q = M.quantization_model(1)
+        dense = M.relative_entropy(M.hypothesis_covariances(sc, T, q, sc.target_mean_angle))
+        got = M.relative_entropies(sc, T, q, sc.target_mean_angle)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(dense, rel=1e-8)
 
 
 class TestLargeArrayOrthogonality:

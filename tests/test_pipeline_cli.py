@@ -52,8 +52,7 @@ class TestDesignReport:
                             final_mse=float("nan"), orthogonality_residual=0.0)
 
     def test_tag_vocabulary_is_complete(self):
-        assert set(PL.METHOD_TAGS) == {"AMM", "MM", "BCD-direct", "projection-baseline",
-                                       "Nesterov-EPM", "exhaustive"}
+        assert set(PL.METHOD_TAGS) == {"AMM", "MM", "projection-baseline", "Nesterov-EPM"}
 
 
 class TestProjectionBaseline:
@@ -194,6 +193,17 @@ class TestCli:
         code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--pfa", pfa,
                          "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_negative_seed_exits_2_before_stage_1(self, mini_scenario_file, tmp_path,
+                                                  monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("stage 1 ran before the seed was checked")
+
+        monkeypatch.setattr(PL, "bcd_power_allocation", no_allocation)
+        code = cli.main(["design-ce", "--scenario", mini_scenario_file, "--seed", "-1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliSpec:
