@@ -15,9 +15,9 @@ from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelEr
                     LowRankCovariances, ModelError, QuantizationModel, Scenario,
                     UnsupportedResolutionError, averaged_relative_entropy, beampattern_power,
                     beampattern_powers, hypothesis_covariances, is_unit_modulus,
-                    low_rank_covariances, model_row_power, quantization_model,
-                    random_unit_modulus, relative_entropies, relative_entropy,
-                    steering_matrix, steering_vector, unit_modulus)
+                    low_rank_covariances, quantization_model, random_unit_modulus,
+                    relative_entropies, relative_entropy, steering_matrix, steering_vector,
+                    unit_modulus)
 from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
                           bcd_power_allocation, profile_objective)
 from .ce_design import (CeDesignParams, MinorizerState, MmTrace, beampattern_mse,
@@ -25,7 +25,7 @@ from .ce_design import (CeDesignParams, MinorizerState, MmTrace, beampattern_mse
                         penalized_objective, plain_mm, squarem_accelerated_mm)
 from .onebit import (DegenerateIterateError, EpmTrace, LineSearchStallError, OneBitParams,
                      box_project, epm_gradient, epm_objective, exhaustive_onebit,
-                     nesterov_epm, round_to_signs, v_update)
+                     nesterov_epm, round_to_signs)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 from .simulate import (DetectionCurve, DetectionPoint, detection_curve, lfm_waveforms,
                        received_batch, sample_h0_covariance_error, simulate_detection,

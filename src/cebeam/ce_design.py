@@ -70,7 +70,6 @@ class MinorizerState:
     q_matrix: np.ndarray
     lambda_max: float
     gram_lambda: float
-    penalty: float
     sigma_max: float
 
 
@@ -160,12 +159,10 @@ def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float,
     return MinorizerState(
         q_matrix=Q, lambda_max=float(np.linalg.eigvalsh(Q)[-1]),
         gram_lambda=gram_lambda,
-        penalty=penalty,
         sigma_max=float(np.linalg.norm(T_m, 2)))
 
 
 def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
-           state: MinorizerState | None = None,
            work: np.ndarray | None = None) -> np.ndarray:
     """One closed-form phase update of the fixed-point map.
 
@@ -175,8 +172,7 @@ def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
     replaced by the worst-case one whenever the penalized objective would
     grow, so the map never ascends.  ``work`` goes to ``minorizer_matrix``.
     """
-    if state is None:
-        state = minorizer_matrix(T_m, profile, penalty, work)
+    state = minorizer_matrix(T_m, profile, penalty, work)
     lam_p = state.gram_lambda + penalty
     base = penalized_objective(T_m, profile, penalty)
     n_tx, n_rf = T_m.shape

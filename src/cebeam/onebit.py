@@ -72,14 +72,6 @@ def box_project(t: np.ndarray, n_tx: int) -> np.ndarray:
     return np.clip(t, -bound, bound)
 
 
-def v_update(t: np.ndarray, n_rf: int) -> np.ndarray:
-    """Maximizer of t^T v over the ball ||v||^2 <= n_rf: v = sqrt(n_rf) t/||t||."""
-    norm = np.linalg.norm(t)
-    if norm == 0.0:
-        raise DegenerateIterateError("t = 0 has no preferred direction; restart with a fresh t")
-    return np.sqrt(n_rf) * t / norm
-
-
 def epm_objective(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
                   penalty_orth: float, penalty_bin: float) -> float:
     """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""

@@ -17,7 +17,7 @@ from . import __version__
 from .ce_design import (CeDesignParams, MmTrace, beampattern_mse, orthogonality_residual,
                         pattern_terms, plain_mm, profile_steering, squarem_accelerated_mm)
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
-                    beampattern_powers, quantization_model, random_unit_modulus,
+                    beampattern_powers, db_to_linear, quantization_model, random_unit_modulus,
                     relative_entropies, unit_modulus)
 # the dense oracle, under the names perfbench's tracer wraps in this module
 from .model import hypothesis_covariances, relative_entropy  # noqa: F401
@@ -54,6 +54,9 @@ class ExperimentSpec:
         if self.seed < 0:
             raise ModelError(f"seed must be >= 0, got {self.seed}")
         self.snr_grid_db = tuple(self.snr_grid_db)
+        for snr in self.snr_grid_db:
+            if not math.isfinite(db_to_linear(snr)):
+                raise ModelError(f"SNR {snr!r} dB has no finite linear power")
 
 
 @dataclass

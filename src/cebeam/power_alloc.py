@@ -53,19 +53,6 @@ class PowerProfile:
                         for a, l in zip(self.clutter_angles, self.clutter_levels)],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PowerProfile":
-        t = np.asarray(d["target"], float).reshape(-1, 2)
-        c = np.asarray(d["clutter"], float).reshape(-1, 2) if d["clutter"] else np.zeros((0, 2))
-        return cls(np.radians(t[:, 0]), t[:, 1], np.radians(c[:, 0]), c[:, 1])
-
-    @classmethod
-    def uniform(cls, scenario: Scenario, target_level: float = 1.0,
-                clutter_level: float = 0.0) -> "PowerProfile":
-        grid = scenario.target_grid()
-        return cls(grid, np.full(grid.size, target_level),
-                   scenario.clutter_angles, np.full(scenario.n_clutter, clutter_level))
-
 
 def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel):
     """Large-array relative-entropy surrogate for one target-grid power.
@@ -126,14 +113,14 @@ class PowerAllocationResult:
 
 def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
                          grid_step: float = 0.01, max_sweeps: int = 100,
-                         tol: float = 1e-4, init_level: float = 0.5) -> PowerAllocationResult:
+                         tol: float = 1e-4) -> PowerAllocationResult:
     """Cyclic exact maximization of each power level over the grid {0, step, .., 1}.
 
-    Coordinate order is target grid points ascending, then clutter indices
-    ascending; ties in the per-coordinate argmax break toward the smallest
-    level so plateaus do not inflate clutter power.  The objective trace is
-    non-decreasing by construction; the sweep stops when one full pass
-    improves the objective by less than ``tol``.
+    Every level starts at 0.5.  Coordinate order is target grid points
+    ascending, then clutter indices ascending; ties in the per-coordinate
+    argmax break toward the smallest level so plateaus do not inflate clutter
+    power.  The objective trace is non-decreasing by construction; the sweep
+    stops when one full pass improves the objective by less than ``tol``.
     """
     if not (0.0 < grid_step <= 0.5):
         raise ModelError(f"grid step must lie in (0, 0.5], got {grid_step}")
@@ -144,8 +131,8 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
 
     grid = scenario.target_grid()
     n_t, K = grid.size, scenario.n_clutter
-    t_lvl = np.full(n_t, float(init_level))
-    c_lvl = np.full(K, float(init_level))
+    t_lvl = np.full(n_t, 0.5)
+    c_lvl = np.full(K, 0.5)
 
     def update_coordinate(levels: np.ndarray, idx: int, is_target: bool) -> float:
         n_cand = candidates.size

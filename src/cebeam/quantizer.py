@@ -93,24 +93,21 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) 
 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
-                      row_power: np.ndarray | float | None = None) -> np.ndarray:
+                      row_power: np.ndarray | float) -> np.ndarray:
     """Quantize real and imaginary parts of a received sample matrix.
 
     Rows (receive antennas) are scaled to unit variance per real dimension
     before quantization and rescaled after; ``row_power`` is the complex
-    per-sample variance of each row (scalar for a uniform array), normally
-    taken from the model covariance diagonal.  When omitted it is estimated
-    from the samples.  ``quantizer=None`` means ideal conversion and returns
-    the input unchanged.  Rows with zero power are passed through unscaled.
+    per-sample variance of each row (scalar for a uniform array), taken from
+    the model covariance diagonal.  ``quantizer=None`` means ideal
+    conversion and returns the input unchanged.  Rows with zero power are
+    passed through unscaled.
 
     ``Y`` may carry leading batch dimensions; the row axis is ``-2``.
     """
     if quantizer is None:
         return Y
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
-    if row_power is None:
-        axes = tuple(i for i in range(Y.ndim) if i != Y.ndim - 2)
-        row_power = np.mean(np.abs(Y) ** 2, axis=axes)
     scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
     scale = np.where(scale > 0.0, scale, 1.0)
     if np.ndim(scale) == 1:

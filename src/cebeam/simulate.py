@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._accel import lrt_statistics
-from .model import (ModelError, Scenario, hypothesis_covariances, low_rank_covariances,
-                    model_row_power, quantization_model, steering_matrix)
+from .model import (ModelError, Scenario, db_to_linear, hypothesis_covariances,
+                    low_rank_covariances, quantization_model, steering_matrix)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
 DEFAULT_BATCH = 8192
@@ -60,7 +60,7 @@ def _sources(scenario: Scenario, T: np.ndarray, theta_t: float | None):
 
 
 def _draw(Y: np.ndarray, scratch: np.ndarray, noise_scale: float, amp_scale: np.ndarray | None,
-          rng: np.random.Generator, doppler: bool):
+          rng: np.random.Generator):
     """Fill ``Y`` with scaled noise and draw the source amplitudes and Dopplers.
 
     Draw order (noise real block, noise imaginary block, amplitude real and
@@ -79,30 +79,24 @@ def _draw(Y: np.ndarray, scratch: np.ndarray, noise_scale: float, amp_scale: np.
     n_src = amp_scale.size
     amps = rng.standard_normal((m, n_src)) + 1j * rng.standard_normal((m, n_src))
     amps *= amp_scale
-    freq = rng.uniform(0.0, 1.0, size=(m, n_src)) if doppler else None
-    return amps, freq
+    return amps, rng.uniform(0.0, 1.0, size=(m, n_src))
 
 
-def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray | None,
+def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
          A_r: np.ndarray, B: np.ndarray) -> None:
-    """Add the sources' echoes, Doppler-ramped when ``freq`` is given, to ``Y``."""
-    L = Y.shape[-1]
-    if freq is not None:
-        phase = (2.0 * np.pi * freq)[:, :, None] * np.arange(L)
-        src_signals = np.empty(phase.shape, dtype=complex)     # Doppler ramps
-        np.cos(phase, out=src_signals.real)
-        np.sin(phase, out=src_signals.imag)
-        # complex products round differently with swapped operands: keep amps first
-        np.multiply(amps[:, :, None], src_signals, out=src_signals)
-    else:
-        src_signals = np.repeat(amps[:, :, None], L, axis=2)
+    """Add the sources' echoes, Doppler-ramped at normalized frequencies ``freq``, to ``Y``."""
+    phase = (2.0 * np.pi * freq)[:, :, None] * np.arange(Y.shape[-1])
+    src_signals = np.empty(phase.shape, dtype=complex)         # Doppler ramps
+    np.cos(phase, out=src_signals.real)
+    np.sin(phase, out=src_signals.imag)
+    # complex products round differently with swapped operands: keep amps first
+    np.multiply(amps[:, :, None], src_signals, out=src_signals)
     src_signals *= B
     Y += np.matmul(A_r, src_signals)
 
 
 def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
-                   trials: int, rng: np.random.Generator,
-                   doppler: bool = True) -> np.ndarray:
+                   trials: int, rng: np.random.Generator) -> np.ndarray:
     """Draw (trials, n_rx, code_len) raw received sample matrices.
 
     Reflection coefficients are complex Gaussian per trial; each scatterer
@@ -114,7 +108,7 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
     Y = np.empty(shape, dtype=complex)
     scratch = np.empty((max(1, min(trials, _BLOCK_TRIALS)),) + shape[1:])
     A_r, B, amp_scale = _sources(scenario, T, theta_t)
-    amps, freq = _draw(Y, scratch, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng, doppler)
+    amps, freq = _draw(Y, scratch, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
     if A_r is not None:
         _mix(Y, amps, freq, A_r, B)
     return Y
@@ -198,7 +192,7 @@ class _TrialStatistics:
 
         def draw(k):
             Y = self._buffers[k % 2][:min(self.batch_size, trials - starts[k])]
-            return (Y,) + _draw(Y, scratch, noise_scale, amp_scale, rng, True)
+            return (Y,) + _draw(Y, scratch, noise_scale, amp_scale, rng)
 
         def block(start, Y, amps, freq, a):
             Y = Y[a:a + blk]                 # slices clip at the end of the batch
@@ -234,28 +228,25 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
     The target power is set to snr * noise power; data are synthesized per
     hypothesis, passed through the true quantizer (gain-controlled by the
     model row variance of its own hypothesis), and reduced by the Gaussian
-    likelihood-ratio statistic sum_l y^H (R0^-1 - R1^-1) y built from the
-    low-rank model covariances at the mean target angle
-    (``LowRankCovariances.lrt_matrix``).  The threshold is the
+    likelihood-ratio statistic sum_l y^H (R0^-1 - R1^-1) y.  Both the row
+    variances and the LRT matrix come from the low-rank model covariances at
+    the mean target angle (``LowRankCovariances``).  The threshold is the
     empirical (1 - pfa) quantile of an independent calibration batch; the
     returned false-alarm rate is measured on a second, disjoint batch.
     """
     check_detection_settings(pfa, trials, batch_size)
-    sc = replace(scenario, target_power=scenario.noise_power * 10.0 ** (snr_db / 10.0))
+    sc = replace(scenario, target_power=scenario.noise_power * db_to_linear(snr_db))
     q = quantization_model(bits)
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     theta = sc.target_mean_angle
-
-    M = low_rank_covariances(sc, T, q, theta).lrt_matrix(0, sc.code_len)
-
-    p0 = model_row_power(sc, T, None)
-    p1 = model_row_power(sc, T, theta)
+    model = low_rank_covariances(sc, T, q, theta)
+    M = model.lrt_matrix(0, sc.code_len)
 
     stats = _TrialStatistics(sc, T, quant, M, np.random.default_rng(seed), trials, batch_size)
-    cal = stats.run(None, p0)
+    cal = stats.run(None, model.row0)
     threshold = float(np.quantile(cal, 1.0 - pfa))
-    h0 = stats.run(None, p0)
-    h1 = stats.run(theta, p1)
+    h0 = stats.run(None, model.row0)
+    h1 = stats.run(theta, model.row1[0])
 
     pd = float(np.mean(h1 > threshold))
     ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
@@ -293,21 +284,17 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     L = scenario.code_len
     trials = max(1, math.ceil(snapshots / L))
-    p0 = model_row_power(scenario, T, None)
+    p0 = low_rank_covariances(scenario, T, q, scenario.target_mean_angle).row0
     rng = np.random.default_rng(seed)
 
     n_r = scenario.n_rx
     acc = np.zeros((n_r, n_r), dtype=complex)
-    done = 0
-    count = 0
-    while done < trials:
+    for done in range(0, trials, batch_size):
         m = min(batch_size, trials - done)
         Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, p0)
         Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
         acc += Y @ Y.conj().T
-        count += m * L
-        done += m
-    sample_cov = acc / count
+    sample_cov = acc / (trials * L)
     model_cov = hypothesis_covariances(scenario, T, q, scenario.target_mean_angle).r0 / L
     return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))
 

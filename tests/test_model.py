@@ -338,24 +338,6 @@ class TestLargeArrayOrthogonality:
             assert abs(mc.imag) < 2e-3
 
 
-class TestDopplerInvariance:
-    def test_sample_covariance_unchanged_by_ramps(self, tiny_scenario):
-        from cebeam.simulate import received_batch
-        sc = tiny_scenario
-        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(3))
-        trials = 60_000
-
-        def sample_cov(doppler, seed):
-            rng = np.random.default_rng(seed)
-            Y = received_batch(sc, T, sc.target_mean_angle, trials, rng, doppler=doppler)
-            return np.einsum("trl,tsl->rs", Y, Y.conj()) / (trials * sc.code_len)
-
-        c_ramps = sample_cov(True, 100)
-        c_flat = sample_cov(False, 101)
-        rel = np.linalg.norm(c_ramps - c_flat) / np.linalg.norm(c_flat)
-        assert rel < 0.02
-
-
 def _scenario_kwargs(sc: M.Scenario) -> dict:
     return dict(n_tx=sc.n_tx, n_rx=sc.n_rx, n_rf=sc.n_rf, code_len=sc.code_len,
                 target_mean_angle=sc.target_mean_angle,

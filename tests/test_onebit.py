@@ -37,33 +37,6 @@ class TestBoxProject:
         np.testing.assert_array_equal(OB.box_project(once, 9), once)
 
 
-class TestVUpdate:
-    def test_basis_vector_scaling(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(OB.v_update(e1, 4), 2.0 * e1)
-
-    def test_cauchy_schwarz_equality(self):
-        rng = np.random.default_rng(1)
-        t = rng.standard_normal(12)
-        v = OB.v_update(t, 3)
-        assert np.linalg.norm(v) ** 2 == pytest.approx(3.0, rel=1e-12)
-        assert t @ v == pytest.approx(np.sqrt(3.0) * np.linalg.norm(t), rel=1e-12)
-
-    def test_beats_dense_sphere_grid(self):
-        t = np.array([0.8, -0.6])
-        n_rf = 2
-        v_star = OB.v_update(t, n_rf)
-        best = -np.inf
-        for phi in np.linspace(0, 2 * np.pi, 3600, endpoint=False):
-            v = np.sqrt(n_rf) * np.array([np.cos(phi), np.sin(phi)])
-            best = max(best, t @ v)
-        assert t @ v_star >= best - 1e-6
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(OB.DegenerateIterateError):
-            OB.v_update(np.zeros(4), 2)
-
-
 class TestEpmObjective:
     def test_feasible_perfect_match_is_zero(self):
         # t = [1, 1]/sqrt(2): unit column norm, pattern power 1 at broadside

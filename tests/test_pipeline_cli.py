@@ -158,17 +158,22 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
+    # a dict overrides keys of a valid scenario; a string is the whole file
     @pytest.mark.parametrize("override", [
         {"clutter_angles_deg": [math.nan, 30.0]},
         {"clutter_powers_db": [math.nan, 15.0]},
         {"target_power_db": math.inf},
         {"n_rf": 17, "code_len": 32},
+        pytest.param("{not json", id="not-json"),
+        pytest.param("[16, 12, 4, 8]", id="not-an-object"),
+        pytest.param('{"n_tx": 8}', id="missing-key"),
+        pytest.param({"n_rx": "twelve"}, id="non-numeric-size"),
     ])
     def test_invalid_scenario_file_exits_2(self, mini_scenario_file, tmp_path, override):
         with open(mini_scenario_file) as fh:
             d = json.load(fh)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**d, **override}))
+        path.write_text(override if isinstance(override, str) else json.dumps({**d, **override}))
         code = cli.main(["allocate-power", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
@@ -191,6 +196,17 @@ class TestCli:
 
         monkeypatch.setattr(PL, "run_ce_design", no_design)
         code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--pfa", pfa,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "1e308"])
+    def test_sweep_snr_bad_snr_exits_2_before_design(self, mini_scenario_file, tmp_path,
+                                                     monkeypatch, snr):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design ran before the SNR was checked")
+
+        monkeypatch.setattr(PL, "run_ce_design", no_design)
+        code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--snr", "0", snr,
                          "--out", str(tmp_path / "o")])
         assert code == 2
 

@@ -150,9 +150,3 @@ class TestPowerProfile:
     def test_levels_outside_box_rejected(self):
         with pytest.raises(M.ModelError):
             P.PowerProfile(np.array([0.0]), np.array([1.2]), np.zeros(0), np.zeros(0))
-
-    def test_round_trip(self, desk_scenario):
-        prof = P.PowerProfile.uniform(desk_scenario, 1.0, 0.0)
-        back = P.PowerProfile.from_dict(prof.to_dict())
-        np.testing.assert_allclose(back.all_angles(), prof.all_angles(), atol=1e-12)
-        np.testing.assert_array_equal(back.all_levels(), prof.all_levels())

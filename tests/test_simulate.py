@@ -65,25 +65,28 @@ class TestReceivedBatch:
         np.testing.assert_allclose(Y, ref, rtol=1e-12, atol=0.0)
 
     def test_sample_covariance_matches_model(self, tiny_scenario):
-        # unquantized H0 data must reproduce the ideal-ADC model covariance
+        # unquantized data of either hypothesis, Doppler ramps included, must
+        # reproduce the ideal-ADC model covariance
         sc = tiny_scenario
         rng = np.random.default_rng(0)
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, rng)
         trials = 120_000
-        Y = SIM.received_batch(sc, T, None, trials, np.random.default_rng(1))
-        sample = np.einsum("trl,tsl->rs", Y, Y.conj()) / (trials * sc.code_len)
         q = M.quantization_model("ideal")
-        model = M.hypothesis_covariances(sc, T, q, sc.target_mean_angle).r0 / sc.code_len
-        rel = np.linalg.norm(sample - model) / np.linalg.norm(model)
-        assert rel < 0.02
+        cov = M.hypothesis_covariances(sc, T, q, sc.target_mean_angle)
+        for theta, model, seed in ((None, cov.r0, 1), (sc.target_mean_angle, cov.r1, 2)):
+            Y = SIM.received_batch(sc, T, theta, trials, np.random.default_rng(seed))
+            sample = np.einsum("trl,tsl->rs", Y, Y.conj()) / (trials * sc.code_len)
+            model = model / sc.code_len
+            rel = np.linalg.norm(sample - model) / np.linalg.norm(model)
+            assert rel < 0.02
 
     def test_row_power_prediction(self, tiny_scenario):
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(2))
         Y = SIM.received_batch(sc, T, sc.target_mean_angle, 60_000, np.random.default_rng(3))
         measured = np.mean(np.abs(Y) ** 2)
-        assert measured == pytest.approx(SIM.model_row_power(sc, T, sc.target_mean_angle),
-                                         rel=0.03)
+        model = M.low_rank_covariances(sc, T, M.quantization_model(1), sc.target_mean_angle)
+        assert measured == pytest.approx(model.row1[0], rel=0.03)
 
 
 class TestDetection:
@@ -172,7 +175,8 @@ class TestPipelinedEngine:
         Mlrt = (G[0] + 1j * G[1]) + (G[0] + 1j * G[1]).conj().T
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
         theta = sc.target_mean_angle if with_target else None
-        power = SIM.model_row_power(sc, T, theta)
+        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+        power = model.row0 if theta is None else model.row1[0]
 
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
                 mock.patch.object(SIM, "_WORKERS", workers):
