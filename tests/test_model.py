@@ -338,6 +338,32 @@ class TestLargeArrayOrthogonality:
             assert abs(mc.imag) < 2e-3
 
 
+class TestDopplerInvariance:
+    def test_sample_covariance_unchanged_by_ramps(self, tiny_scenario):
+        from cebeam import simulate as SIM
+        sc = tiny_scenario
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(3))
+        trials = 60_000
+
+        def flat_batch(rng):
+            # the received_batch draws with every Doppler frequency set to zero
+            Y = np.empty((trials, sc.n_rx, sc.code_len), dtype=complex)
+            A_r, B, amp_scale = SIM._sources(sc, T, sc.target_mean_angle)
+            amps, freq = SIM._draw(Y, np.empty(Y.shape), math.sqrt(sc.noise_power / 2.0),
+                                   amp_scale, rng)
+            SIM._mix(Y, amps, np.zeros_like(freq), A_r, B)
+            return Y
+
+        def sample_cov(Y):
+            return np.einsum("trl,tsl->rs", Y, Y.conj()) / (trials * sc.code_len)
+
+        c_ramps = sample_cov(SIM.received_batch(sc, T, sc.target_mean_angle, trials,
+                                                np.random.default_rng(100)))
+        c_flat = sample_cov(flat_batch(np.random.default_rng(101)))
+        rel = np.linalg.norm(c_ramps - c_flat) / np.linalg.norm(c_flat)
+        assert rel < 0.02
+
+
 def _scenario_kwargs(sc: M.Scenario) -> dict:
     return dict(n_tx=sc.n_tx, n_rx=sc.n_rx, n_rf=sc.n_rf, code_len=sc.code_len,
                 target_mean_angle=sc.target_mean_angle,
