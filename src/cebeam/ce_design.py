@@ -27,6 +27,17 @@ k <= 2 sqrt(N_rf) always holds, which makes the update provably descending;
 near-orthonormal iterates admit k ~ 2, so the step first tries that
 optimistic shift and falls back to the guaranteed one if the objective fails
 to decrease.
+
+Q(X) = B diag(d) B^H with B = [conj(A), X] and d = [phi - level, pen * 1]
+has rank at most r = P + N_rf, so neither quantity the update needs requires
+an N_t x N_t matrix (Sun, Babu & Palomar, IEEE TSP 2017, on cheap MM steps):
+
+    lam_max(Q) = lam_max(R diag(d) R^H),  B = U R the thin QR  (max with 0 if r < N_t),
+    (shift * I - Q) X = shift * X - conj(A) ((phi - level) * Z) - pen * X (X^H X),
+
+with Z = A^T X from the pattern evaluation.  The minorizer takes this form
+when N_t >= 32 and 2 r <= N_t (``takes_low_rank``, a measured crossover);
+below it the dense Q and its eigensolve are cheaper.
 """
 
 from __future__ import annotations
@@ -59,18 +70,33 @@ class CeDesignParams:
 
 @dataclass(frozen=True)
 class MinorizerState:
-    """Quadratic surrogate at the current iterate.
+    """Quadratic surrogate at the current iterate T_m.
 
-    ``lambda_max`` is the exact top eigenvalue of ``q_matrix`` (equal to the
-    top eigenvalue of I (x) q_matrix, so the Kronecker-size matrix is never
-    formed); ``gram_lambda`` bounds the curvature of the pattern functionals
-    and ``sigma_max`` is the spectral norm of the expansion point.
+    ``lambda_max`` is the exact top eigenvalue of Q (equal to the top
+    eigenvalue of I (x) Q, so the Kronecker-size matrix is never formed);
+    ``gram_lambda`` bounds the curvature of the pattern functionals and
+    ``sigma_max`` is the spectral norm of T_m.
+
+    Q = B diag(d) B^H with B = [conj(A), T_m] and d = [gaps, penalty * 1]
+    has rank at most r = P + N_rf.  When ``takes_low_rank(n_tx, r)``
+    (n_tx >= 32 and 2 r <= n_tx), Q is never formed: ``lambda_max`` is the
+    top eigenvalue of R diag(d) R^H for the thin QR B = U R (at least 0 when
+    r < n_tx), ``q_matrix`` is None, and ``q_times_t`` holds
+    Q T_m = conj(A) (gaps * Z) + penalty * T_m (T_m^H T_m), with Z = A^T T_m.
+    Otherwise ``q_matrix`` holds the dense Q and ``q_times_t`` is None.
     """
 
-    q_matrix: np.ndarray
+    q_matrix: np.ndarray | None
+    q_times_t: np.ndarray | None
     lambda_max: float
     gram_lambda: float
     sigma_max: float
+
+    def direction(self, T_m: np.ndarray, shift: float) -> np.ndarray:
+        """(shift * I - Q) T_m, whose phases are the next iterate."""
+        if self.q_matrix is None:
+            return shift * T_m - self.q_times_t
+        return (shift * np.eye(T_m.shape[0]) - self.q_matrix) @ T_m
 
 
 @dataclass
@@ -133,33 +159,83 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
     return beampattern_mse(T, profile) + penalty * orthogonality_residual(T) ** 2
 
 
+# Crossover of the matrix-free minorizer, measured per mm_map call with one
+# BLAS thread: below 32 antennas the thin QR's fixed cost loses at any rank,
+# and above it the dense eigensolve loses once 2 r <= n_tx.
+LOW_RANK_MIN_TX = 32
+
+
+def takes_low_rank(n_tx: int, rank: int) -> bool:
+    """Whether the minorizer of rank r = P + N_rf goes matrix-free.
+
+    default128 (r = 23, n_tx = 128) does; desk32 (r = 27, n_tx = 32) keeps
+    the dense path.
+    """
+    return n_tx >= LOW_RANK_MIN_TX and 2 * rank <= n_tx
+
+
 def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float,
                      work: np.ndarray | None = None) -> MinorizerState:
-    """Surrogate matrix Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H.
+    """Surrogate Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H.
 
-    ``work`` is an optional (2, n_tx, n_tx) complex scratch, reused by the
-    design loop for every call; Q is then ``work[0]``.  Fresh n_tx x n_tx
-    temporaries on every call made glibc hand the top of the heap back to
-    the OS and page-fault it in again, about 64,000 faults per default128
-    design.  Q is the same to the last bit either way.
+    Above the crossover (``takes_low_rank``) only lambda_max and Q T_m are
+    computed, from the thin QR of B = [conj(A), T_m]; see ``MinorizerState``.
+
+    On the dense path ``work`` is an optional (2, n_tx, n_tx) complex scratch,
+    reused by the design loop for every call; Q is then ``work[0]``.  Fresh
+    n_tx x n_tx temporaries on every call make glibc hand the top of the heap
+    back to the OS and page-fault it in again, thousands of faults per
+    128-antenna design.  Q is the same to the last bit either way.
     """
+    n_tx, n_rf = T_m.shape
+    A, gram_lambda = profile_steering(profile, n_tx)
+    Z, gaps = pattern_terms(T_m, profile)
+    sigma_max = float(np.linalg.norm(T_m, 2))
+    if takes_low_rank(n_tx, A.shape[1] + n_rf):
+        lam, q_t = _low_rank_minorizer(A, Z, gaps, T_m, penalty)
+        return MinorizerState(None, q_t, lam, gram_lambda, sigma_max)
+    Q = _dense_minorizer(A, gaps, T_m, penalty, work)
+    # exact extremal eigenvalue: an underestimated shift voids the descent
+    # guarantee, so no iterative approximation here
+    return MinorizerState(Q, None, float(np.linalg.eigvalsh(Q)[-1]), gram_lambda, sigma_max)
+
+
+def _dense_minorizer(A: np.ndarray, gaps: np.ndarray, T_m: np.ndarray, penalty: float,
+                     work: np.ndarray | None = None) -> np.ndarray:
+    """Q = conj(A) diag(gaps) A^T + penalty * T_m T_m^H, built in ``work[0]``."""
     n_tx = T_m.shape[0]
     if work is None:
         work = np.empty((2, n_tx, n_tx), dtype=complex)
-    A, gram_lambda = profile_steering(profile, n_tx)
-    Q = np.matmul(A.conj() * pattern_terms(T_m, profile)[1], A.T, out=work[0])
+    Q = np.matmul(A.conj() * gaps, A.T, out=work[0])
     if penalty != 0.0:
         gram = np.matmul(T_m, T_m.conj().T, out=work[1])
         gram *= penalty
         Q += gram
     Q += np.conjugate(Q.T, out=work[1])
     Q *= 0.5
-    # exact extremal eigenvalue: an underestimated shift voids the descent
-    # guarantee, so no iterative approximation here
-    return MinorizerState(
-        q_matrix=Q, lambda_max=float(np.linalg.eigvalsh(Q)[-1]),
-        gram_lambda=gram_lambda,
-        sigma_max=float(np.linalg.norm(T_m, 2)))
+    return Q
+
+
+def _low_rank_minorizer(A: np.ndarray, Z: np.ndarray, gaps: np.ndarray, T_m: np.ndarray,
+                        penalty: float) -> tuple[float, np.ndarray]:
+    """Exact lambda_max(Q) and Q T_m without an n_tx x n_tx matrix.
+
+    With B = [conj(A), T_m] = U R (thin QR) and d = [gaps, penalty * 1],
+    Q = U R diag(d) R^H U^H shares its nonzero eigenvalues with the
+    min(n_tx, r)-square R diag(d) R^H.  Q is singular when r < n_tx, so its
+    top eigenvalue is then at least 0, while the gaps may all be negative.
+    As in the dense build, a zero penalty drops the T_m columns.
+    """
+    n_tx, n_rf = T_m.shape
+    B, d = A.conj(), gaps
+    if penalty != 0.0:
+        B = np.concatenate((B, T_m), axis=1)
+        d = np.concatenate((d, np.full(n_rf, float(penalty))))
+    R = np.linalg.qr(B, mode="r")
+    eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
+    lam = float(np.max(eigs, initial=0.0) if d.size < n_tx else eigs[-1])
+    q_t = A.conj() @ (gaps[:, None] * Z) + penalty * (T_m @ (T_m.conj().T @ T_m))
+    return lam, q_t
 
 
 def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
@@ -179,7 +255,7 @@ def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
     shifts = (state.lambda_max + 0.5 * (state.sigma_max + 1.05) ** 2 * lam_p,
               state.lambda_max + 2.0 * n_rf * lam_p)
     for shift in shifts:
-        T_new = _project_phases((shift * np.eye(n_tx) - state.q_matrix) @ T_m, T_m, n_tx)
+        T_new = _project_phases(state.direction(T_m, shift), T_m, n_tx)
         if penalized_objective(T_new, profile, penalty) <= base + 1e-12:
             return T_new
     return T_m
@@ -205,7 +281,7 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     period_max_step = 0.0
     started = time.perf_counter()
 
-    work = np.empty((2, n_tx, n_tx), dtype=complex)     # minorizer scratch
+    work = np.empty((2, n_tx, n_tx), dtype=complex)     # dense minorizer scratch
     for it in range(1, params.max_iters + 1):
         if accelerated:
             T1 = mm_map(T, profile, penalty, work=work)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,6 +117,16 @@ def quantization_model(bits: int | str) -> QuantizationModel:
 # Scenario
 # ---------------------------------------------------------------------------
 
+def _size(d: dict, key: str) -> int:
+    """An array size from a scenario file: an exact integer, not a boolean."""
+    value = d[key]
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ModelError(f"scenario {key} must be an integer, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """Radar geometry and second-order statistics.
@@ -200,16 +211,17 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         """Build from the file schema (angles in degrees, powers in dB).
 
-        A missing key or a value of the wrong type raises ``ModelError``.
+        A missing key, a value of the wrong type or an array size that is not
+        an exact integer (a fraction or a boolean) raises ``ModelError``.
         """
         if not isinstance(d, dict):
             raise ModelError(f"scenario must be a JSON object, got {type(d).__name__}")
         try:
             fields = dict(
-                n_tx=int(d["n_tx"]),
-                n_rx=int(d["n_rx"]),
-                n_rf=int(d["n_rf"]),
-                code_len=int(d["code_len"]),
+                n_tx=_size(d, "n_tx"),
+                n_rx=_size(d, "n_rx"),
+                n_rf=_size(d, "n_rf"),
+                code_len=_size(d, "code_len"),
                 target_mean_angle=math.radians(d["target_mean_angle_deg"]),
                 target_uncertainty=math.radians(d["target_uncertainty_deg"]),
                 target_grid_spacing=math.radians(d.get("target_grid_spacing_deg", 0.5)),

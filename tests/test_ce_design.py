@@ -141,16 +141,23 @@ class TestMinorizer:
             np.testing.assert_array_equal(C.minorizer_matrix(T, prof, pen, scratch).q_matrix, Q)
 
 
-# minor page faults over 15 SQUAREM iterations of a default128 design, after
-# 5 of warm-up
+# minor page faults over 15 SQUAREM iterations of a 128-antenna design, after
+# 5 of warm-up: default128 itself (the low-rank minorizer), or 66 profile
+# angles with 8 RF chains (r = 74 > 64, so the dense path and its scratch)
 _STAGE2_FAULTS = """
-import resource
+import resource, sys
 import numpy as np
 from cebeam import model as M
 from cebeam.ce_design import CeDesignParams, squarem_accelerated_mm
 from cebeam.pipeline import load_scenario, run_power_allocation
+from cebeam.power_alloc import PowerProfile
 sc = load_scenario("default128")
-profile = run_power_allocation(sc, 1).profile
+if sys.argv[1] == "default128":
+    profile = run_power_allocation(sc, 1).profile
+else:
+    angles = np.linspace(-1.4, 1.4, 66)
+    levels = np.random.default_rng(1).uniform(0.0, 1.0, 66)
+    profile = PowerProfile(angles[:6], levels[:6], angles[6:], levels[6:])
 faults = {}
 def monitor(it, T):
     faults[it] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -160,17 +167,28 @@ print(faults[20] - faults[5])
 """
 
 
+def _stage2_faults(case: str) -> int:
+    # one BLAS thread, as multithreaded OpenBLAS allocates per call on its own
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(C.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _STAGE2_FAULTS, case], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
 def test_design_loop_does_not_page_fault():
     # fresh 128 x 128 temporaries on every map made glibc return the top of the
-    # heap to the OS and fault it back in: about 6,000 faults here.  One BLAS
-    # thread, as multithreaded OpenBLAS allocates per call on its own.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(C.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _STAGE2_FAULTS], capture_output=True,
-                          text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100
+    # heap to the OS and fault it back in: about 6,000 faults here
+    assert _stage2_faults("default128") < 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_dense_design_loop_does_not_page_fault():
+    # the same bound where the dense minorizer builds Q in its reused scratch
+    assert not C.takes_low_rank(128, 66 + 8)
+    assert _stage2_faults("dense") < 100
 
 
 class TestMmMap:
@@ -380,3 +398,160 @@ class TestPatternCore:
         # the exhaustive search scores its argmin as the penalized objective does
         T_opt, value = OB.exhaustive_onebit(prof, n_tx, n_rf, penalty)
         assert value == pytest.approx(C.penalized_objective(T_opt, prof, penalty), rel=1e-12)
+
+
+def _check_low_rank(n_tx, n_rf, angles, gaps, penalty, seed, shift):
+    """Low-rank lambda_max and (shift*I - Q) T_m against the dense minorizer."""
+    T = M.random_unit_modulus(n_tx, n_rf, np.random.default_rng(seed))
+    A = M.steering_matrix(angles, n_tx)
+    gaps = np.asarray(gaps, dtype=float)
+    Q = C._dense_minorizer(A, gaps, T, penalty)
+    lam, q_t = C._low_rank_minorizer(A, A.T @ T, gaps, T, penalty)
+    tol = 1e-12 * np.linalg.norm(Q, 2)
+    assert abs(lam - np.linalg.eigvalsh(Q)[-1]) <= tol
+    state = C.MinorizerState(None, q_t, lam, 0.0, 1.0)
+    dense = (shift * np.eye(n_tx) - Q) @ T
+    # plus the dense product's own rounding of shift * I - Q
+    assert np.linalg.norm(state.direction(T, shift) - dense) <= \
+        (tol + 1e-15 * abs(shift)) * np.linalg.norm(T)
+
+
+@st.composite
+def low_rank_cases(draw):
+    n_tx = draw(st.integers(2, 40))
+    n_rf = draw(st.integers(1, 4))
+    n_angles = draw(st.integers(0, 12))
+    angles = draw(st.lists(st.floats(-1.5, 1.5), min_size=n_angles, max_size=n_angles,
+                           unique=True))
+    high = draw(st.sampled_from([3.0, -1e-3]))          # mixed or all-negative gaps
+    gaps = draw(st.lists(st.floats(-3.0, high), min_size=n_angles, max_size=n_angles))
+    penalty = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    shift = draw(st.floats(-10.0, 50.0))
+    return n_tx, n_rf, angles, gaps, penalty, seed, shift
+
+
+class TestLowRankMinorizer:
+    """The matrix-free minorizer against the dense Q."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(low_rank_cases())
+    def test_matches_dense_oracle(self, case):
+        _check_low_rank(*case)
+
+    @pytest.mark.parametrize("n_tx, n_rf, angles, gaps, penalty", [
+        (16, 2, [], [], 0.0),                                 # empty profile, Q = 0
+        (16, 2, [], [], 0.8),                                 # penalty only
+        (24, 3, [-0.9, 0.1, 0.7], [-0.5, -0.2, -0.9], 0.0),  # Q <= 0 and singular
+        (24, 3, [-0.9, 0.1, 0.7], [-0.5, 0.2, -0.9], 0.0),
+        (5, 4, [-0.9, -0.2, 0.1, 0.7], [-0.5, -0.2, -0.1, -0.9], 0.0),   # r = 4 < 5
+        (5, 4, [-0.9, -0.2, 0.1, 0.7], [0.5, -0.2, 0.1, -0.9], 1.3),     # r = 8 > 5
+    ])
+    def test_edge_cases(self, n_tx, n_rf, angles, gaps, penalty):
+        _check_low_rank(n_tx, n_rf, angles, gaps, penalty, seed=3, shift=4.0)
+
+    def test_all_negative_gaps_clamp_to_zero(self):
+        # Q has null directions when r < n_tx, so lambda_max(Q) = 0 exactly
+        A = M.steering_matrix([-0.4, 0.3], 20)
+        T = M.random_unit_modulus(20, 2, np.random.default_rng(0))
+        lam, _ = C._low_rank_minorizer(A, A.T @ T, np.array([-0.3, -0.6]), T, 0.0)
+        assert lam == 0.0
+
+    def test_sides_of_the_crossover(self):
+        # default128 goes matrix-free; desk32 keeps the dense path bit for bit
+        from cebeam.pipeline import load_scenario
+        sides = {}
+        for name in ("default128", "desk32"):
+            sc = load_scenario(name)
+            sides[name] = C.takes_low_rank(sc.n_tx, sc.profile_angles().size + sc.n_rf)
+        assert sides == {"default128": True, "desk32": False}
+
+    def test_minorizer_matrix_dispatch(self):
+        rng = np.random.default_rng(20)
+        prof = random_profile(rng, 3, 3)
+        for n_tx, low in ((40, True), (12, False)):
+            T = M.random_unit_modulus(n_tx, 2, rng)
+            state = C.minorizer_matrix(T, prof, 0.4)
+            assert (state.q_matrix is None) == low
+            assert (state.q_times_t is None) != low
+
+    def test_low_rank_map_descends(self):
+        rng = np.random.default_rng(21)
+        prof = random_profile(rng, 3, 3)
+        assert C.takes_low_rank(48, 6 + 2)
+        for _ in range(30):
+            T = M.random_unit_modulus(48, 2, rng)
+            before = C.penalized_objective(T, prof, 0.05)
+            after = C.penalized_objective(C.mm_map(T, prof, 0.05), prof, 0.05)
+            assert after <= before + 1e-9
+
+
+def _parent_mm_map(T_m, profile, penalty):
+    """The dense map as it stood before the low-rank path, operation for operation."""
+    n_tx, n_rf = T_m.shape
+    A, gram_lambda = C.profile_steering(profile, n_tx)
+    Q = np.matmul(A.conj() * C.pattern_terms(T_m, profile)[1], A.T)
+    if penalty != 0.0:
+        gram = np.matmul(T_m, T_m.conj().T)
+        gram *= penalty
+        Q += gram
+    Q += np.conjugate(Q.T)
+    Q *= 0.5
+    lam = float(np.linalg.eigvalsh(Q)[-1])
+    sigma = float(np.linalg.norm(T_m, 2))
+    lam_p = gram_lambda + penalty
+    base = C.penalized_objective(T_m, profile, penalty)
+    for shift in (lam + 0.5 * (sigma + 1.05) ** 2 * lam_p, lam + 2.0 * n_rf * lam_p):
+        T_new = C._project_phases((shift * np.eye(n_tx) - Q) @ T_m, T_m, n_tx)
+        if C.penalized_objective(T_new, profile, penalty) <= base + 1e-12:
+            return T_new
+    return T_m
+
+
+def test_dense_map_is_bit_identical_below_crossover(desk_scenario):
+    # a desk32-sized problem (r = 27, n_tx = 32) stays on the dense path, bit for bit
+    from cebeam.power_alloc import bcd_power_allocation
+    prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+    assert not C.takes_low_rank(desk_scenario.n_tx, prof.all_angles().size + desk_scenario.n_rf)
+    T = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, np.random.default_rng(30))
+    work = np.full((2, 32, 32), np.nan, dtype=complex)
+    for penalty in (0.01, 0.01, 0.3, 0.3, 2.0):
+        expected = _parent_mm_map(T, prof, penalty)
+        np.testing.assert_array_equal(C.mm_map(T, prof, penalty), expected)
+        T = C.mm_map(T, prof, penalty, work=work)
+        np.testing.assert_array_equal(T, expected)
+
+
+@pytest.mark.parametrize("n_tx", [40, 12], ids=["low-rank", "dense"])
+@pytest.mark.parametrize("runner", [C.plain_mm, C.squarem_accelerated_mm])
+def test_layer_counts_per_map(monkeypatch, runner, n_tx):
+    # the per-layer view of a traced run: one minorizer per map evaluation, and
+    # each map scores its base point plus one or two shifted candidates
+    counts = {"minorizer": 0, "objective": 0}
+    per_map = []
+    minorizer, objective, mm_map = C.minorizer_matrix, C.penalized_objective, C.mm_map
+
+    def counted_minorizer(*args, **kwargs):
+        counts["minorizer"] += 1
+        return minorizer(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        counts["objective"] += 1
+        return objective(*args, **kwargs)
+
+    def counted_map(*args, **kwargs):
+        before = counts["objective"]
+        result = mm_map(*args, **kwargs)
+        per_map.append(counts["objective"] - before)
+        return result
+
+    monkeypatch.setattr(C, "minorizer_matrix", counted_minorizer)
+    monkeypatch.setattr(C, "penalized_objective", counted_objective)
+    monkeypatch.setattr(C, "mm_map", counted_map)
+    prof = random_profile(np.random.default_rng(31), 3, 3)
+    assert C.takes_low_rank(n_tx, 6 + 2) == (n_tx == 40)
+    T0 = M.random_unit_modulus(n_tx, 2, np.random.default_rng(32))
+    _, trace = runner(T0, prof, C.CeDesignParams(max_iters=40, tol=1e-30))
+    assert counts["minorizer"] == trace.map_evals == len(per_map) > 0
+    assert set(per_map) <= {2, 3}
+    assert 2 in per_map

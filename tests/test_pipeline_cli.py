@@ -168,6 +168,8 @@ class TestCli:
         pytest.param("[16, 12, 4, 8]", id="not-an-object"),
         pytest.param('{"n_tx": 8}', id="missing-key"),
         pytest.param({"n_rx": "twelve"}, id="non-numeric-size"),
+        pytest.param({"n_tx": 16.7}, id="fractional-size"),
+        pytest.param({"n_rf": True}, id="boolean-size"),
     ])
     def test_invalid_scenario_file_exits_2(self, mini_scenario_file, tmp_path, override):
         with open(mini_scenario_file) as fh:
