@@ -20,12 +20,12 @@ from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelEr
                     unit_modulus)
 from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
                           bcd_power_allocation, profile_objective)
-from .ce_design import (CeDesignParams, MinorizerState, MmTrace, beampattern_mse,
-                        minorizer_matrix, mm_map, orthogonality_residual,
+from .ce_design import (CeDesignParams, Iterate, MinorizerState, MmTrace, beampattern_mse,
+                        evaluate_iterate, minorizer_matrix, mm_map, orthogonality_residual,
                         penalized_objective, plain_mm, squarem_accelerated_mm)
-from .onebit import (DegenerateIterateError, EpmTrace, LineSearchStallError, OneBitParams,
-                     box_project, epm_gradient, epm_objective, exhaustive_onebit,
-                     nesterov_epm, round_to_signs)
+from .onebit import (DegenerateIterateError, EpmPoint, EpmTrace, LineSearchStallError,
+                     OneBitParams, box_project, epm_gradient, epm_objective, epm_point,
+                     exhaustive_onebit, nesterov_epm, round_to_signs)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 from .simulate import (DetectionCurve, DetectionPoint, detection_curve, lfm_waveforms,
                        received_batch, sample_h0_covariance_error, simulate_detection,

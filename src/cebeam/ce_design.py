@@ -38,11 +38,19 @@ an N_t x N_t matrix (Sun, Babu & Palomar, IEEE TSP 2017, on cheap MM steps):
 with Z = A^T X from the pattern evaluation.  The minorizer takes this form
 when N_t >= 32 and 2 r <= N_t (``takes_low_rank``, a measured crossover);
 below it the dense Q and its eigensolve are cheaper.
+
+Every point the loops visit is evaluated once, into an ``Iterate``: its
+pattern terms Z and gaps, the MSE and the orthogonality residual.  The map
+takes its minorizer and base objective from the incoming record and returns
+the accepted candidate's record (or the incoming one on a stall); SQUAREM
+compares records, and the trace reads the accepted one.  ``penalized_objective``
+and ``beampattern_mse`` are thin wrappers over the same evaluation.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -62,10 +70,12 @@ class CeDesignParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.penalty_init) and math.isfinite(self.penalty_growth)):
+            raise ModelError("penalty schedule needs finite init and growth")
         if self.penalty_init <= 0 or self.penalty_growth <= 1 or self.penalty_period < 1:
             raise ModelError("penalty schedule needs init > 0, growth > 1, period >= 1")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ModelError("max_iters >= 1 and tol > 0 required")
+        if self.max_iters < 1 or not (math.isfinite(self.tol) and self.tol > 0):
+            raise ModelError(f"max_iters >= 1 and a finite tol > 0 required, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +106,47 @@ class MinorizerState:
         """(shift * I - Q) T_m, whose phases are the next iterate."""
         if self.q_matrix is None:
             return shift * T_m - self.q_times_t
-        return (shift * np.eye(T_m.shape[0]) - self.q_matrix) @ T_m
+        return (shift * _identity(T_m.shape[0]) - self.q_matrix) @ T_m
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@dataclass(frozen=True, eq=False)
+class Iterate:
+    """A design point evaluated once; every later use reads these fields.
+
+    ``Z`` and ``gaps`` are ``pattern_terms(T, profile)``, ``mse`` the sum of
+    the squared gaps and ``orth`` the residual ||T^H T - I||_F.  ``fallback``
+    marks a point that ``mm_map`` reached with the guaranteed shift after
+    rejecting the optimistic one.
+    """
+
+    T: np.ndarray
+    Z: np.ndarray
+    gaps: np.ndarray
+    mse: float
+    orth: float
+    fallback: bool = False
+
+    def objective(self, penalty: float) -> float:
+        """Penalized objective mse + penalty * orth ** 2."""
+        return self.mse + penalty * self.orth ** 2
 
 
 @dataclass
 class MmTrace:
-    """Per-iteration history of one design run."""
+    """Per-iteration history of one design run, with its fallback counts.
+
+    ``shift_rejections`` counts maps whose optimistic shift would have
+    ascended (stalls included), ``stalls`` the maps where the guaranteed
+    shift did too, so the map returned its input, and ``squarem_rejections``
+    the accelerated iterations that kept the plain double update.
+    """
 
     mse: np.ndarray
     objective: np.ndarray
@@ -111,6 +156,14 @@ class MmTrace:
     map_evals: int = 0
     converged: bool = False
     wall_time_s: float = 0.0
+    shift_rejections: int = 0
+    stalls: int = 0
+    squarem_rejections: int = 0
+
+    def counters(self) -> dict[str, int]:
+        """The fallback counts, as the reports carry them."""
+        return {"shift_rejections": self.shift_rejections, "stalls": self.stalls,
+                "squarem_rejections": self.squarem_rejections}
 
 
 @functools.lru_cache(maxsize=32)
@@ -143,20 +196,26 @@ def pattern_terms(T: np.ndarray, profile: PowerProfile) -> tuple[np.ndarray, np.
     return Z, np.sum(np.abs(Z) ** 2, axis=-1) - profile.all_levels()
 
 
+def evaluate_iterate(T: np.ndarray, profile: PowerProfile, fallback: bool = False) -> Iterate:
+    """The one evaluation of a design point that the loops and wrappers share."""
+    Z, gaps = pattern_terms(T, profile)
+    return Iterate(T, Z, gaps, float(np.sum(gaps ** 2)), orthogonality_residual(T), fallback)
+
+
 def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
     """Sum of squared gaps between the achieved and requested pattern levels."""
-    return float(np.sum(pattern_terms(T, profile)[1] ** 2))
+    return evaluate_iterate(T, profile).mse
 
 
 def orthogonality_residual(T: np.ndarray) -> float:
     gram = T.conj().T @ T
-    return float(np.linalg.norm(gram - np.eye(T.shape[1])))
+    return float(np.linalg.norm(gram - _identity(T.shape[1])))
 
 
 def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) -> float:
     if penalty < 0:
         raise ModelError("penalty must be >= 0")
-    return beampattern_mse(T, profile) + penalty * orthogonality_residual(T) ** 2
+    return evaluate_iterate(T, profile).objective(penalty)
 
 
 # Crossover of the matrix-free minorizer, measured per mm_map call with one
@@ -174,12 +233,14 @@ def takes_low_rank(n_tx: int, rank: int) -> bool:
     return n_tx >= LOW_RANK_MIN_TX and 2 * rank <= n_tx
 
 
-def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float,
+def minorizer_matrix(x: Iterate, profile: PowerProfile, penalty: float,
                      work: np.ndarray | None = None) -> MinorizerState:
     """Surrogate Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H.
 
-    Above the crossover (``takes_low_rank``) only lambda_max and Q T_m are
-    computed, from the thin QR of B = [conj(A), T_m]; see ``MinorizerState``.
+    T_m is ``x.T``; the gaps phi_p - level_p and Z = A^T T_m come from the
+    record ``x`` and are not evaluated again.  Above the crossover
+    (``takes_low_rank``) only lambda_max and Q T_m are computed, from the
+    thin QR of B = [conj(A), T_m]; see ``MinorizerState``.
 
     On the dense path ``work`` is an optional (2, n_tx, n_tx) complex scratch,
     reused by the design loop for every call; Q is then ``work[0]``.  Fresh
@@ -187,14 +248,15 @@ def minorizer_matrix(T_m: np.ndarray, profile: PowerProfile, penalty: float,
     back to the OS and page-fault it in again, thousands of faults per
     128-antenna design.  Q is the same to the last bit either way.
     """
+    T_m = x.T
     n_tx, n_rf = T_m.shape
     A, gram_lambda = profile_steering(profile, n_tx)
-    Z, gaps = pattern_terms(T_m, profile)
-    sigma_max = float(np.linalg.norm(T_m, 2))
+    # the spectral norm, as np.linalg.norm(T_m, 2) takes it: the top singular value
+    sigma_max = float(np.linalg.svd(T_m, compute_uv=False)[0])
     if takes_low_rank(n_tx, A.shape[1] + n_rf):
-        lam, q_t = _low_rank_minorizer(A, Z, gaps, T_m, penalty)
+        lam, q_t = _low_rank_minorizer(A, x.Z, x.gaps, T_m, penalty)
         return MinorizerState(None, q_t, lam, gram_lambda, sigma_max)
-    Q = _dense_minorizer(A, gaps, T_m, penalty, work)
+    Q = _dense_minorizer(A, x.gaps, T_m, penalty, work)
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
     return MinorizerState(Q, None, float(np.linalg.eigvalsh(Q)[-1]), gram_lambda, sigma_max)
@@ -238,27 +300,32 @@ def _low_rank_minorizer(A: np.ndarray, Z: np.ndarray, gaps: np.ndarray, T_m: np.
     return lam, q_t
 
 
-def mm_map(T_m: np.ndarray, profile: PowerProfile, penalty: float,
-           work: np.ndarray | None = None) -> np.ndarray:
-    """One closed-form phase update of the fixed-point map.
+def mm_map(x: Iterate, profile: PowerProfile, penalty: float,
+           work: np.ndarray | None = None) -> Iterate:
+    """One closed-form phase update of the fixed-point map, from and to a record.
 
     New phases are the arguments of (shift*I - Q) T_m applied column by
-    column; entries where that product vanishes keep their previous phase.
-    An optimistic shift (valid near orthonormal iterates) is tried first and
-    replaced by the worst-case one whenever the penalized objective would
-    grow, so the map never ascends.  ``work`` goes to ``minorizer_matrix``.
+    column, T_m = ``x.T``; entries where that product vanishes keep their
+    previous phase.  An optimistic shift (valid near orthonormal iterates)
+    is tried first and replaced by the worst-case one whenever the penalized
+    objective would grow, so the map never ascends.  Each candidate is
+    evaluated once and the accepted one's record is returned; when both
+    shifts would ascend (a stall) the input record itself comes back.
+    ``work`` goes to ``minorizer_matrix``.
     """
-    state = minorizer_matrix(T_m, profile, penalty, work)
+    state = minorizer_matrix(x, profile, penalty, work)
     lam_p = state.gram_lambda + penalty
-    base = penalized_objective(T_m, profile, penalty)
+    base = x.objective(penalty)
+    T_m = x.T
     n_tx, n_rf = T_m.shape
     shifts = (state.lambda_max + 0.5 * (state.sigma_max + 1.05) ** 2 * lam_p,
               state.lambda_max + 2.0 * n_rf * lam_p)
-    for shift in shifts:
-        T_new = _project_phases(state.direction(T_m, shift), T_m, n_tx)
-        if penalized_objective(T_new, profile, penalty) <= base + 1e-12:
-            return T_new
-    return T_m
+    for k, shift in enumerate(shifts):
+        cand = evaluate_iterate(_project_phases(state.direction(T_m, shift), T_m, n_tx),
+                                profile, fallback=k > 0)
+        if cand.objective(penalty) <= base + 1e-12:
+            return cand
+    return x
 
 
 def _project_phases(Z: np.ndarray, fallback: np.ndarray, n_tx: int) -> np.ndarray:
@@ -274,44 +341,49 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
                 accelerated: bool, monitor=None) -> tuple[np.ndarray, MmTrace]:
     n_tx = T0.shape[0]
     penalty = params.penalty_init
-    T = T0
+    x = evaluate_iterate(T0, profile)
     mse_hist, obj_hist, pen_hist, orth_hist = [], [], [], []
-    map_evals = 0
+    counts = {"map_evals": 0, "shift_rejections": 0, "stalls": 0, "squarem_rejections": 0}
     converged = False
     period_max_step = 0.0
     started = time.perf_counter()
 
     work = np.empty((2, n_tx, n_tx), dtype=complex)     # dense minorizer scratch
+
+    def counted_map(x_in: Iterate) -> Iterate:
+        x_out = mm_map(x_in, profile, penalty, work=work)
+        counts["map_evals"] += 1
+        counts["stalls"] += x_out is x_in
+        counts["shift_rejections"] += x_out is x_in or x_out.fallback
+        return x_out
+
     for it in range(1, params.max_iters + 1):
         if accelerated:
-            T1 = mm_map(T, profile, penalty, work=work)
-            T2 = mm_map(T1, profile, penalty, work=work)
-            map_evals += 2
-            Y1 = T1 - T
-            Y2 = T2 - T1 - Y1
+            x1 = counted_map(x)
+            x2 = counted_map(x1)
+            Y1 = x1.T - x.T
+            Y2 = x2.T - x1.T - Y1
             n2 = np.linalg.norm(Y2)
-            T_new = T2
+            x_new = x2
             if n2 > 0.0:
                 kappa = -np.linalg.norm(Y1) / n2
-                Z = T - 2.0 * kappa * Y1 + kappa ** 2 * Y2
-                T_acc = _project_phases(Z, T, n_tx)
+                Z = x.T - 2.0 * kappa * Y1 + kappa ** 2 * Y2
+                x_acc = evaluate_iterate(_project_phases(Z, x.T, n_tx), profile)
                 # the extrapolated point must not undo the two plain steps
-                if penalized_objective(T_acc, profile, penalty) <= penalized_objective(T2, profile, penalty):
-                    T_new = T_acc
+                if x_acc.objective(penalty) <= x2.objective(penalty):
+                    x_new = x_acc
+            counts["squarem_rejections"] += x_new is x2
         else:
-            T_new = mm_map(T, profile, penalty, work=work)
-            map_evals += 1
+            x_new = counted_map(x)
 
-        step = float(np.linalg.norm(T_new - T) ** 2)
-        T = T_new
-        mse = beampattern_mse(T, profile)
-        orth = orthogonality_residual(T)
-        mse_hist.append(mse)
-        obj_hist.append(mse + penalty * orth ** 2)
+        step = float(np.linalg.norm(x_new.T - x.T) ** 2)
+        x = x_new
+        mse_hist.append(x.mse)
+        obj_hist.append(x.objective(penalty))
         pen_hist.append(penalty)
-        orth_hist.append(orth)
+        orth_hist.append(x.orth)
         if monitor is not None:
-            monitor(it, T)
+            monitor(it, x.T)
 
         # a numerically fixed point (phase wobble at the atan2 rounding floor)
         # stops at once; otherwise convergence needs the iterate to stay
@@ -331,9 +403,9 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     trace = MmTrace(
         mse=np.asarray(mse_hist), objective=np.asarray(obj_hist),
         penalty=np.asarray(pen_hist), orth_residual=np.asarray(orth_hist),
-        iterations=len(obj_hist), map_evals=map_evals, converged=converged,
-        wall_time_s=time.perf_counter() - started)
-    return T, trace
+        iterations=len(obj_hist), converged=converged,
+        wall_time_s=time.perf_counter() - started, **counts)
+    return x.T, trace
 
 
 def plain_mm(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,

@@ -10,10 +10,19 @@ growing rho drives |t_i| to the box walls, and the final iterate is rounded
 to exact signs.
 
 Vectors use column-major (Fortran) layout: entry (j-1)*N_t + i is T[i, j].
+
+Every point the solver visits (the extrapolated point, each backtracking
+candidate) is evaluated once, into an ``EpmPoint``: the pattern terms, ||t||
+and T^T T - I.  The objective at any penalties and the gradient are both
+assembled from those terms, so a momentum reset or a penalty bump reuses
+them; ``epm_objective`` and ``epm_gradient`` are thin wrappers over the same
+evaluation.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -45,12 +54,18 @@ class OneBitParams:
     seed: int = 0
 
     def __post_init__(self):
+        penalties = (self.penalty_orth_init, self.penalty_orth_growth,
+                     self.penalty_bin_init, self.penalty_bin_growth)
+        if not all(math.isfinite(p) for p in penalties):
+            raise ModelError("penalty parameters must be finite")
         if min(self.penalty_orth_init, self.penalty_bin_init) <= 0:
             raise ModelError("penalties must start > 0")
         if min(self.penalty_orth_growth, self.penalty_bin_growth) <= 1:
             raise ModelError("penalty growth factors must exceed 1")
-        if min(self.orth_period, self.bin_period, self.max_iters) < 1 or self.tol <= 0:
-            raise ModelError("periods, max_iters >= 1 and tol > 0 required")
+        if min(self.orth_period, self.bin_period, self.max_iters) < 1 \
+                or not (math.isfinite(self.tol) and self.tol > 0):
+            raise ModelError(f"periods, max_iters >= 1 and a finite tol > 0 required, "
+                             f"got tol {self.tol}")
 
 
 @dataclass
@@ -63,6 +78,7 @@ class EpmTrace:
     iterations: int = 0
     converged: bool = False
     momentum_resets: int = 0
+    halvings: int = 0            # backtracking step halvings
     wall_time_s: float = 0.0
 
 
@@ -72,15 +88,64 @@ def box_project(t: np.ndarray, n_tx: int) -> np.ndarray:
     return np.clip(t, -bound, bound)
 
 
+@dataclass(frozen=True, eq=False)
+class EpmPoint:
+    """One point of the exact-penalty problem, evaluated once.
+
+    ``T`` is ``t`` as an (n_tx x n_rf) matrix, ``Z`` and ``gaps`` its
+    pattern terms, ``norm`` = ||t||, ``gram`` = T^T T - I, and ``mse``,
+    ``binary_gap`` = N_rf - sqrt(N_rf) ||t|| and ``orth`` = ||gram||_F^2 the
+    three cost terms.  The objective and the gradient at any penalties are
+    assembled from these.
+    """
+
+    t: np.ndarray
+    T: np.ndarray
+    Z: np.ndarray
+    gaps: np.ndarray
+    norm: float
+    gram: np.ndarray
+    mse: float
+    binary_gap: float
+    orth: float
+    A: np.ndarray                # profile steering matrix
+
+    def objective(self, penalty_orth: float, penalty_bin: float) -> float:
+        """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
+        return self.mse + penalty_bin * self.binary_gap + penalty_orth * self.orth
+
+    @functools.cached_property
+    def pattern_gradient(self) -> np.ndarray:
+        """sum_p 4 (q_p - level_p) Phi_p t, through the rank-one a_p structure."""
+        coeff = 4.0 * self.gaps
+        return np.real(self.A.conj() @ (coeff[:, None] * self.Z))
+
+    def gradient(self, penalty_orth: float, penalty_bin: float) -> np.ndarray:
+        """Exact gradient of ``objective`` (column-major layout)."""
+        if self.norm == 0.0:
+            raise DegenerateIterateError("gradient undefined at t = 0")
+        n_rf = self.T.shape[1]
+        g_bin = -penalty_bin * np.sqrt(n_rf) / self.norm * self.T
+        g_orth = 4.0 * penalty_orth * self.T @ self.gram
+        return (self.pattern_gradient + g_bin + g_orth).reshape(-1, order="F")
+
+
+def epm_point(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int) -> EpmPoint:
+    """Evaluate the column-major vector ``t`` once."""
+    t = np.asarray(t, float).reshape(-1)
+    T = t.reshape((n_tx, n_rf), order="F")
+    Z, gaps = pattern_terms(T, profile)
+    norm = np.linalg.norm(t)
+    gram = T.T @ T - np.eye(n_rf)
+    return EpmPoint(t, T, Z, gaps, norm, gram, float(np.sum(gaps ** 2)),
+                    n_rf - np.sqrt(n_rf) * norm, float(np.sum(gram ** 2)),
+                    profile_steering(profile, n_tx)[0])
+
+
 def epm_objective(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
                   penalty_orth: float, penalty_bin: float) -> float:
     """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
-    t = np.asarray(t, float).reshape(-1)
-    T = t.reshape((n_tx, n_rf), order="F")
-    mse = float(np.sum(pattern_terms(T, profile)[1] ** 2))
-    gap = n_rf - np.sqrt(n_rf) * np.linalg.norm(t)
-    gram = T.T @ T - np.eye(n_rf)
-    return mse + penalty_bin * gap + penalty_orth * float(np.sum(gram ** 2))
+    return epm_point(t, profile, n_tx, n_rf).objective(penalty_orth, penalty_bin)
 
 
 def epm_gradient(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
@@ -91,20 +156,7 @@ def epm_gradient(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
     with symmetric per-angle quadratic forms Phi_p, evaluated through the
     rank-one a_p structure so the Kronecker matrices are never materialized.
     """
-    t = np.asarray(t, float).reshape(-1)
-    norm = np.linalg.norm(t)
-    if norm == 0.0:
-        raise DegenerateIterateError("gradient undefined at t = 0")
-    A, _ = profile_steering(profile, n_tx)
-    T = t.reshape((n_tx, n_rf), order="F")
-    Z, gaps = pattern_terms(T, profile)
-
-    coeff = 4.0 * gaps
-    g_pattern = np.real(A.conj() @ (coeff[:, None] * Z))
-
-    g_bin = -penalty_bin * np.sqrt(n_rf) / norm * T
-    g_orth = 4.0 * penalty_orth * T @ (T.T @ T - np.eye(n_rf))
-    return (g_pattern + g_bin + g_orth).reshape(-1, order="F")
+    return epm_point(t, profile, n_tx, n_rf).gradient(penalty_orth, penalty_bin)
 
 
 def round_to_signs(t: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
@@ -131,64 +183,66 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
 
     pen_o = params.penalty_orth_init
     pen_b = params.penalty_bin_init
-    obj = lambda x: epm_objective(x, profile, n_tx, n_rf, pen_o, pen_b)
-    grad = lambda x: epm_gradient(x, profile, n_tx, n_rf, pen_o, pen_b)
+    point = lambda v: epm_point(v, profile, n_tx, n_rf)
 
     tau = 1.0
+    x = point(t)                                 # the incumbent
     t_prev = t.copy()
-    f_cur = obj(t)
+    f_cur = x.objective(pen_o, pen_b)
     hist_f, hist_g, hist_gap, hist_po, hist_pb = [], [], [], [], []
     resets = 0
+    halvings = 0
     converged = False
     started = time.perf_counter()
 
-    def backtrack(base: np.ndarray, f_base: float, g_base: np.ndarray):
+    def backtrack(base: EpmPoint, f_base: float, g_base: np.ndarray):
+        nonlocal halvings
         mu = 1.0
         for _ in range(50):
-            cand = box_project(base - mu * g_base, n_tx)
-            delta = cand - base
+            cand = box_project(base.t - mu * g_base, n_tx)
+            delta = cand - base.t
             if not np.any(delta):
-                return cand, f_base, True       # projection fixed point
-            f_cand = obj(cand)
+                return base, f_base, True       # projection fixed point
+            x_cand = point(cand)
+            f_cand = x_cand.objective(pen_o, pen_b)
             if f_cand <= f_base + 1e-4 * float(g_base @ delta):
-                return cand, f_cand, False
+                return x_cand, f_cand, False
             mu *= 0.5
+            halvings += 1
         raise LineSearchStallError(
             f"no decreasing step after 50 halvings (|g|={np.linalg.norm(g_base):.3e}, "
             f"f={f_base:.6e}, pen_orth={pen_o:.3g}, pen_bin={pen_b:.3g})")
 
     for it in range(1, params.max_iters + 1):
+        t = x.t
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         w = t + (tau - 1.0) / tau_next * (t - t_prev)
         w = box_project(w, n_tx)
-        if np.linalg.norm(w) == 0.0:
-            w = t
-        g_w = grad(w)
-        t_new, f_new, fixed = backtrack(w, obj(w), g_w)
+        x_w = x if np.linalg.norm(w) == 0.0 else point(w)
+        x_new, f_new, fixed = backtrack(x_w, x_w.objective(pen_o, pen_b),
+                                        x_w.gradient(pen_o, pen_b))
 
         if f_new > f_cur:
             # extrapolation overshoots: plain step from the incumbent
-            g_t = grad(t)
-            t_new, f_new, fixed = backtrack(t, f_cur, g_t)
+            x_new, f_new, fixed = backtrack(x, f_cur, x.gradient(pen_o, pen_b))
             tau_next = 1.0
             resets += 1
 
-        t_prev, t = t, t_new
+        t_prev, x = t, x_new
         f_cur = min(f_new, f_cur) if fixed else f_new
         tau = tau_next
 
-        g_now = grad(t)
-        gnorm = float(np.linalg.norm(g_now))
+        gnorm = float(np.linalg.norm(x.gradient(pen_o, pen_b)))
         hist_f.append(f_cur)
         hist_g.append(gnorm)
-        hist_gap.append(n_rf - np.sqrt(n_rf) * float(np.linalg.norm(t)))
+        hist_gap.append(x.binary_gap)
         hist_po.append(pen_o)
         hist_pb.append(pen_b)
 
         if gnorm <= params.tol:
             converged = True
             break
-        if fixed and not np.any(t - t_prev):
+        if fixed and not np.any(x.t - t_prev):
             converged = True                     # locked on a box vertex set
             break
         bumped = False
@@ -199,15 +253,15 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
             pen_b *= params.penalty_bin_growth
             bumped = True
         if bumped:
-            f_cur = obj(t)
+            f_cur = x.objective(pen_o, pen_b)
 
     trace = EpmTrace(
         objective=np.asarray(hist_f), grad_norm=np.asarray(hist_g),
         binary_gap=np.asarray(hist_gap), penalty_orth=np.asarray(hist_po),
         penalty_bin=np.asarray(hist_pb), iterations=len(hist_f),
-        converged=converged, momentum_resets=resets,
+        converged=converged, momentum_resets=resets, halvings=halvings,
         wall_time_s=time.perf_counter() - started)
-    return round_to_signs(t, n_tx, n_rf), trace
+    return round_to_signs(x.t, n_tx, n_rf), trace
 
 
 MAX_EXHAUSTIVE_ENTRIES = 20

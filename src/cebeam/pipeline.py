@@ -119,9 +119,14 @@ def write_csv(path: Path, header: list[str], rows, prov: dict) -> None:
 
 
 def write_json(path: Path, payload: dict, prov: dict) -> None:
+    """Strict JSON: a NaN or infinity is refused before the file is written."""
+    try:
+        text = json.dumps({"provenance": prov, **payload}, indent=2, default=str,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise ModelError(f"{path.name} would hold a non-finite number ({exc})") from exc
     with open(path, "w") as fh:
-        json.dump({"provenance": prov, **payload}, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
         method=method.upper(), iterations=trace.iterations, wall_time_s=trace.wall_time_s,
         final_mse=float(trace.mse[-1]), orthogonality_residual=float(trace.orth_residual[-1]),
         avg_relative_entropy=avg, mean_angle_relative_entropy=single,
-        converged=trace.converged, map_evals=trace.map_evals)
+        converged=trace.converged, map_evals=trace.map_evals, extras=trace.counters())
     return T, report, trace, profile
 
 
@@ -171,8 +176,8 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
     if profile is None:
         profile = run_power_allocation(scenario, bits).profile
     params = params or OneBitParams(seed=seed)
-    T_ce, _, _, _ = run_ce_design(scenario, bits, seed, "AMM",
-                                  ce_params or CeDesignParams(seed=seed), profile)
+    T_ce, _, ce_trace, _ = run_ce_design(scenario, bits, seed, "AMM",
+                                         ce_params or CeDesignParams(seed=seed), profile)
     # one-bit starting point: phases snapped to {0, pi}, column-major vector
     t0 = round_to_signs(np.real(T_ce), scenario.n_tx, scenario.n_rf).reshape(-1, order="F")
     started = time.perf_counter()
@@ -185,8 +190,10 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
         orthogonality_residual=orthogonality_residual(T),
         avg_relative_entropy=avg, mean_angle_relative_entropy=single,
         converged=trace.converged,
-        extras={"momentum_resets": trace.momentum_resets,
-                "final_binary_gap": float(trace.binary_gap[-1])})
+        extras={"momentum_resets": trace.momentum_resets, "halvings": trace.halvings,
+                "final_binary_gap": float(trace.binary_gap[-1]),
+                "warm_start": {"iterations": ce_trace.iterations,
+                               "map_evals": ce_trace.map_evals, **ce_trace.counters()}})
     return T, report, trace, profile
 
 

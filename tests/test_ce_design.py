@@ -13,6 +13,15 @@ from cebeam import onebit as OB
 from cebeam.power_alloc import PowerProfile
 
 
+def minorizer(T, prof, pen, work=None):
+    return C.minorizer_matrix(C.evaluate_iterate(T, prof), prof, pen, work)
+
+
+def map_T(T, prof, pen):
+    """One map step from the matrix T, as a matrix."""
+    return C.mm_map(C.evaluate_iterate(T, prof), prof, pen).T
+
+
 def random_profile(rng, n_target=3, n_clutter=3):
     angles = np.sort(rng.uniform(-1.4, 1.4, n_target + n_clutter))
     levels = rng.uniform(0.0, 1.0, n_target + n_clutter)
@@ -73,7 +82,7 @@ class TestMinorizer:
     def test_empty_profile_zero_matrix(self):
         T = M.random_unit_modulus(6, 2, np.random.default_rng(0))
         prof = PowerProfile(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
-        state = C.minorizer_matrix(T, prof, 0.0)
+        state = minorizer(T, prof, 0.0)
         np.testing.assert_array_equal(state.q_matrix, np.zeros((6, 6)))
         assert state.lambda_max == 0.0
 
@@ -82,7 +91,7 @@ class TestMinorizer:
         T = M.random_unit_modulus(8, 2, rng)
         prof = random_profile(rng)
         pen = 0.7
-        state = C.minorizer_matrix(T, prof, pen)
+        state = minorizer(T, prof, pen)
         Q = state.q_matrix
         assert np.allclose(Q, Q.conj().T, atol=1e-10)
         achieved = M.beampattern_powers(T, prof.all_angles())
@@ -93,7 +102,7 @@ class TestMinorizer:
     def test_lambda_max_dominates_rayleigh_quotients(self):
         rng = np.random.default_rng(4)
         T = M.random_unit_modulus(8, 3, rng)
-        state = C.minorizer_matrix(T, random_profile(rng), 0.5)
+        state = minorizer(T, random_profile(rng), 0.5)
         for _ in range(30):
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             v /= np.linalg.norm(v)
@@ -103,7 +112,7 @@ class TestMinorizer:
         rng = np.random.default_rng(5)
         for n_rf in (1, 2, 3):
             T = M.random_unit_modulus(6, n_rf, rng)
-            state = C.minorizer_matrix(T, random_profile(rng), 0.3)
+            state = minorizer(T, random_profile(rng), 0.3)
             kron = np.kron(np.eye(n_rf), state.q_matrix)
             assert np.linalg.eigvalsh(kron)[-1] == pytest.approx(state.lambda_max, abs=1e-9)
 
@@ -117,7 +126,7 @@ class TestMinorizer:
             prof = random_profile(rng)
             pen = float(rng.uniform(0, 2))
             lam_p = C.profile_steering(prof, n_tx)[1] + pen
-            state = C.minorizer_matrix(X, prof, pen)
+            state = minorizer(X, prof, pen)
             delta = T @ T.conj().T - X @ X.conj().T
             bound = (C.penalized_objective(X, prof, pen)
                      + 2.0 * np.trace(state.q_matrix @ delta).real
@@ -138,7 +147,7 @@ class TestMinorizer:
         Q = 0.5 * (Q + Q.conj().T)
         work = np.full((2, 12, 12), np.nan, dtype=complex)
         for scratch in (None, work, work):
-            np.testing.assert_array_equal(C.minorizer_matrix(T, prof, pen, scratch).q_matrix, Q)
+            np.testing.assert_array_equal(minorizer(T, prof, pen, scratch).q_matrix, Q)
 
 
 # minor page faults over 15 SQUAREM iterations of a 128-antenna design, after
@@ -195,7 +204,7 @@ class TestMmMap:
     def test_output_unit_modulus(self):
         rng = np.random.default_rng(7)
         T = M.random_unit_modulus(16, 2, rng)
-        T2 = C.mm_map(T, random_profile(rng), 0.1)
+        T2 = map_T(T, random_profile(rng), 0.1)
         assert M.is_unit_modulus(T2, 16, tol=1e-14)
 
     def test_descent_from_random_starts(self):
@@ -205,7 +214,7 @@ class TestMmMap:
         for _ in range(50):
             T = M.random_unit_modulus(16, 2, rng)
             before = C.penalized_objective(T, prof, pen)
-            after = C.penalized_objective(C.mm_map(T, prof, pen), prof, pen)
+            after = C.penalized_objective(map_T(T, prof, pen), prof, pen)
             assert after <= before + 1e-9
 
     def test_kronecker_block_structure(self):
@@ -214,7 +223,7 @@ class TestMmMap:
         n_tx, n_rf = 6, 3
         T = M.random_unit_modulus(n_tx, n_rf, rng)
         prof = random_profile(rng)
-        state = C.minorizer_matrix(T, prof, 0.4)
+        state = minorizer(T, prof, 0.4)
         shift = 10.0
         t = T.reshape(-1, order="F")
         big = np.kron(np.eye(n_rf), state.q_matrix)
@@ -229,7 +238,7 @@ class TestMmMap:
         dft = np.exp(-2j * np.pi * np.outer(np.arange(n_tx), np.arange(n_rf)) / n_tx)
         T = dft / np.sqrt(n_tx)
         prof = PowerProfile(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
-        T_next = C.mm_map(T, prof, 0.3)
+        T_next = map_T(T, prof, 0.3)
         np.testing.assert_allclose(T_next, T, atol=1e-14)
 
     def test_stationarity_after_long_run(self):
@@ -237,9 +246,9 @@ class TestMmMap:
         prof = random_profile(rng)
         T = M.random_unit_modulus(12, 2, rng)
         for _ in range(3000):
-            T = C.mm_map(T, prof, 0.2)
+            T = map_T(T, prof, 0.2)
         obj = C.penalized_objective(T, prof, 0.2)
-        T_again = C.mm_map(T, prof, 0.2)
+        T_again = map_T(T, prof, 0.2)
         assert np.linalg.norm(T_again - T) < 1e-6
         assert C.penalized_objective(T_again, prof, 0.2) <= obj + 1e-12
 
@@ -249,7 +258,7 @@ class TestMmMap:
         n_tx = 2
         prof = PowerProfile(np.array([0.4]), np.array([0.8]), np.zeros(0), np.zeros(0))
         T = M.random_unit_modulus(n_tx, 1, rng)
-        state = C.minorizer_matrix(T, prof, 0.3)
+        state = minorizer(T, prof, 0.3)
         shift = state.lambda_max + 7.0
         B = np.kron(np.eye(1), state.q_matrix) - shift * np.eye(n_tx)
         t_m = T.reshape(-1, order="F")
@@ -350,6 +359,13 @@ class TestParams:
         with pytest.raises(M.ModelError):
             C.CeDesignParams(max_iters=0)
 
+    @pytest.mark.parametrize("field", ["tol", "penalty_init", "penalty_growth"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        # NaN passes every "<= 0" test, and an infinite growth overflows the schedule
+        with pytest.raises(M.ModelError):
+            C.CeDesignParams(**{field: value})
+
 
 @st.composite
 def small_designs(draw):
@@ -389,7 +405,7 @@ class TestPatternCore:
             assert C.beampattern_mse(T, prof) == pytest.approx(mse, rel=1e-10, abs=1e-13)
             A = M.steering_matrix(prof.all_angles(), n_tx)
             Q = (A.conj() * gaps) @ A.T
-            np.testing.assert_allclose(C.minorizer_matrix(T, prof, 0.0).q_matrix, Q,
+            np.testing.assert_allclose(minorizer(T, prof, 0.0).q_matrix, Q,
                                        rtol=0, atol=1e-12 * max(1.0, np.abs(Q).max()))
         mse_bit = float(np.sum(self.oracle_gaps(T_bit, prof) ** 2))
         t = T_bit.reshape(-1, order="F")
@@ -471,7 +487,7 @@ class TestLowRankMinorizer:
         prof = random_profile(rng, 3, 3)
         for n_tx, low in ((40, True), (12, False)):
             T = M.random_unit_modulus(n_tx, 2, rng)
-            state = C.minorizer_matrix(T, prof, 0.4)
+            state = minorizer(T, prof, 0.4)
             assert (state.q_matrix is None) == low
             assert (state.q_times_t is None) != low
 
@@ -482,8 +498,15 @@ class TestLowRankMinorizer:
         for _ in range(30):
             T = M.random_unit_modulus(48, 2, rng)
             before = C.penalized_objective(T, prof, 0.05)
-            after = C.penalized_objective(C.mm_map(T, prof, 0.05), prof, 0.05)
+            after = C.penalized_objective(map_T(T, prof, 0.05), prof, 0.05)
             assert after <= before + 1e-9
+
+
+def _parent_objective(T, profile, penalty):
+    """The penalized objective as it stood before the evaluated-iterate record."""
+    mse = float(np.sum(C.pattern_terms(T, profile)[1] ** 2))
+    orth = float(np.linalg.norm(T.conj().T @ T - np.eye(T.shape[1])))
+    return mse + penalty * orth ** 2
 
 
 def _parent_mm_map(T_m, profile, penalty):
@@ -500,12 +523,42 @@ def _parent_mm_map(T_m, profile, penalty):
     lam = float(np.linalg.eigvalsh(Q)[-1])
     sigma = float(np.linalg.norm(T_m, 2))
     lam_p = gram_lambda + penalty
-    base = C.penalized_objective(T_m, profile, penalty)
+    base = _parent_objective(T_m, profile, penalty)
     for shift in (lam + 0.5 * (sigma + 1.05) ** 2 * lam_p, lam + 2.0 * n_rf * lam_p):
         T_new = C._project_phases((shift * np.eye(n_tx) - Q) @ T_m, T_m, n_tx)
-        if C.penalized_objective(T_new, profile, penalty) <= base + 1e-12:
+        if _parent_objective(T_new, profile, penalty) <= base + 1e-12:
             return T_new
     return T_m
+
+
+def _parent_squarem(T, profile, penalty, iters):
+    """The accelerated loop's iterates at a fixed penalty, before the record."""
+    n_tx = T.shape[0]
+    out = []
+    for _ in range(iters):
+        T1 = _parent_mm_map(T, profile, penalty)
+        T2 = _parent_mm_map(T1, profile, penalty)
+        Y1 = T1 - T
+        Y2 = T2 - T1 - Y1
+        n2 = np.linalg.norm(Y2)
+        T_new = T2
+        if n2 > 0.0:
+            kappa = -np.linalg.norm(Y1) / n2
+            T_acc = C._project_phases(T - 2.0 * kappa * Y1 + kappa ** 2 * Y2, T, n_tx)
+            if _parent_objective(T_acc, profile, penalty) <= \
+                    _parent_objective(T2, profile, penalty):
+                T_new = T_acc
+        T = T_new
+        out.append(T)
+    return out
+
+
+def _assert_fresh(x, profile):
+    """A carried record holds exactly what a fresh evaluation of its point gives."""
+    fresh = C.evaluate_iterate(x.T, profile)
+    for name in ("Z", "gaps"):
+        np.testing.assert_array_equal(getattr(x, name), getattr(fresh, name))
+    assert (x.mse, x.orth) == (fresh.mse, fresh.orth)
 
 
 def test_dense_map_is_bit_identical_below_crossover(desk_scenario):
@@ -514,44 +567,122 @@ def test_dense_map_is_bit_identical_below_crossover(desk_scenario):
     prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
     assert not C.takes_low_rank(desk_scenario.n_tx, prof.all_angles().size + desk_scenario.n_rf)
     T = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, np.random.default_rng(30))
+    x = C.evaluate_iterate(T, prof)
     work = np.full((2, 32, 32), np.nan, dtype=complex)
     for penalty in (0.01, 0.01, 0.3, 0.3, 2.0):
-        expected = _parent_mm_map(T, prof, penalty)
-        np.testing.assert_array_equal(C.mm_map(T, prof, penalty), expected)
-        T = C.mm_map(T, prof, penalty, work=work)
-        np.testing.assert_array_equal(T, expected)
+        expected = _parent_mm_map(x.T, prof, penalty)
+        np.testing.assert_array_equal(C.mm_map(x, prof, penalty).T, expected)
+        x = C.mm_map(x, prof, penalty, work=work)
+        np.testing.assert_array_equal(x.T, expected)
+        _assert_fresh(x, prof)
 
 
 @pytest.mark.parametrize("n_tx", [40, 12], ids=["low-rank", "dense"])
 @pytest.mark.parametrize("runner", [C.plain_mm, C.squarem_accelerated_mm])
 def test_layer_counts_per_map(monkeypatch, runner, n_tx):
-    # the per-layer view of a traced run: one minorizer per map evaluation, and
-    # each map scores its base point plus one or two shifted candidates
+    # every point is evaluated once: one minorizer per map evaluation, each map
+    # evaluates one candidate per shift it tries and never its own base point,
+    # and no loop goes through penalized_objective; the trace counts the fallbacks
     counts = {"minorizer": 0, "objective": 0}
-    per_map = []
-    minorizer, objective, mm_map = C.minorizer_matrix, C.penalized_objective, C.mm_map
+    evaluated, per_map = [], []
+    minorizer_fn, objective, mm_map, evaluate = (C.minorizer_matrix, C.penalized_objective,
+                                                 C.mm_map, C.evaluate_iterate)
 
     def counted_minorizer(*args, **kwargs):
         counts["minorizer"] += 1
-        return minorizer(*args, **kwargs)
+        return minorizer_fn(*args, **kwargs)
 
     def counted_objective(*args, **kwargs):
         counts["objective"] += 1
         return objective(*args, **kwargs)
 
-    def counted_map(*args, **kwargs):
-        before = counts["objective"]
-        result = mm_map(*args, **kwargs)
-        per_map.append(counts["objective"] - before)
+    def counted_evaluate(T, *args, **kwargs):
+        evaluated.append(T)
+        return evaluate(T, *args, **kwargs)
+
+    def counted_map(x, *args, **kwargs):
+        before = len(evaluated)
+        result = mm_map(x, *args, **kwargs)
+        points = evaluated[before:]
+        assert all(T is not x.T for T in points)
+        per_map.append((len(points), result is x, result is not x and result.fallback))
         return result
 
     monkeypatch.setattr(C, "minorizer_matrix", counted_minorizer)
     monkeypatch.setattr(C, "penalized_objective", counted_objective)
+    monkeypatch.setattr(C, "evaluate_iterate", counted_evaluate)
     monkeypatch.setattr(C, "mm_map", counted_map)
     prof = random_profile(np.random.default_rng(31), 3, 3)
     assert C.takes_low_rank(n_tx, 6 + 2) == (n_tx == 40)
     T0 = M.random_unit_modulus(n_tx, 2, np.random.default_rng(32))
     _, trace = runner(T0, prof, C.CeDesignParams(max_iters=40, tol=1e-30))
     assert counts["minorizer"] == trace.map_evals == len(per_map) > 0
-    assert set(per_map) <= {2, 3}
-    assert 2 in per_map
+    assert counts["objective"] == 0
+    for n_points, stall, fallback in per_map:
+        assert n_points == (2 if stall or fallback else 1)
+    assert trace.stalls == sum(stall for _, stall, _ in per_map)
+    assert trace.shift_rejections == sum(n == 2 for n, _, _ in per_map)
+    assert any(n == 1 for n, _, _ in per_map)
+    # T0, the map candidates, and one extrapolated point per accelerated iteration
+    extrapolated = len(evaluated) - 1 - sum(n for n, _, _ in per_map)
+    assert extrapolated <= (trace.iterations if runner is C.squarem_accelerated_mm else 0)
+    assert 0 <= trace.squarem_rejections <= trace.iterations
+
+
+def test_accelerated_loop_is_bit_identical_to_parent():
+    # the loop carries records from map to map; its iterates are the parent's
+    rng = np.random.default_rng(33)
+    prof = random_profile(rng, 3, 3)
+    T0 = M.random_unit_modulus(12, 3, rng)
+    params = C.CeDesignParams(max_iters=30, penalty_period=1000, tol=1e-30)
+    seen = []
+    C.squarem_accelerated_mm(T0, prof, params, monitor=lambda it, T: seen.append(T))
+    expected = _parent_squarem(T0, prof, params.penalty_init, len(seen))
+    assert len(seen) == 30
+    for T, T_ref in zip(seen, expected):
+        np.testing.assert_array_equal(T, T_ref)
+
+
+def _parent_epm(t, profile, n_tx, n_rf, penalty_orth, penalty_bin):
+    """The EPM objective and gradient as they stood before the fused point."""
+    T = t.reshape((n_tx, n_rf), order="F")
+    Z, gaps = C.pattern_terms(T, profile)
+    gap = n_rf - np.sqrt(n_rf) * np.linalg.norm(t)
+    gram = T.T @ T - np.eye(n_rf)
+    value = float(np.sum(gaps ** 2)) + penalty_bin * gap + penalty_orth * float(np.sum(gram ** 2))
+    A, _ = C.profile_steering(profile, n_tx)
+    g_pattern = np.real(A.conj() @ ((4.0 * gaps)[:, None] * Z))
+    g_bin = -penalty_bin * np.sqrt(n_rf) / np.linalg.norm(t) * T
+    g_orth = 4.0 * penalty_orth * T @ (T.T @ T - np.eye(n_rf))
+    return value, (g_pattern + g_bin + g_orth).reshape(-1, order="F")
+
+
+class TestEvaluateOnce:
+    """Values read off an evaluated record equal a fresh evaluation, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_designs(), st.floats(0.05, 1.0), st.floats(0.0, 2.0))
+    def test_records_match_fresh_values(self, case, shrink, penalty_bin):
+        prof, T_ce, T_bit, penalty = case
+        x = C.evaluate_iterate(T_ce, prof)
+        for pen in (penalty, 1.5 * penalty):
+            assert x.objective(pen) == C.penalized_objective(T_ce, prof, pen) \
+                == _parent_objective(T_ce, prof, pen)
+        # two maps chained through records against the parent's map
+        T_ref = T_ce
+        for _ in range(2):
+            x = C.mm_map(x, prof, penalty)
+            T_ref = _parent_mm_map(T_ref, prof, penalty)
+            np.testing.assert_array_equal(x.T, T_ref)
+            _assert_fresh(x, prof)
+        # the fused EPM value and gradient, also right after a penalty change
+        n_tx, n_rf = T_bit.shape
+        t = shrink * T_bit.reshape(-1, order="F")
+        point = OB.epm_point(t, prof, n_tx, n_rf)
+        for po, pb in ((penalty, penalty_bin), (1.5 * penalty, 1.3 * penalty_bin)):
+            grad = point.gradient(po, pb)
+            value = point.objective(po, pb)
+            ref_value, ref_grad = _parent_epm(t, prof, n_tx, n_rf, po, pb)
+            assert value == OB.epm_objective(t, prof, n_tx, n_rf, po, pb) == ref_value
+            np.testing.assert_array_equal(grad, OB.epm_gradient(t, prof, n_tx, n_rf, po, pb))
+            np.testing.assert_array_equal(grad, ref_grad)

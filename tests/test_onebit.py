@@ -175,6 +175,41 @@ class TestNesterovEpm:
         with pytest.raises(M.ModelError):
             OB.nesterov_epm(np.ones(7), three_angle_profile(), 4, 2, OB.OneBitParams())
 
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # the loop evaluates t0, each extrapolated point and each backtracking
+        # candidate once, and never goes through the wrappers
+        evaluated = []
+        point = OB.epm_point
+
+        def counted_point(t, *args):
+            evaluated.append(t)
+            return point(t, *args)
+
+        def wrapper_called(*args):
+            raise AssertionError("the loop re-evaluated a point through a wrapper")
+
+        monkeypatch.setattr(OB, "epm_point", counted_point)
+        monkeypatch.setattr(OB, "epm_objective", wrapper_called)
+        monkeypatch.setattr(OB, "epm_gradient", wrapper_called)
+        rng = np.random.default_rng(12)
+        t0 = rng.choice([-1.0, 1.0], 16 * 2) * 0.9 / 4.0
+        _, tr = OB.nesterov_epm(t0, three_angle_profile(), 16, 2, OB.OneBitParams(max_iters=300))
+        assert len({id(t) for t in evaluated}) == len(evaluated)
+        assert tr.halvings > 0
+        # t0, one extrapolated point per iteration, one rejected candidate per
+        # halving, and at most two accepted candidates per iteration (a reset)
+        accepted = len(evaluated) - 1 - tr.iterations - tr.halvings
+        assert tr.momentum_resets <= accepted <= tr.iterations + tr.momentum_resets
+
+
+class TestParams:
+    @pytest.mark.parametrize("field", ["tol", "penalty_orth_init", "penalty_orth_growth",
+                                       "penalty_bin_init", "penalty_bin_growth"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(M.ModelError):
+            OB.OneBitParams(**{field: value})
+
 
 class TestExhaustive:
     def test_two_element_single_beam(self):

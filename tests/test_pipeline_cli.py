@@ -223,6 +223,32 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["design-ce", "design-onebit"])
+    def test_non_finite_tol_exits_2(self, mini_scenario_file, tmp_path, command, tol):
+        # a NaN tol once passed "tol <= 0", ran to the cap and wrote "tol": NaN
+        out = tmp_path / "o"
+        code = cli.main([command, "--scenario", mini_scenario_file, "--tol", tol,
+                         "--out", str(out)])
+        assert code == 2
+        assert not list(out.glob("*.json"))
+
+    def test_write_json_refuses_non_finite(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(M.ModelError):
+            PL.write_json(path, {"report": {"avg_relative_entropy": math.nan}}, {"seed": 0})
+        assert not path.exists()
+
+    def test_report_holding_nan_exits_2(self, mini_scenario_file, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr(PL, "evaluate_entropies", lambda *args: (math.nan, math.nan))
+        out = tmp_path / "o"
+        code = cli.main(["design-ce", "--scenario", mini_scenario_file, "--max-iters", "3",
+                         "--out", str(out)])
+        assert code == 2
+        assert not (out / "design_report.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestCliSpec:
     @pytest.fixture()
@@ -248,6 +274,23 @@ class TestCliSpec:
                               snr_grid_db=(-3.0, 0.0)),
             PL.ExperimentSpec(command="design-ce", method="MM"),
         ]
+
+
+class TestReportCounters:
+    def test_design_reports_carry_fallback_counts(self, mini_scenario_file, tmp_path):
+        cli.main(["design-ce", "--scenario", mini_scenario_file, "--out", str(tmp_path / "ce")])
+        cli.main(["design-onebit", "--scenario", mini_scenario_file,
+                  "--out", str(tmp_path / "ob")])
+        ce = json.loads((tmp_path / "ce" / "design_report.json").read_text())["report"]
+        ob = json.loads((tmp_path / "ob" / "onebit_report.json").read_text())["report"]
+        for counts, iterations, map_evals in (
+                (ce["extras"], ce["iterations"], ce["map_evals"]),
+                (ob["extras"]["warm_start"], ob["extras"]["warm_start"]["iterations"],
+                 ob["extras"]["warm_start"]["map_evals"])):
+            assert map_evals == 2 * iterations > 0
+            assert 0 <= counts["stalls"] <= counts["shift_rejections"] <= map_evals
+            assert 0 <= counts["squarem_rejections"] <= iterations
+        assert ob["extras"]["halvings"] >= 0 and ob["extras"]["momentum_resets"] >= 0
 
 
 class TestIterationFlags:
