@@ -16,8 +16,9 @@ def using_numba() -> bool:
     return False
 
 
-def quantize_values(x: np.ndarray, thresholds: np.ndarray,
-                    levels: np.ndarray) -> np.ndarray:
+def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray,
+                    out: np.ndarray | None = None, work: np.ndarray | None = None,
+                    index: np.ndarray | None = None) -> np.ndarray:
     """Map each real value to its level of an odd-symmetric codebook.
 
     ``thresholds`` ascend and, like ``levels``, are odd-symmetric
@@ -26,29 +27,38 @@ def quantize_values(x: np.ndarray, thresholds: np.ndarray,
     from ``x``.  This equals ``levels[np.searchsorted(thresholds, x)]``
     except at values exactly on a threshold, which occur with probability
     zero for continuous input.
+
+    ``out`` (which may be ``x`` itself) receives the result.  ``work``
+    (float64) and ``index`` (``np.intp``, the index type of ``np.take``),
+    both of ``x``'s shape, hold the magnitudes and the level indices.  Each
+    one not given is allocated.
     """
     half = levels.size // 2
     pos_thresholds, pos_levels = thresholds[half:], levels[half:]
     if pos_thresholds.size == 0:
-        return np.copysign(pos_levels[0], x)
-    mag = np.abs(x)
-    idx = np.zeros(mag.shape, dtype=np.uint8)
-    for t in pos_thresholds:
+        return np.copysign(pos_levels[0], x, out=out)
+    mag = np.abs(x, out=np.empty(np.shape(x)) if work is None else work)
+    idx = np.greater(mag, pos_thresholds[0],
+                     out=np.empty(mag.shape, dtype=np.intp) if index is None else index)
+    for t in pos_thresholds[1:]:
         idx += mag > t
-    del mag                            # free it before the output is allocated
-    out = np.asarray(pos_levels[idx])  # a 0-d index gives a scalar
-    return np.copysign(out, x, out=out)
+    mag = np.take(pos_levels, idx, out=mag)    # the magnitudes' buffer takes the levels
+    return np.copysign(mag, x, out=mag if out is None else out)
 
 
-def lrt_statistics(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Sum over snapshots of y^H M y for each trial.
+def lrt_statistics(Y: np.ndarray, G: np.ndarray, w: np.ndarray, gamma: float,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """Sum over snapshots of y^H M y for each trial, M = gamma*I + G^H diag(w) G.
 
-    ``Y`` has shape (trials, n_rx, snapshots); ``M`` is Hermitian, so each
-    statistic is real: Re(conj(Y) * (M @ Y)) summed, which is the row-wise
-    dot product of the float64 views of ``Y`` and ``M @ Y``.
+    ``Y`` has shape (trials, n_rx, snapshots) and ``G`` (rank, n_rx), with
+    ``w`` real (``LowRankCovariances.lrt_form``), so each statistic is real:
+    gamma*||Y_t||^2 + sum_k w_k ||(G Y_t)_k||^2, each squared norm a row-wise
+    dot product of float64 views.  ``work``, a complex (trials, rank,
+    snapshots) array, receives ``G @ Y`` when given.
     """
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
-    MY = np.matmul(M, Y)
+    GY = np.matmul(G, Y, out=work)
     n = Y.shape[0]
-    return np.einsum("ti,ti->t", Y.view(np.float64).reshape(n, -1),
-                     MY.view(np.float64).reshape(n, -1))
+    y = Y.view(np.float64).reshape(n, -1)
+    gy = GY.view(np.float64).reshape(n, G.shape[0], -1)
+    return gamma * np.einsum("ti,ti->t", y, y) + np.einsum("tki,tki->tk", gy, gy) @ w

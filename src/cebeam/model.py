@@ -379,11 +379,14 @@ class LowRankCovariances:
     w1: np.ndarray                 # (n, K+1)
     v1: np.ndarray                 # (n, K+1, K+1)
 
-    def lrt_matrix(self, i: int, L: int) -> np.ndarray:
-        """L*(R0^-1 - R1_i^-1) as gamma*I + U_i H U_i^H.
+    def lrt_form(self, i: int, L: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """L*(R0^-1 - R1_i^-1) as gamma*I + G^H diag(w) G, returned as (G, w, gamma).
 
         Woodbury in the small form: R^-1 = (I - U P U^H)/c with
-        P = diag(g)^1/2 V diag(1/(c + w)) V^H diag(g)^1/2.
+        P = diag(g)^1/2 V diag(1/(c + w)) V^H diag(g)^1/2, so the difference
+        is gamma*I + U_i H U_i^H with U_i = [a_t,i, A_c] and a (K+1) x (K+1)
+        Hermitian H = V diag(w) V^H.  G = (U_i V)^H has K + 1 rows, so
+        y^H M y = gamma*||y||^2 + sum_k w_k |(G y)_k|^2 needs no N_r x N_r matrix.
         """
         def p(sqrt_g, w, v, c):
             x = sqrt_g[:, None] * v
@@ -391,10 +394,9 @@ class LowRankCovariances:
 
         H = (L / self.c1[i]) * p(self.sqrt_g1[i], self.w1[i], self.v1[i], self.c1[i])
         H[1:, 1:] -= (L / self.c0) * p(self.sqrt_g0, self.w0, self.v0, self.c0)
+        w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
         U = self.steering[:, np.r_[i, self.c1.size:self.steering.shape[1]]]
-        M = (U @ H) @ U.conj().T
-        M[np.diag_indices_from(M)] += L * (1.0 / self.c0 - 1.0 / self.c1[i])
-        return 0.5 * (M + M.conj().T)
+        return (U @ V).conj().T, w, float(L * (1.0 / self.c0 - 1.0 / self.c1[i]))
 
 
 def _check_condition(c, w: np.ndarray, n_r: int) -> None:

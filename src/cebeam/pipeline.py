@@ -24,6 +24,7 @@ from .model import hypothesis_covariances, relative_entropy  # noqa: F401
 from .onebit import EpmTrace, OneBitParams, nesterov_epm, round_to_signs
 from .power_alloc import PowerAllocationResult, PowerProfile, bcd_power_allocation
 from .quantizer import lloyd_max_codebook
+from . import simulate
 from .simulate import check_detection_settings, detection_curve, steering_crosscorr_experiment
 
 METHOD_TAGS = ("AMM", "MM", "projection-baseline", "Nesterov-EPM")
@@ -382,8 +383,11 @@ def _sweep_snr(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
                                     CeDesignParams(seed=spec.seed, **_limits(spec)))
     curve = detection_curve(T, scenario, spec.bits, spec.snr_grid_db,
                             spec.pfa, spec.trials, spec.seed)
-    prov = provenance(scenario, spec, {"bits": spec.bits, "pfa": spec.pfa,
-                                       "trials": spec.trials})
+    # the block size fixes the Monte Carlo streams; the worker count does not
+    # change a result but is recorded with it
+    prov = provenance(scenario, spec, {"bits": spec.bits, "pfa": spec.pfa, "trials": spec.trials,
+                                       "mc_block_trials": simulate._BLOCK_TRIALS,
+                                       "mc_workers": simulate._WORKERS})
     write_csv(out / "detection.csv", ["snr_db", "pd", "ci_halfwidth"],
               list(zip(curve.snr_db, curve.pd, curve.ci_halfwidth)), prov)
     return report.converged

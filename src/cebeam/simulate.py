@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -17,10 +18,15 @@ from .model import (ModelError, Scenario, db_to_linear, hypothesis_covariances,
                     low_rank_covariances, quantization_model, steering_matrix)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
-DEFAULT_BATCH = 8192
-# Trials per block task and per noise draw: a block's temporaries stay small
-# enough to be cached, and there are enough blocks to keep every worker busy.
+# Trials per Monte Carlo block.  Block b of run r of a detection point draws
+# from its own stream, SeedSequence(seed, spawn_key=(r, b)), so this constant
+# defines the realization of a seed.  A block's buffers stay small enough to
+# be cached, and there are enough blocks to keep every worker busy.
 _BLOCK_TRIALS = 512
+# the runs of a detection point, numbered as their streams' first spawn key
+_CALIBRATION, _H0, _H1 = range(3)
+# trials per received_batch call when accumulating a sample covariance
+_COVARIANCE_CHUNK = 8192
 # one Monte Carlo worker thread per core this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -83,8 +89,11 @@ def _draw(Y: np.ndarray, scratch: np.ndarray, noise_scale: float, amp_scale: np.
 
 
 def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
-         A_r: np.ndarray, B: np.ndarray) -> None:
-    """Add the sources' echoes, Doppler-ramped at normalized frequencies ``freq``, to ``Y``."""
+         A_r: np.ndarray, B: np.ndarray, work: np.ndarray | None = None) -> None:
+    """Add the sources' echoes, Doppler-ramped at normalized frequencies ``freq``, to ``Y``.
+
+    ``work``, a complex array of ``Y``'s shape, takes the echoes when given.
+    """
     phase = (2.0 * np.pi * freq)[:, :, None] * np.arange(Y.shape[-1])
     src_signals = np.empty(phase.shape, dtype=complex)         # Doppler ramps
     np.cos(phase, out=src_signals.real)
@@ -92,7 +101,7 @@ def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
     # complex products round differently with swapped operands: keep amps first
     np.multiply(amps[:, :, None], src_signals, out=src_signals)
     src_signals *= B
-    Y += np.matmul(A_r, src_signals)
+    Y += np.matmul(A_r, src_signals, out=work)
 
 
 def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
@@ -144,109 +153,121 @@ class DetectionCurve:
             raise ModelError("too few trials to calibrate the requested false-alarm rate")
 
 
-def check_detection_settings(pfa: float, trials: int, batch_size: int = DEFAULT_BATCH) -> None:
-    """Refuse a false-alarm rate, trial count or batch size detection cannot use."""
+def check_detection_settings(pfa: float, trials: int) -> None:
+    """Refuse a false-alarm rate or trial count detection cannot use."""
     if not 0.0 < pfa < 1.0:          # also refuses NaN and infinities
         raise ModelError(f"pfa must be finite and in (0, 1), got {pfa!r}")
     if trials < 10.0 / pfa:
         raise ModelError(
             f"need at least {int(10.0 / pfa)} trials to calibrate pfa={pfa:g}, got {trials}")
-    _check_batch_size(batch_size)
 
 
-def _check_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ModelError(f"batch_size must be at least 1, got {batch_size!r}")
+def _block_rng(seed: int, run: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, block))))
+
+
+class _BlockScratch:
+    """One worker's buffers for a block of trials, allocated once per worker.
+
+    They are views of one allocation: a single mapping, which numpy marks for
+    huge pages, so a new worker faults in a few pages rather than thousands.
+    """
+
+    def __init__(self, n_rx: int, code_len: int, rank: int):
+        samples = (_BLOCK_TRIALS, n_rx, code_len)
+        layout = (("Y", samples, complex),        # the samples, quantized in place
+                  ("draw", samples, float),       # one part of the noise draw
+                  # the mixed echoes, then (as float64) the quantizer's magnitudes
+                  ("work", samples, complex),
+                  ("index", samples[:-1] + (2 * code_len,), np.intp),
+                  ("GY", (_BLOCK_TRIALS, rank, code_len), complex))
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
+        raw, start = np.empty(sum(sizes), dtype=np.uint8), 0
+        for (name, shape, dtype), size in zip(layout, sizes):
+            setattr(self, name, raw[start:start + size].view(dtype).reshape(shape))
+            start += size
 
 
 class _TrialStatistics:
-    """Per-trial LRT statistics, every trial drawn in order from one generator.
+    """Per-trial LRT statistics of one detection point, as a map over blocks.
 
-    Each batch is a draw task and a set of block tasks on a pool of
-    ``_WORKERS`` threads.  Only the draw task touches the generator, one at a
-    time and in batch order; it fills one of two reused batch buffers.  Each
-    block task mixes the sources into ``_BLOCK_TRIALS`` trials of a drawn
-    batch in place, quantizes them and reduces their statistics.  Batch k+1
-    is drawn into the other buffer while the blocks of batch k run.  Every
-    step after the draw works per trial, so the statistics do not depend on
-    the worker count or the block size.
+    Each run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
+    trials.  Block b of run r draws its noise, amplitudes and Dopplers from
+    its own stream (``_block_rng(seed, r, b)``) on whichever worker of
+    ``pool`` runs it, then mixes, quantizes and reduces its trials in that
+    worker's scratch and writes its slice of the statistics.  So the
+    statistics depend on the seed alone, not on the worker count.
     """
 
     def __init__(self, scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | None,
-                 M: np.ndarray, rng: np.random.Generator, trials: int, batch_size: int):
-        self.scenario, self.T, self.quant, self.M = scenario, T, quant, M
-        self.rng, self.trials, self.batch_size = rng, trials, batch_size
-        # pages are mapped on first write, so an unused second buffer costs nothing
-        shape = (min(batch_size, trials), scenario.n_rx, scenario.code_len)
-        self._buffers = [np.empty(shape, dtype=complex) for _ in range(2)]
+                 form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int,
+                 pool: ThreadPoolExecutor):
+        self.scenario, self.T, self.quant, self.form = scenario, T, quant, form
+        self.seed, self.trials, self.pool = seed, trials, pool
+        self._local = threading.local()
 
-    def run(self, theta_t: float | None, row_power: float) -> np.ndarray:
-        """Statistics of ``trials`` trials of one hypothesis (``theta_t=None``: no target)."""
-        sc, rng, quant, M, trials = self.scenario, self.rng, self.quant, self.M, self.trials
+    def _scratch(self) -> _BlockScratch:
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            sc = self.scenario
+            scratch = self._local.scratch = _BlockScratch(sc.n_rx, sc.code_len,
+                                                          self.form[0].shape[0])
+        return scratch
+
+    def run(self, run: int, theta_t: float | None, row_power: float) -> np.ndarray:
+        """Statistics of ``trials`` trials of one run (``theta_t=None``: no target)."""
+        sc, trials, blk = self.scenario, self.trials, _BLOCK_TRIALS
         A_r, B, amp_scale = _sources(sc, self.T, theta_t)
         noise_scale = math.sqrt(sc.noise_power / 2.0)
-        blk = _BLOCK_TRIALS
-        scratch = np.empty((min(blk, self.batch_size, trials), sc.n_rx, sc.code_len))
-        starts = range(0, trials, self.batch_size)
         out = np.empty(trials)
 
-        def draw(k):
-            Y = self._buffers[k % 2][:min(self.batch_size, trials - starts[k])]
-            return (Y,) + _draw(Y, scratch, noise_scale, amp_scale, rng)
-
-        def block(start, Y, amps, freq, a):
-            Y = Y[a:a + blk]                 # slices clip at the end of the batch
+        def block(b):
+            s = self._scratch()
+            a, m = b * blk, min(blk, trials - b * blk)
+            Y, work = s.Y[:m], s.work[:m]
+            amps, freq = _draw(Y, s.draw, noise_scale, amp_scale, _block_rng(self.seed, run, b))
             if A_r is not None:
-                _mix(Y, amps[a:a + blk], freq[a:a + blk], A_r, B)
-            out[start + a:start + a + len(Y)] = lrt_statistics(
-                quantize_received(Y, quant, row_power), M)
+                _mix(Y, amps, freq, A_r, B, work=work)
+            Y = quantize_received(Y, self.quant, row_power, out=Y, work=work.view(np.float64),
+                                  index=s.index[:m])
+            out[a:a + m] = lrt_statistics(Y, *self.form, work=s.GY[:m])
 
-        pool = ThreadPoolExecutor(_WORKERS)
-        try:
-            blocks = []
-            drawn = pool.submit(draw, 0)
-            for k, start in enumerate(starts):
-                Y, amps, freq = drawn.result()
-                for f in blocks:             # the previous batch frees the other buffer
-                    f.result()
-                if k + 1 < len(starts):
-                    drawn = pool.submit(draw, k + 1)
-                blocks = [pool.submit(block, start, Y, amps, freq, a)
-                          for a in range(0, len(Y), blk)]
-            for f in blocks:
-                f.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        for f in [self.pool.submit(block, b) for b in range(-(-trials // blk))]:
+            f.result()
         return out
 
 
 def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
-                       snr_db: float, pfa: float, trials: int, seed: int,
-                       batch_size: int = DEFAULT_BATCH) -> DetectionPoint:
+                       snr_db: float, pfa: float, trials: int, seed: int) -> DetectionPoint:
     """Monte Carlo detection probability at one SNR.
 
     The target power is set to snr * noise power; data are synthesized per
     hypothesis, passed through the true quantizer (gain-controlled by the
     model row variance of its own hypothesis), and reduced by the Gaussian
     likelihood-ratio statistic sum_l y^H (R0^-1 - R1^-1) y.  Both the row
-    variances and the LRT matrix come from the low-rank model covariances at
-    the mean target angle (``LowRankCovariances``).  The threshold is the
-    empirical (1 - pfa) quantile of an independent calibration batch; the
-    returned false-alarm rate is measured on a second, disjoint batch.
+    variances and the statistic's low-rank form come from the model
+    covariances at the mean target angle (``LowRankCovariances``).  The
+    threshold is the empirical (1 - pfa) quantile of an independent
+    calibration run; the returned false-alarm rate is measured on a second,
+    disjoint run.  Every block of trials draws from its own stream keyed by
+    (``seed``, run, block), so the point depends on ``seed`` alone.
     """
-    check_detection_settings(pfa, trials, batch_size)
+    check_detection_settings(pfa, trials)
     sc = replace(scenario, target_power=scenario.noise_power * db_to_linear(snr_db))
     q = quantization_model(bits)
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     theta = sc.target_mean_angle
     model = low_rank_covariances(sc, T, q, theta)
-    M = model.lrt_matrix(0, sc.code_len)
 
-    stats = _TrialStatistics(sc, T, quant, M, np.random.default_rng(seed), trials, batch_size)
-    cal = stats.run(None, model.row0)
+    pool = ThreadPoolExecutor(_WORKERS)
+    try:
+        stats = _TrialStatistics(sc, T, quant, model.lrt_form(0, sc.code_len), seed, trials, pool)
+        cal = stats.run(_CALIBRATION, None, model.row0)
+        h0 = stats.run(_H0, None, model.row0)
+        h1 = stats.run(_H1, theta, model.row1[0])
+    finally:
+        pool.shutdown(cancel_futures=True)
     threshold = float(np.quantile(cal, 1.0 - pfa))
-    h0 = stats.run(None, model.row0)
-    h1 = stats.run(theta, model.row1[0])
 
     pd = float(np.mean(h1 > threshold))
     ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
@@ -256,11 +277,10 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
 
 
 def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
-                    snr_grid_db, pfa: float, trials: int, seed: int,
-                    batch_size: int = DEFAULT_BATCH) -> DetectionCurve:
-    """Sweep ``simulate_detection`` over an SNR grid with per-point seed offsets."""
-    check_detection_settings(pfa, trials, batch_size)
-    points = [simulate_detection(T, scenario, bits, s, pfa, trials, seed + 1000 * i, batch_size)
+                    snr_grid_db, pfa: float, trials: int, seed: int) -> DetectionCurve:
+    """Sweep ``simulate_detection`` over an SNR grid; point i takes seed + 1000*i."""
+    check_detection_settings(pfa, trials)
+    points = [simulate_detection(T, scenario, bits, s, pfa, trials, seed + 1000 * i)
               for i, s in enumerate(snr_grid_db)]
     return DetectionCurve(
         snr_db=np.asarray([p.snr_db for p in points]),
@@ -271,15 +291,13 @@ def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
 
 
 def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | str,
-                               snapshots: int, seed: int,
-                               batch_size: int = DEFAULT_BATCH) -> float:
+                               snapshots: int, seed: int) -> float:
     """Relative Frobenius gap between quantized sample and model covariance.
 
     Draws no-target data, quantizes it, accumulates the per-snapshot sample
     covariance and compares against the per-snapshot model covariance; this
     is the empirical justification of the linearized quantizer model.
     """
-    _check_batch_size(batch_size)
     q = quantization_model(bits)
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     L = scenario.code_len
@@ -289,8 +307,8 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
 
     n_r = scenario.n_rx
     acc = np.zeros((n_r, n_r), dtype=complex)
-    for done in range(0, trials, batch_size):
-        m = min(batch_size, trials - done)
+    for done in range(0, trials, _COVARIANCE_CHUNK):
+        m = min(_COVARIANCE_CHUNK, trials - done)
         Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, p0)
         Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
         acc += Y @ Y.conj().T

@@ -212,6 +212,11 @@ def _balanced_signs(n_tx: int, n_rf: int, rng: np.random.Generator) -> np.ndarra
     return np.stack(cols, axis=1) / math.sqrt(n_tx)
 
 
+def lrt_matrix(G, w, gamma):
+    """The dense N_r x N_r matrix gamma*I + G^H diag(w) G of an ``lrt_form``."""
+    return gamma * np.eye(G.shape[1]) + (G.conj().T * w) @ G
+
+
 def _small_case(n_rx, n_tx, n_rf, code_len, mean_deg, width_deg, target_power, clutter_deg,
                 clutter_db, noise_power, bits, nulled, seed):
     sc = M.Scenario(n_tx=n_tx, n_rx=n_rx, n_rf=n_rf, code_len=code_len,
@@ -300,9 +305,38 @@ class TestLowRankCovariances:
         L, theta = sc.code_len, sc.target_mean_angle
         cov = M.hypothesis_covariances(sc, T, q, theta)
         dense = np.linalg.inv(cov.r0 / L) - np.linalg.inv(cov.r1 / L)
-        got = M.low_rank_covariances(sc, T, q, theta).lrt_matrix(0, L)
-        np.testing.assert_allclose(got, dense, rtol=1e-10, atol=1e-10 * np.abs(dense).max())
-        np.testing.assert_array_equal(got, got.conj().T)
+        f = M.low_rank_covariances(sc, T, q, theta)
+        G, w, gamma = f.lrt_form(0, L)
+        assert G.shape == (sc.n_clutter + 1, sc.n_rx) and w.shape == (sc.n_clutter + 1,)
+        assert w.dtype == np.float64 and gamma == L * (1.0 / f.c0 - 1.0 / f.c1[0])
+        np.testing.assert_allclose(lrt_matrix(G, w, gamma), dense, rtol=1e-10,
+                                   atol=1e-10 * np.abs(dense).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_cases(), st.integers(1, 8))
+    def test_lrt_form_matches_dense_inverses(self, case, L):
+        # L (R0^-1 - R1^-1) from dense inverses, for any small scenario the
+        # low-rank model accepts, at every target angle of the grid
+        sc, T, bits = case
+        q = M.quantization_model(bits)
+        grid = sc.target_grid()
+        try:
+            f = M.low_rank_covariances(sc, T, q, grid)
+        except M.IllConditionedModelError:
+            return
+        for i, theta in enumerate(grid):
+            cov = M.hypothesis_covariances(sc, T, q, theta)
+            inv0, inv1 = np.linalg.inv(cov.r0), np.linalg.inv(cov.r1)
+            dense = L * (inv0 - inv1)
+            kappa = max(self.dense_condition(cov.r0), self.dense_condition(cov.r1))
+            # the dense inverses lose about N_r eps kappa of their own scale;
+            # Woodbury's (I - U P U^H)/c cancels in proportion to (c + w_max)/c
+            woodbury = sum((c + w[-1]) / c ** 2 for c, w in ((f.c0, f.w0), (f.c1[i], f.w1[i]))
+                           if w.size)
+            slack = 64 * sc.n_rx * np.finfo(float).eps * L * (
+                kappa * max(np.abs(inv0).max(), np.abs(inv1).max()) + woodbury)
+            got = lrt_matrix(*f.lrt_form(i, L))
+            np.testing.assert_array_less(np.abs(got - dense), 1e-9 * np.abs(dense).max() + slack)
 
     def test_mean_angle_entropy_matches_dense(self, flagship_scenario):
         sc = flagship_scenario

@@ -7,6 +7,7 @@ import pytest
 from cebeam import cli
 from cebeam import model as M
 from cebeam import pipeline as PL
+from cebeam import simulate as SIM
 from cebeam.power_alloc import PowerProfile, bcd_power_allocation
 
 
@@ -77,6 +78,19 @@ class TestPipelineCommands:
         lines = (out / "power_trace.csv").read_text().splitlines()
         assert lines[0].startswith("# scenario_hash:")
         assert "iteration,objective" in lines
+
+    def test_detection_provenance_records_the_monte_carlo_engine(self, mini_scenario_file,
+                                                                  tmp_path):
+        out = tmp_path / "snr"
+        spec = PL.ExperimentSpec(command="sweep-snr", scenario=mini_scenario_file, bits=1,
+                                 pfa=0.01, trials=1000, snr_grid_db=(0.0,), max_iters=20,
+                                 out_dir=str(out))
+        PL.run_pipeline(spec)
+        lines = (out / "detection.csv").read_text().splitlines()
+        params = json.loads(next(ln for ln in lines if ln.startswith("# params:"))[10:])
+        assert params["mc_block_trials"] == SIM._BLOCK_TRIALS == 512
+        assert params["mc_workers"] == SIM._WORKERS >= 1
+        assert params["trials"] == 1000
 
     def test_design_ce_artifacts_and_trace_rows(self, mini_scenario_file, tmp_path):
         out = tmp_path / "ce"

@@ -108,6 +108,7 @@ class TestKernelPaths:
             np.testing.assert_array_equal(q.quantize(x), oracle)
 
     def test_quantize_received_matches_per_part_oracle(self):
+        # also into caller buffers, in place included, which must not change a bit
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((7, 5, 6)) + 1j * rng.standard_normal((7, 5, 6))
         power = np.linspace(0.5, 3.0, 5)
@@ -116,26 +117,40 @@ class TestKernelPaths:
             q = lloyd_max_codebook(bits)
             re = q.levels[np.searchsorted(q.thresholds, Y.real / scale)]
             im = q.levels[np.searchsorted(q.thresholds, Y.imag / scale)]
-            np.testing.assert_array_equal(quantize_received(Y, q, row_power=power),
-                                          (re + 1j * im) * scale)
+            oracle = (re + 1j * im) * scale
+            np.testing.assert_array_equal(quantize_received(Y, q, row_power=power), oracle)
+            out, work = np.empty_like(Y), np.empty(Y.shape[:-1] + (2 * Y.shape[-1],))
+            got = quantize_received(Y, q, row_power=power, out=out, work=work)
+            assert np.shares_memory(got, out)
+            np.testing.assert_array_equal(out, oracle)
+            inplace = Y.copy()
+            quantize_received(inplace, q, row_power=power, out=inplace, work=work)
+            np.testing.assert_array_equal(inplace, oracle)
 
     def test_asymmetric_codebook_rejected(self):
         with pytest.raises(ModelError):
             ScalarQuantizer(bits=1, levels=np.array([-1.0, 2.0]), thresholds=np.array([0.5]))
 
+    @staticmethod
+    def lrt_form(rng, n_rx, rank):
+        G = rng.standard_normal((rank, n_rx)) + 1j * rng.standard_normal((rank, n_rx))
+        w, gamma = rng.uniform(-0.3, 1.0, rank), 0.5
+        return G, w, gamma, gamma * np.eye(n_rx) + (G.conj().T * w) @ G
+
     def test_lrt_statistics_agree(self):
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((64, 8, 5)) + 1j * rng.standard_normal((64, 8, 5))
-        H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        Mh = H + H.conj().T
+        G, w, gamma, Mh = self.lrt_form(rng, 8, 3)
         oracle = np.einsum("trl,rs,tsl->t", Y.conj(), Mh, Y).real
-        np.testing.assert_allclose(_accel.lrt_statistics(Y, Mh), oracle, rtol=1e-10)
+        np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-10)
+        work = np.empty((64, 3, 5), dtype=complex)
+        np.testing.assert_array_equal(_accel.lrt_statistics(Y, G, w, gamma, work=work),
+                                      _accel.lrt_statistics(Y, G, w, gamma))
 
     def test_statistic_matches_direct_loop(self):
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
-        H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        Mh = H + H.conj().T
+        G, w, gamma, Mh = self.lrt_form(rng, 4, 2)
         direct = [sum((Y[t, :, l].conj() @ Mh @ Y[t, :, l]).real for l in range(3))
                   for t in range(5)]
-        np.testing.assert_allclose(_accel.lrt_statistics(Y, Mh), direct, rtol=1e-12)
+        np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), direct, rtol=1e-12)

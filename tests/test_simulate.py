@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -127,75 +128,61 @@ class TestDetection:
                                pfa_target=1e-4, trials=1000, seed=0)
 
 
-def _whole_batch(scenario, T, theta_t, trials, rng):
-    """Received batch exactly as the single-threaded engine drew and mixed it."""
-    S = SIM.lfm_waveforms(scenario.n_rf, scenario.code_len)
-    sources = list(scenario.clutter_angles)
-    powers = list(scenario.clutter_powers)
-    if theta_t is not None:
-        sources.insert(0, theta_t)
-        powers.insert(0, scenario.target_power)
-    n_src = len(sources)
-    L, n_r = scenario.code_len, scenario.n_rx
-    Y = np.empty((trials, n_r, L), dtype=complex)
-    noise_scale = math.sqrt(scenario.noise_power / 2.0)
-    draw = rng.standard_normal((trials, n_r, L))
-    np.multiply(draw, noise_scale, out=Y.real)
-    rng.standard_normal(out=draw)
-    np.multiply(draw, noise_scale, out=Y.imag)
-    A_r = M.steering_matrix(np.asarray(sources), n_r)
-    A_t = M.steering_matrix(np.asarray(sources), scenario.n_tx)
-    B = A_t.T @ (T @ S)
-    amps = (rng.standard_normal((trials, n_src)) + 1j * rng.standard_normal((trials, n_src)))
-    amps *= np.sqrt(np.asarray(powers) / 2.0)
-    freq = rng.uniform(0.0, 1.0, size=(trials, n_src))
-    phase = (2.0 * np.pi * freq)[:, :, None] * np.arange(L)
-    src_signals = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=src_signals.real)
-    np.sin(phase, out=src_signals.imag)
-    np.multiply(amps[:, :, None], src_signals, out=src_signals)
-    src_signals *= B
-    Y += np.matmul(A_r, src_signals)
-    return Y
+def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, trials):
+    """Statistics of one run rebuilt block by block from the documented streams.
+
+    Block b of run r draws from SeedSequence(seed, spawn_key=(r, b)) through
+    ``_draw`` and ``_mix``, is quantized by ``quantize_received`` and reduced
+    with the dense gamma*I + G^H diag(w) G.
+    """
+    G, w, gamma = form
+    dense = gamma * np.eye(scenario.n_rx) + (G.conj().T * w) @ G
+    A_r, B, amp_scale = SIM._sources(scenario, T, theta_t)
+    blk, shape = SIM._BLOCK_TRIALS, (scenario.n_rx, scenario.code_len)
+    out = []
+    for b, a in enumerate(range(0, trials, blk)):
+        m = min(blk, trials - a)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, b))))
+        Y = np.empty((m,) + shape, dtype=complex)
+        amps, freq = SIM._draw(Y, np.empty((m,) + shape),
+                               math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
+        if A_r is not None:
+            SIM._mix(Y, amps, freq, A_r, B)
+        Y = quantize_received(Y, quant, power)
+        out.append(np.einsum("trl,rs,tsl->t", Y.conj(), dense, Y).real)
+    return np.concatenate(out)
 
 
 class TestPipelinedEngine:
     @settings(max_examples=40, deadline=None)
-    @given(trials=st.integers(1, 300), batch_size=st.integers(1, 120),
-           block=st.integers(1, 50), workers=st.integers(1, 3),
-           bits=st.sampled_from([1, 3, "ideal"]), with_target=st.booleans())
-    def test_matches_whole_batch_chain(self, tiny_scenario, trials, batch_size, block,
-                                       workers, bits, with_target):
-        # bit for bit, for any split into batches, blocks and workers; the
-        # second run reuses the batch buffers and continues the generator
+    @given(trials=st.integers(1, 300), block=st.integers(1, 50), workers=st.integers(1, 3),
+           bits=st.sampled_from([1, 3, "ideal"]), with_target=st.booleans(),
+           runs=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_whole_batch_chain(self, tiny_scenario, trials, block, workers, bits,
+                                       with_target, runs, seed):
+        # each run of the engine, for any block size and worker count and
+        # with the workers' scratch reused from run to run, equals the
+        # per-block oracle
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(21))
-        rng = np.random.default_rng(22)
-        G = rng.standard_normal((2, sc.n_rx, sc.n_rx))
-        Mlrt = (G[0] + 1j * G[1]) + (G[0] + 1j * G[1]).conj().T
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
         theta = sc.target_mean_angle if with_target else None
         model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+        form = model.lrt_form(0, sc.code_len)
         power = model.row0 if theta is None else model.row1[0]
 
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
-                mock.patch.object(SIM, "_WORKERS", workers):
-            engine = SIM._TrialStatistics(sc, T, quant, Mlrt, np.random.default_rng(23),
-                                          trials, batch_size)
-            got = [engine.run(theta, power) for _ in range(2)]
-
-        ref_rng = np.random.default_rng(23)
-        for stats in got:
-            ref = np.concatenate([
-                SIM.lrt_statistics(quantize_received(
-                    _whole_batch(sc, T, theta, min(batch_size, trials - a), ref_rng),
-                    quant, power), Mlrt)
-                for a in range(0, trials, batch_size)])
-            np.testing.assert_array_equal(stats, ref)
+                ThreadPoolExecutor(workers) as pool:
+            engine = SIM._TrialStatistics(sc, T, quant, form, seed, trials, pool)
+            got = [engine.run(r, theta, power) for r in runs]
+            for r, stats in zip(runs, got):
+                ref = _per_block_statistics(sc, T, quant, form, power, theta, seed, r, trials)
+                np.testing.assert_allclose(stats, ref, rtol=1e-12, atol=0.0)
 
     def test_worker_count_does_not_change_the_point(self, tiny_scenario, monkeypatch):
         # more workers than cores and frequent thread switches: a block that
-        # wrote the wrong slice or read a buffer being redrawn changes the point
+        # wrote the wrong slice or shared a worker's scratch changes the point
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(24))
         monkeypatch.setattr(SIM, "_BLOCK_TRIALS", 64)
@@ -206,20 +193,19 @@ class TestPipelinedEngine:
             for workers in (1, 2, 4):
                 monkeypatch.setattr(SIM, "_WORKERS", workers)
                 points.append(SIM.simulate_detection(T, sc, 3, snr_db=0.0, pfa=1e-2,
-                                                     trials=2500, seed=25, batch_size=700))
+                                                     trials=2500, seed=25))
         finally:
             sys.setswitchinterval(interval)
         assert points[0] == points[1] == points[2]
 
     def test_block_task_error_reaches_caller(self, tiny_scenario, monkeypatch):
-        def failing_lrt(Y, M_):
+        def failing_lrt(*args, **kwargs):
             raise RuntimeError("block task failed")
 
         monkeypatch.setattr(SIM, "lrt_statistics", failing_lrt)
         T = M.random_unit_modulus(8, 2, np.random.default_rng(26))
         with pytest.raises(RuntimeError, match="block task failed"):
-            SIM.simulate_detection(T, tiny_scenario, 1, 0.0, pfa=1e-2, trials=2000, seed=0,
-                                   batch_size=300)
+            SIM.simulate_detection(T, tiny_scenario, 1, 0.0, pfa=1e-2, trials=2000, seed=0)
 
 
 class TestDetectionInputs:
@@ -228,25 +214,6 @@ class TestDetectionInputs:
         T = M.random_unit_modulus(8, 2, np.random.default_rng(27))
         with pytest.raises(M.ModelError, match="pfa"):
             SIM.simulate_detection(T, tiny_scenario, 1, 0.0, pfa=pfa, trials=5000, seed=0)
-
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_batch_size_below_one_rejected(self, tiny_scenario, monkeypatch, batch_size):
-        # without the check these calls never leave their batch loops
-        def no_batches(*args, **kwargs):
-            raise AssertionError("a batch loop started")
-
-        monkeypatch.setattr(SIM, "received_batch", no_batches)
-        monkeypatch.setattr(SIM, "_TrialStatistics", no_batches)
-        sc = tiny_scenario
-        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(28))
-        calls = (
-            lambda: SIM.simulate_detection(T, sc, 1, 0.0, 1e-2, 2000, 0, batch_size=batch_size),
-            lambda: SIM.detection_curve(T, sc, 1, (0.0,), 1e-2, 2000, 0, batch_size=batch_size),
-            lambda: SIM.sample_h0_covariance_error(sc, T, 1, 100, 0, batch_size=batch_size),
-        )
-        for call in calls:
-            with pytest.raises(M.ModelError, match="batch_size"):
-                call()
 
     def test_invalid_snr_refused_by_scenario_validation(self, tiny_scenario):
         T = M.random_unit_modulus(8, 2, np.random.default_rng(29))
