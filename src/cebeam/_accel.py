@@ -17,8 +17,8 @@ def using_numba() -> bool:
 
 
 def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray,
-                    out: np.ndarray | None = None, work: np.ndarray | None = None,
-                    index: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Map each real value to its level of an odd-symmetric codebook.
 
     ``thresholds`` ascend and, like ``levels``, are odd-symmetric
@@ -28,21 +28,21 @@ def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray,
     except at values exactly on a threshold, which occur with probability
     zero for continuous input.
 
-    ``out`` (which may be ``x`` itself) receives the result.  ``work``
-    (float64) and ``index`` (``np.intp``, the index type of ``np.take``),
-    both of ``x``'s shape, hold the magnitudes and the level indices.  Each
-    one not given is allocated.
+    ``out`` (which may be ``x`` itself) receives the result.  ``work``, a
+    float64 array of ``x``'s shape, holds the magnitudes; it is allocated
+    when not given.
     """
     half = levels.size // 2
     pos_thresholds, pos_levels = thresholds[half:], levels[half:]
     if pos_thresholds.size == 0:
         return np.copysign(pos_levels[0], x, out=out)
     mag = np.abs(x, out=np.empty(np.shape(x)) if work is None else work)
-    idx = np.greater(mag, pos_thresholds[0],
-                     out=np.empty(mag.shape, dtype=np.intp) if index is None else index)
-    for t in pos_thresholds[1:]:
+    idx = np.zeros(mag.shape, dtype=np.uint8)
+    for t in pos_thresholds:
         idx += mag > t
-    mag = np.take(pos_levels, idx, out=mag)    # the magnitudes' buffer takes the levels
+    # the magnitudes' buffer takes the levels; idx < half, so 'clip' never
+    # clips, and unlike 'raise' it writes to ``out`` without a copy of it
+    mag = np.take(pos_levels, idx, out=mag, mode="clip")
     return np.copysign(mag, x, out=mag if out is None else out)
 
 

@@ -387,7 +387,24 @@ class LowRankCovariances:
         is gamma*I + U_i H U_i^H with U_i = [a_t,i, A_c] and a (K+1) x (K+1)
         Hermitian H = V diag(w) V^H.  G = (U_i V)^H has K + 1 rows, so
         y^H M y = gamma*||y||^2 + sum_k w_k |(G y)_k|^2 needs no N_r x N_r matrix.
+
+        Where U_i has N_r or more columns it may span every direction, and
+        then R^-1 is of order 1/(c + w_min) everywhere while Woodbury's
+        I/c - U P U^H/c cancels to it from order 1/c.  There the difference
+        is taken from dense N_r x N_r inverses instead: gamma = 0 and G has
+        N_r <= K + 1 rows.
         """
+        U = self.steering[:, np.r_[i, self.c1.size:self.steering.shape[1]]]
+        n_r = U.shape[0]
+        if U.shape[1] >= n_r:
+            def inv(c, X):
+                return np.linalg.inv(c * np.eye(n_r) + X @ X.conj().T)
+
+            M = L * (inv(self.c0, U[:, 1:] * self.sqrt_g0)
+                     - inv(self.c1[i], U * self.sqrt_g1[i]))
+            w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+            return V.conj().T, w, 0.0
+
         def p(sqrt_g, w, v, c):
             x = sqrt_g[:, None] * v
             return (x / (c + w)) @ x.conj().T
@@ -395,7 +412,6 @@ class LowRankCovariances:
         H = (L / self.c1[i]) * p(self.sqrt_g1[i], self.w1[i], self.v1[i], self.c1[i])
         H[1:, 1:] -= (L / self.c0) * p(self.sqrt_g0, self.w0, self.v0, self.c0)
         w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
-        U = self.steering[:, np.r_[i, self.c1.size:self.steering.shape[1]]]
         return (U @ V).conj().T, w, float(L * (1.0 / self.c0 - 1.0 / self.c1[i]))
 
 

@@ -94,8 +94,7 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
                       row_power: np.ndarray | float, out: np.ndarray | None = None,
-                      work: np.ndarray | None = None,
-                      index: np.ndarray | None = None) -> np.ndarray:
+                      work: np.ndarray | None = None) -> np.ndarray:
     """Quantize real and imaginary parts of a received sample matrix.
 
     Rows (receive antennas) are scaled to unit variance per real dimension
@@ -107,11 +106,10 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
 
     ``Y`` may carry leading batch dimensions; the row axis is ``-2``.
     ``out`` (complex, ``Y``'s shape; it may be ``Y`` itself) receives the
-    result.  ``work`` (float64) and ``index`` (``np.intp``), both of
-    ``Y.view(np.float64)``'s shape, hold the quantizer's magnitudes and level
-    indices, so a caller that quantizes block after block reuses them in
-    place of a new float64 and index array per call.  None of them changes a
-    bit of the result.
+    result.  ``work``, a float64 array of ``Y.view(np.float64)``'s shape,
+    holds the quantizer's magnitudes, so a caller that quantizes block after
+    block reuses it in place of a new array per call.  Neither changes a bit
+    of the result.
     """
     if quantizer is None:
         return Y
@@ -123,6 +121,6 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     # real and imaginary parts interleave along the last axis of the float64
     # view, so one pass quantizes both and the row axis is unchanged
     x = np.divide(Y.view(np.float64), scale, out=None if out is None else out.view(np.float64))
-    x = quantize_values(x, quantizer.thresholds, quantizer.levels, out=x, work=work, index=index)
+    x = quantize_values(x, quantizer.thresholds, quantizer.levels, out=x, work=work)
     x *= scale
     return x.view(np.complex128)

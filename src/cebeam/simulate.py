@@ -167,25 +167,15 @@ def _block_rng(seed: int, run: int, block: int) -> np.random.Generator:
 
 
 class _BlockScratch:
-    """One worker's buffers for a block of trials, allocated once per worker.
-
-    They are views of one allocation: a single mapping, which numpy marks for
-    huge pages, so a new worker faults in a few pages rather than thousands.
-    """
+    """One worker's buffers for a block of trials, allocated once per worker."""
 
     def __init__(self, n_rx: int, code_len: int, rank: int):
         samples = (_BLOCK_TRIALS, n_rx, code_len)
-        layout = (("Y", samples, complex),        # the samples, quantized in place
-                  ("draw", samples, float),       # one part of the noise draw
-                  # the mixed echoes, then (as float64) the quantizer's magnitudes
-                  ("work", samples, complex),
-                  ("index", samples[:-1] + (2 * code_len,), np.intp),
-                  ("GY", (_BLOCK_TRIALS, rank, code_len), complex))
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
-        raw, start = np.empty(sum(sizes), dtype=np.uint8), 0
-        for (name, shape, dtype), size in zip(layout, sizes):
-            setattr(self, name, raw[start:start + size].view(dtype).reshape(shape))
-            start += size
+        self.Y = np.empty(samples, dtype=complex)         # the samples, quantized in place
+        self.draw = np.empty(samples)                     # one part of the noise draw
+        # the mixed echoes, then (as float64) the quantizer's magnitudes
+        self.work = np.empty(samples, dtype=complex)
+        self.GY = np.empty((_BLOCK_TRIALS, rank, code_len), dtype=complex)
 
 
 class _TrialStatistics:
@@ -228,8 +218,7 @@ class _TrialStatistics:
             amps, freq = _draw(Y, s.draw, noise_scale, amp_scale, _block_rng(self.seed, run, b))
             if A_r is not None:
                 _mix(Y, amps, freq, A_r, B, work=work)
-            Y = quantize_received(Y, self.quant, row_power, out=Y, work=work.view(np.float64),
-                                  index=s.index[:m])
+            Y = quantize_received(Y, self.quant, row_power, out=Y, work=work.view(np.float64))
             out[a:a + m] = lrt_statistics(Y, *self.form, work=s.GY[:m])
 
         for f in [self.pool.submit(block, b) for b in range(-(-trials // blk))]:
