@@ -29,15 +29,23 @@ optimistic shift and falls back to the guaranteed one if the objective fails
 to decrease.
 
 Q(X) = B diag(d) B^H with B = [conj(A), X] and d = [phi - level, pen * 1]
-has rank at most r = P + N_rf, so neither quantity the update needs requires
-an N_t x N_t matrix (Sun, Babu & Palomar, IEEE TSP 2017, on cheap MM steps):
+has rank at most r = P + N_rf, so no quantity the update needs requires an
+N_t x N_t matrix, nor a factorization of the N_t-row B (Sun, Babu &
+Palomar, IEEE TSP 2017, on cheap MM steps).  The r x r Gram of B is already
+at hand: A^T conj(A) is fixed per profile, Z = A^T X comes from the pattern
+evaluation and X^H X from the orthogonality residual.  With its Cholesky
+factor B^H B = L L^H,
 
-    lam_max(Q) = lam_max(R diag(d) R^H),  B = U R the thin QR  (max with 0 if r < N_t),
-    (shift * I - Q) X = shift * X - conj(A) ((phi - level) * Z) - pen * X (X^H X),
+    lam_max(Q) = lam_max(L^H diag(d) L)                    (max with 0 if r < N_t),
+    smax(X)    = sqrt(lam_max(X^H X)),
+    (shift * I - Q) X = shift * X - conj(A) ((phi - level) * Z) - pen * X (X^H X).
 
-with Z = A^T X from the pattern evaluation.  The minorizer takes this form
-when N_t >= 32 and 2 r <= N_t (``takes_low_rank``, a measured crossover);
-below it the dense Q and its eigensolve are cheaper.
+When 2 r > N_t, or when the Gram's rounding could move lam_max(Q) by more
+than 1e-13 ||Q||_2 (a small Cholesky pivot, or gaps of both signs on nearly
+parallel columns), lam_max(Q) comes from R diag(d) R^H for the thin QR
+B = U R instead.  The minorizer takes this form when N_t >= 32 and
+2 r <= N_t (``takes_low_rank``, a measured crossover); below it the dense Q
+and its eigensolve are cheaper.
 
 Every point the loops visit is evaluated once, into an ``Iterate``: its
 pattern terms Z and gaps, the MSE and the orthogonality residual.  The map
@@ -75,7 +83,8 @@ class CeDesignParams:
         if self.penalty_init <= 0 or self.penalty_growth <= 1 or self.penalty_period < 1:
             raise ModelError("penalty schedule needs init > 0, growth > 1, period >= 1")
         if self.max_iters < 1 or not (math.isfinite(self.tol) and self.tol > 0):
-            raise ModelError(f"max_iters >= 1 and a finite tol > 0 required, got {self.tol}")
+            raise ModelError(f"max_iters >= 1 and a finite tol > 0 required, "
+                             f"got {self.max_iters} and {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,13 @@ class MinorizerState:
     Q = B diag(d) B^H with B = [conj(A), T_m] and d = [gaps, penalty * 1]
     has rank at most r = P + N_rf.  When ``takes_low_rank(n_tx, r)``
     (n_tx >= 32 and 2 r <= n_tx), Q is never formed: ``lambda_max`` is the
-    top eigenvalue of R diag(d) R^H for the thin QR B = U R (at least 0 when
-    r < n_tx), ``q_matrix`` is None, and ``q_times_t`` holds
-    Q T_m = conj(A) (gaps * Z) + penalty * T_m (T_m^H T_m), with Z = A^T T_m.
-    Otherwise ``q_matrix`` holds the dense Q and ``q_times_t`` is None.
+    top eigenvalue of L^H diag(d) L for the Cholesky factor B^H B = L L^H of
+    the r x r Gram (at least 0 when r < n_tx), with the thin QR B = U R and
+    R diag(d) R^H as the fallback that ``gram_fallback`` marks;
+    ``sigma_max`` is sqrt(lambda_max(T_m^H T_m)), ``q_matrix`` is None, and
+    ``q_times_t`` holds Q T_m = conj(A) (gaps * Z) + penalty * T_m (T_m^H T_m),
+    with Z = A^T T_m.  Otherwise ``q_matrix`` holds the dense Q,
+    ``sigma_max`` comes from an SVD and ``q_times_t`` is None.
     """
 
     q_matrix: np.ndarray | None
@@ -101,6 +113,7 @@ class MinorizerState:
     lambda_max: float
     gram_lambda: float
     sigma_max: float
+    gram_fallback: bool = False
 
     def direction(self, T_m: np.ndarray, shift: float) -> np.ndarray:
         """(shift * I - Q) T_m, whose phases are the next iterate."""
@@ -121,9 +134,9 @@ class Iterate:
     """A design point evaluated once; every later use reads these fields.
 
     ``Z`` and ``gaps`` are ``pattern_terms(T, profile)``, ``mse`` the sum of
-    the squared gaps and ``orth`` the residual ||T^H T - I||_F.  ``fallback``
-    marks a point that ``mm_map`` reached with the guaranteed shift after
-    rejecting the optimistic one.
+    the squared gaps, ``gram`` the column Gram T^H T and ``orth`` the residual
+    ||T^H T - I||_F.  ``fallback`` marks a point that ``mm_map`` reached with
+    the guaranteed shift after rejecting the optimistic one.
     """
 
     T: np.ndarray
@@ -131,6 +144,7 @@ class Iterate:
     gaps: np.ndarray
     mse: float
     orth: float
+    gram: np.ndarray
     fallback: bool = False
 
     def objective(self, penalty: float) -> float:
@@ -144,8 +158,10 @@ class MmTrace:
 
     ``shift_rejections`` counts maps whose optimistic shift would have
     ascended (stalls included), ``stalls`` the maps where the guaranteed
-    shift did too, so the map returned its input, and ``squarem_rejections``
-    the accelerated iterations that kept the plain double update.
+    shift did too, so the map returned its input, ``gram_fallbacks`` the
+    maps whose low-rank minorizer fell back from the Gram's Cholesky factor
+    to the thin QR, and ``squarem_rejections`` the accelerated iterations
+    that kept the plain double update.
     """
 
     mse: np.ndarray
@@ -157,22 +173,29 @@ class MmTrace:
     converged: bool = False
     wall_time_s: float = 0.0
     shift_rejections: int = 0
+    gram_fallbacks: int = 0
     stalls: int = 0
     squarem_rejections: int = 0
 
     def counters(self) -> dict[str, int]:
         """The fallback counts, as the reports carry them."""
-        return {"shift_rejections": self.shift_rejections, "stalls": self.stalls,
+        return {"shift_rejections": self.shift_rejections,
+                "gram_fallbacks": self.gram_fallbacks, "stalls": self.stalls,
                 "squarem_rejections": self.squarem_rejections}
 
 
 @functools.lru_cache(maxsize=32)
-def _steering_and_gram(angle_bytes: bytes, n_tx: int) -> tuple[np.ndarray, float]:
+def _steering_and_gram(angle_bytes: bytes, n_tx: int
+                       ) -> tuple[np.ndarray, float, np.ndarray]:
+    """A, the pattern-Gram top eigenvalue, and the steering Gram A^T conj(A)."""
     angles = np.frombuffer(angle_bytes)
     A = steering_matrix(angles, n_tx)
-    lam = float(np.linalg.eigvalsh(np.abs(A.conj().T @ A) ** 2)[-1]) if angles.size else 0.0
-    A.flags.writeable = False          # shared by every caller of the cache
-    return A, lam
+    cross = A.conj().T @ A
+    lam = float(np.linalg.eigvalsh(np.abs(cross) ** 2)[-1]) if angles.size else 0.0
+    steering_gram = cross.conj()       # A^T conj(A), the top-left block of B^H B
+    for shared in (A, steering_gram):  # shared by every caller of the cache
+        shared.flags.writeable = False
+    return A, lam, steering_gram
 
 
 def profile_steering(profile: PowerProfile, n_tx: int) -> tuple[np.ndarray, float]:
@@ -182,7 +205,7 @@ def profile_steering(profile: PowerProfile, n_tx: int) -> tuple[np.ndarray, floa
     G[p,q] = |a_p^H a_q|^2, built once per (profile angles, n_tx): the design
     loops evaluate them for a fixed profile on every objective call.
     """
-    return _steering_and_gram(profile.all_angles().tobytes(), n_tx)
+    return _steering_and_gram(profile.all_angles().tobytes(), n_tx)[:2]
 
 
 def pattern_terms(T: np.ndarray, profile: PowerProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +222,8 @@ def pattern_terms(T: np.ndarray, profile: PowerProfile) -> tuple[np.ndarray, np.
 def evaluate_iterate(T: np.ndarray, profile: PowerProfile, fallback: bool = False) -> Iterate:
     """The one evaluation of a design point that the loops and wrappers share."""
     Z, gaps = pattern_terms(T, profile)
-    return Iterate(T, Z, gaps, float(np.sum(gaps ** 2)), orthogonality_residual(T), fallback)
+    gram = T.conj().T @ T
+    return Iterate(T, Z, gaps, float(np.sum(gaps ** 2)), _residual(gram), gram, fallback)
 
 
 def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
@@ -208,8 +232,12 @@ def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
 
 
 def orthogonality_residual(T: np.ndarray) -> float:
-    gram = T.conj().T @ T
-    return float(np.linalg.norm(gram - _identity(T.shape[1])))
+    return _residual(T.conj().T @ T)
+
+
+def _residual(gram: np.ndarray) -> float:
+    """||T^H T - I||_F from the column Gram T^H T."""
+    return float(np.linalg.norm(gram - _identity(gram.shape[0])))
 
 
 def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) -> float:
@@ -219,8 +247,9 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
 
 
 # Crossover of the matrix-free minorizer, measured per mm_map call with one
-# BLAS thread: below 32 antennas the thin QR's fixed cost loses at any rank,
-# and above it the dense eigensolve loses once 2 r <= n_tx.
+# BLAS thread when it still took a thin QR of B: below 32 antennas the QR's
+# fixed cost lost at any rank, and above it the dense eigensolve lost once
+# 2 r <= n_tx.  It is kept where it was, so desk32 stays on the dense path.
 LOW_RANK_MIN_TX = 32
 
 
@@ -237,10 +266,10 @@ def minorizer_matrix(x: Iterate, profile: PowerProfile, penalty: float,
                      work: np.ndarray | None = None) -> MinorizerState:
     """Surrogate Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H.
 
-    T_m is ``x.T``; the gaps phi_p - level_p and Z = A^T T_m come from the
-    record ``x`` and are not evaluated again.  Above the crossover
+    T_m is ``x.T``; the gaps phi_p - level_p, Z = A^T T_m and T_m^H T_m come
+    from the record ``x`` and are not evaluated again.  Above the crossover
     (``takes_low_rank``) only lambda_max and Q T_m are computed, from the
-    thin QR of B = [conj(A), T_m]; see ``MinorizerState``.
+    r x r Gram of B = [conj(A), T_m]; see ``MinorizerState``.
 
     On the dense path ``work`` is an optional (2, n_tx, n_tx) complex scratch,
     reused by the design loop for every call; Q is then ``work[0]``.  Fresh
@@ -250,12 +279,12 @@ def minorizer_matrix(x: Iterate, profile: PowerProfile, penalty: float,
     """
     T_m = x.T
     n_tx, n_rf = T_m.shape
-    A, gram_lambda = profile_steering(profile, n_tx)
+    A, gram_lambda, steering_gram = _steering_and_gram(profile.all_angles().tobytes(), n_tx)
+    if takes_low_rank(n_tx, A.shape[1] + n_rf):
+        lam, q_t, sigma_max, fell_back = _low_rank_minorizer(x, A, steering_gram, penalty)
+        return MinorizerState(None, q_t, lam, gram_lambda, sigma_max, fell_back)
     # the spectral norm, as np.linalg.norm(T_m, 2) takes it: the top singular value
     sigma_max = float(np.linalg.svd(T_m, compute_uv=False)[0])
-    if takes_low_rank(n_tx, A.shape[1] + n_rf):
-        lam, q_t = _low_rank_minorizer(A, x.Z, x.gaps, T_m, penalty)
-        return MinorizerState(None, q_t, lam, gram_lambda, sigma_max)
     Q = _dense_minorizer(A, x.gaps, T_m, penalty, work)
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
@@ -278,30 +307,81 @@ def _dense_minorizer(A: np.ndarray, gaps: np.ndarray, T_m: np.ndarray, penalty: 
     return Q
 
 
-def _low_rank_minorizer(A: np.ndarray, Z: np.ndarray, gaps: np.ndarray, T_m: np.ndarray,
-                        penalty: float) -> tuple[float, np.ndarray]:
-    """Exact lambda_max(Q) and Q T_m without an n_tx x n_tx matrix.
+# Rounding error of the Gram route, relative to ||Q||_2, above which the thin
+# QR takes over (see _gram_eigenvalues).
+GRAM_ERROR_LIMIT = 1e-13
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
-    With B = [conj(A), T_m] = U R (thin QR) and d = [gaps, penalty * 1],
-    Q = U R diag(d) R^H U^H shares its nonzero eigenvalues with the
-    min(n_tx, r)-square R diag(d) R^H.  Q is singular when r < n_tx, so its
-    top eigenvalue is then at least 0, while the gaps may all be negative.
-    As in the dense build, a zero penalty drops the T_m columns.
+
+def _low_rank_minorizer(x: Iterate, A: np.ndarray, steering_gram: np.ndarray,
+                        penalty: float) -> tuple[float, np.ndarray, float, bool]:
+    """Exact lambda_max(Q), Q T_m and sigma_max(T_m) without an n_tx-row factorization.
+
+    With B = [conj(A), T_m] and d = [gaps, penalty * 1], Q = B diag(d) B^H
+    shares its nonzero eigenvalues with diag(d) B^H B, and so with the
+    Hermitian L^H diag(d) L for the Cholesky factor B^H B = L L^H.  The Gram
+    is filled from ``steering_gram`` = A^T conj(A) and the record's
+    Z = A^T T_m and T_m^H T_m.  When 2 r > n_tx, or when the Gram route
+    cannot be trusted (``_gram_eigenvalues``), the thin QR B = U R gives
+    R diag(d) R^H instead.  Q is singular when r < n_tx, so its top
+    eigenvalue is then at least 0, while the gaps may all be negative.  As
+    in the dense build, a zero penalty drops the T_m columns.  Returns
+    lambda_max, Q T_m, sigma_max and whether the thin QR was taken.
     """
+    T_m, Z, gaps, gram = x.T, x.Z, x.gaps, x.gram
     n_tx, n_rf = T_m.shape
-    B, d = A.conj(), gaps
+    G, d = steering_gram, gaps
     if penalty != 0.0:
-        B = np.concatenate((B, T_m), axis=1)
+        P = gaps.size
+        G = np.empty((P + n_rf, P + n_rf), dtype=complex)   # 4x faster than np.block
+        G[:P, :P] = steering_gram
+        G[:P, P:] = Z
+        G[P:, :P] = Z.conj().T
+        G[P:, P:] = gram
         d = np.concatenate((d, np.full(n_rf, float(penalty))))
-    R = np.linalg.qr(B, mode="r")
-    eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
+    eigs = _gram_eigenvalues(G, d) if 2 * d.size <= n_tx else None
+    fell_back = eigs is None
+    if fell_back:
+        B = A.conj() if penalty == 0.0 else np.concatenate((A.conj(), T_m), axis=1)
+        R = np.linalg.qr(B, mode="r")
+        eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
     lam = float(np.max(eigs, initial=0.0) if d.size < n_tx else eigs[-1])
-    q_t = A.conj() @ (gaps[:, None] * Z) + penalty * (T_m @ (T_m.conj().T @ T_m))
-    return lam, q_t
+    sigma_max = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    q_t = A.conj() @ (gaps[:, None] * Z) + penalty * (T_m @ gram)
+    return lam, q_t, sigma_max, fell_back
+
+
+def _gram_eigenvalues(G: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of L^H diag(d) L for G = B^H B = L L^H, or None if untrusted.
+
+    Rounding in B^H B reaches the eigenvalues amplified by 1 / (smallest
+    Cholesky pivot): about r * eps * max|d| * g^(3/2) / p_min in absolute
+    terms, with g the largest diagonal entry of the r x r Gram.  Measured on
+    random and near-degenerate cases, the error stayed within 4 times this
+    estimate, whatever the conditioning.  Gaps of both signs on nearly
+    parallel columns cancel in Q, so the estimate must stay below
+    ``GRAM_ERROR_LIMIT`` times ||Q||_2 = max|eigs|, not times max|d|.  A Q
+    below the normal range holds no relative accuracy to certify, and a G
+    that is not numerically positive definite has no Cholesky factor.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    eigs = np.linalg.eigvalsh((L.conj().T * d) @ L)
+    if d.size == 0:
+        return eigs
+    g = float(G.diagonal().real.max())
+    p_min = float(L.diagonal().real.min())
+    q_norm = max(-float(eigs[0]), float(eigs[-1]))
+    error = d.size * _EPS * float(np.abs(d).max()) * g * math.sqrt(g)
+    if q_norm >= _TINY and error <= GRAM_ERROR_LIMIT * p_min * q_norm:
+        return eigs
+    return None
 
 
 def mm_map(x: Iterate, profile: PowerProfile, penalty: float,
-           work: np.ndarray | None = None) -> Iterate:
+           work: np.ndarray | None = None, counts: dict | None = None) -> Iterate:
     """One closed-form phase update of the fixed-point map, from and to a record.
 
     New phases are the arguments of (shift*I - Q) T_m applied column by
@@ -311,9 +391,12 @@ def mm_map(x: Iterate, profile: PowerProfile, penalty: float,
     objective would grow, so the map never ascends.  Each candidate is
     evaluated once and the accepted one's record is returned; when both
     shifts would ascend (a stall) the input record itself comes back.
-    ``work`` goes to ``minorizer_matrix``.
+    ``work`` goes to ``minorizer_matrix``; ``counts``, when given, gains one
+    under ``gram_fallbacks`` for a minorizer that took the thin QR.
     """
     state = minorizer_matrix(x, profile, penalty, work)
+    if counts is not None:
+        counts["gram_fallbacks"] += state.gram_fallback
     lam_p = state.gram_lambda + penalty
     base = x.objective(penalty)
     T_m = x.T
@@ -343,7 +426,8 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     penalty = params.penalty_init
     x = evaluate_iterate(T0, profile)
     mse_hist, obj_hist, pen_hist, orth_hist = [], [], [], []
-    counts = {"map_evals": 0, "shift_rejections": 0, "stalls": 0, "squarem_rejections": 0}
+    counts = {"map_evals": 0, "shift_rejections": 0, "gram_fallbacks": 0, "stalls": 0,
+              "squarem_rejections": 0}
     converged = False
     period_max_step = 0.0
     started = time.perf_counter()
@@ -351,7 +435,7 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     work = np.empty((2, n_tx, n_tx), dtype=complex)     # dense minorizer scratch
 
     def counted_map(x_in: Iterate) -> Iterate:
-        x_out = mm_map(x_in, profile, penalty, work=work)
+        x_out = mm_map(x_in, profile, penalty, work=work, counts=counts)
         counts["map_evals"] += 1
         counts["stalls"] += x_out is x_in
         counts["shift_rejections"] += x_out is x_in or x_out.fallback

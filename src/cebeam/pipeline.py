@@ -295,6 +295,7 @@ def _allocate_power(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool
     write_json(out / "power_profile.json", {"profile": alloc.profile.to_dict(),
                                             "objective": alloc.objective,
                                             "sweeps": alloc.sweeps,
+                                            "tie_breaks": alloc.tie_breaks,
                                             "converged": alloc.converged}, prov)
     write_csv(out / "power_trace.csv", ["iteration", "objective"],
               list(enumerate(alloc.trace, start=1)), prov)
@@ -424,12 +425,11 @@ def run_pipeline(spec: ExperimentSpec) -> int:
 def _load_design(path: str, scenario: Scenario) -> np.ndarray:
     """Read a design file: phases in degrees, or a +-1 sign grid."""
     try:
-        raw = np.loadtxt(path)
+        raw = np.loadtxt(path, ndmin=2)      # one column (n_rf = 1) stays n_tx x 1
     except OSError as exc:
         raise ModelError(f"cannot read design file {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ModelError(f"design file {path!r} is not a numeric matrix: {exc}") from exc
-    raw = np.atleast_2d(raw)
     if raw.shape != (scenario.n_tx, scenario.n_rf):
         raise ModelError(f"design shape {raw.shape} does not match "
                          f"({scenario.n_tx}, {scenario.n_rf})")

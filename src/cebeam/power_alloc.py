@@ -109,6 +109,7 @@ class PowerAllocationResult:
     sweeps: int
     converged: bool
     grid_step: float
+    tie_breaks: int = 0         # updates whose chosen level is not argmax(vals)
 
 
 def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
@@ -119,8 +120,10 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     Every level starts at 0.5.  Coordinate order is target grid points
     ascending, then clutter indices ascending; ties in the per-coordinate
     argmax break toward the smallest level so plateaus do not inflate clutter
-    power.  The objective trace is non-decreasing by construction; the sweep
-    stops when one full pass improves the objective by less than ``tol``.
+    power, and ``tie_breaks`` counts the updates where that rule chose a level
+    other than the exact argmax.  The objective trace is non-decreasing by
+    construction; the sweep stops when one full pass improves the objective
+    by less than ``tol``.
     """
     if not (0.0 < grid_step <= 0.5):
         raise ModelError(f"grid step must lie in (0, 0.5], got {grid_step}")
@@ -133,8 +136,10 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     n_t, K = grid.size, scenario.n_clutter
     t_lvl = np.full(n_t, 0.5)
     c_lvl = np.full(K, 0.5)
+    tie_breaks = 0
 
     def update_coordinate(levels: np.ndarray, idx: int, is_target: bool) -> float:
+        nonlocal tie_breaks
         n_cand = candidates.size
         cand_t = np.tile(t_lvl, (n_cand, 1))
         cand_c = np.tile(c_lvl, (n_cand, 1))
@@ -148,6 +153,7 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
         # accept a value below the incumbent
         floor = max(vals.max() - 1e-9 * (1.0 + abs(vals.max())), v_cur)
         best = int(np.argmax(vals >= floor))
+        tie_breaks += best != int(np.argmax(vals))
         levels[idx] = candidates[best]
         return float(vals[best])
 
@@ -170,4 +176,5 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     profile = PowerProfile(grid, t_lvl, scenario.clutter_angles, c_lvl)
     return PowerAllocationResult(profile=profile, objective=current,
                                  trace=np.asarray(trace), sweeps=sweep,
-                                 converged=converged, grid_step=grid_step)
+                                 converged=converged, grid_step=grid_step,
+                                 tie_breaks=tie_breaks)

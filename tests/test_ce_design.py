@@ -416,20 +416,31 @@ class TestPatternCore:
         assert value == pytest.approx(C.penalized_objective(T_opt, prof, penalty), rel=1e-12)
 
 
+def _low_rank(T, A, gaps, penalty):
+    """``_low_rank_minorizer`` on a record holding T with arbitrary gaps."""
+    x = C.Iterate(T, A.T @ T, gaps, 0.0, 0.0, T.conj().T @ T)
+    return C._low_rank_minorizer(x, A, A.T @ A.conj(), penalty)
+
+
 def _check_low_rank(n_tx, n_rf, angles, gaps, penalty, seed, shift):
-    """Low-rank lambda_max and (shift*I - Q) T_m against the dense minorizer."""
+    """Low-rank lambda_max and (shift*I - Q) T_m against the dense minorizer.
+
+    Returns whether the minorizer fell back to the thin QR.
+    """
     T = M.random_unit_modulus(n_tx, n_rf, np.random.default_rng(seed))
     A = M.steering_matrix(angles, n_tx)
     gaps = np.asarray(gaps, dtype=float)
     Q = C._dense_minorizer(A, gaps, T, penalty)
-    lam, q_t = C._low_rank_minorizer(A, A.T @ T, gaps, T, penalty)
+    lam, q_t, sigma, fell_back = _low_rank(T, A, gaps, penalty)
     tol = 1e-12 * np.linalg.norm(Q, 2)
     assert abs(lam - np.linalg.eigvalsh(Q)[-1]) <= tol
+    assert sigma == pytest.approx(np.linalg.norm(T, 2), rel=1e-14)
     state = C.MinorizerState(None, q_t, lam, 0.0, 1.0)
     dense = (shift * np.eye(n_tx) - Q) @ T
     # plus the dense product's own rounding of shift * I - Q
     assert np.linalg.norm(state.direction(T, shift) - dense) <= \
         (tol + 1e-15 * abs(shift)) * np.linalg.norm(T)
+    return fell_back
 
 
 @st.composite
@@ -466,11 +477,35 @@ class TestLowRankMinorizer:
     def test_edge_cases(self, n_tx, n_rf, angles, gaps, penalty):
         _check_low_rank(n_tx, n_rf, angles, gaps, penalty, seed=3, shift=4.0)
 
+    @pytest.mark.parametrize("n_tx, n_rf, angles, gaps, penalty", [
+        # two profile angles 1e-13 apart: B^H B is numerically singular
+        (40, 2, [-0.6, 0.2, 0.2 + 1e-13, 0.9], [0.4, -0.3, 0.8, -0.1], 0.7),
+        (40, 2, [-0.6, 0.2, 0.2 + 1e-13, 0.9], [-0.4, -0.3, -0.8, -0.1], 0.0),
+        # r = 24 > n_tx / 2
+        (40, 4, np.linspace(-1.2, 1.2, 20), np.linspace(-1.0, 0.9, 20), 0.5),
+    ])
+    def test_degenerate_cases_take_the_thin_qr(self, n_tx, n_rf, angles, gaps, penalty):
+        assert _check_low_rank(n_tx, n_rf, angles, gaps, penalty, seed=5, shift=3.0)
+
+    def test_well_separated_profile_takes_the_gram(self):
+        angles = np.linspace(-1.2, 1.2, 10)
+        assert not _check_low_rank(48, 4, angles, np.linspace(-0.5, 0.5, 10), 0.3,
+                                   seed=6, shift=2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_sigma_max_from_column_gram(self, n_tx, n_rf, seed):
+        # sqrt(lambda_max(T^H T)) is the spectral norm of a unit-modulus T
+        n_rf = min(n_rf, n_tx)
+        T = M.random_unit_modulus(n_tx, n_rf, np.random.default_rng(seed))
+        _, _, sigma, _ = _low_rank(T, M.steering_matrix([], n_tx), np.zeros(0), 0.0)
+        assert sigma == pytest.approx(np.linalg.norm(T, 2), rel=1e-14)
+
     def test_all_negative_gaps_clamp_to_zero(self):
         # Q has null directions when r < n_tx, so lambda_max(Q) = 0 exactly
         A = M.steering_matrix([-0.4, 0.3], 20)
         T = M.random_unit_modulus(20, 2, np.random.default_rng(0))
-        lam, _ = C._low_rank_minorizer(A, A.T @ T, np.array([-0.3, -0.6]), T, 0.0)
+        lam, _, _, _ = _low_rank(T, A, np.array([-0.3, -0.6]), 0.0)
         assert lam == 0.0
 
     def test_sides_of_the_crossover(self):
@@ -490,6 +525,16 @@ class TestLowRankMinorizer:
             state = minorizer(T, prof, 0.4)
             assert (state.q_matrix is None) == low
             assert (state.q_times_t is None) != low
+
+    def test_trace_counts_the_maps_that_took_the_thin_qr(self):
+        # two profile angles 1e-13 apart leave B^H B singular in every map
+        T0 = M.random_unit_modulus(40, 2, np.random.default_rng(22))
+        params = C.CeDesignParams(max_iters=12, tol=1e-30)
+        for angles, every in (([-0.5, 0.2, 0.2 + 1e-13], True), ([-0.5, 0.2, 0.6], False)):
+            prof = PowerProfile(angles[:2], [0.9, 0.7], angles[2:], [0.05])
+            _, trace = C.squarem_accelerated_mm(T0, prof, params)
+            assert trace.counters()["gram_fallbacks"] == (trace.map_evals if every else 0)
+            assert trace.map_evals > 0
 
     def test_low_rank_map_descends(self):
         rng = np.random.default_rng(21)
@@ -556,7 +601,7 @@ def _parent_squarem(T, profile, penalty, iters):
 def _assert_fresh(x, profile):
     """A carried record holds exactly what a fresh evaluation of its point gives."""
     fresh = C.evaluate_iterate(x.T, profile)
-    for name in ("Z", "gaps"):
+    for name in ("Z", "gaps", "gram"):
         np.testing.assert_array_equal(getattr(x, name), getattr(fresh, name))
     assert (x.mse, x.orth) == (fresh.mse, fresh.orth)
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cebeam import cli
 from cebeam import model as M
@@ -74,6 +79,8 @@ class TestPipelineCommands:
         assert PL.run_pipeline(spec) == 0
         prof = json.loads((out / "power_profile.json").read_text())
         assert prof["converged"]
+        n_levels = len(prof["profile"]["target"]) + len(prof["profile"]["clutter"])
+        assert 0 <= prof["tie_breaks"] <= n_levels * prof["sweeps"]
         assert "scenario_hash" in prof["provenance"]
         lines = (out / "power_trace.csv").read_text().splitlines()
         assert lines[0].startswith("# scenario_hash:")
@@ -193,6 +200,18 @@ class TestCli:
         code = cli.main(["allocate-power", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_evaluate_reads_a_one_column_design(self, mini_scenario_file, tmp_path):
+        # a single column loads as a 1-D row unless it is read as a matrix
+        with open(mini_scenario_file) as fh:
+            d = json.load(fh)
+        scenario = tmp_path / "one.json"
+        scenario.write_text(json.dumps({**d, "n_rf": 1}))
+        design = tmp_path / "design.txt"
+        np.savetxt(design, np.linspace(-90.0, 90.0, 16)[:, None])
+        code = cli.main(["evaluate", "--scenario", str(scenario), "--design", str(design),
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+
     @pytest.mark.parametrize("content", [None, "not numbers\n", "nan nan nan nan\n" * 16],
                              ids=["missing", "text", "nan"])
     def test_evaluate_bad_design_file_exits_2(self, mini_scenario_file, tmp_path, content):
@@ -303,6 +322,7 @@ class TestReportCounters:
                  ob["extras"]["warm_start"]["map_evals"])):
             assert map_evals == 2 * iterations > 0
             assert 0 <= counts["stalls"] <= counts["shift_rejections"] <= map_evals
+            assert 0 <= counts["gram_fallbacks"] <= map_evals
             assert 0 <= counts["squarem_rejections"] <= iterations
         assert ob["extras"]["halvings"] >= 0 and ob["extras"]["momentum_resets"] >= 0
 
@@ -340,3 +360,118 @@ class TestSweeps:
         from cebeam.ce_design import CeDesignParams
         rows = PL.sweep(sc, 0, "n_rf", (2, 4), bits=1, params=CeDesignParams(max_iters=60))
         assert [r[0] for r in rows] == [2, 4]
+
+
+# -- bounded fuzz of the CLI on tiny scenario files ---------------------------
+
+# values that a valid file or flag never holds
+_BROKEN = {"n_tx": 0, "n_rx": -3, "n_rf": 9, "code_len": 0, "target_mean_angle_deg": 120.0,
+           "target_uncertainty_deg": -1.0, "target_grid_spacing_deg": 0.0,
+           "target_power_db": math.inf, "clutter_angles_deg": [math.nan],
+           "clutter_powers_db": 1e308, "noise_power_db": -math.inf}
+
+
+@st.composite
+def tiny_scenario_dicts(draw):
+    """A scenario file with N_t <= 8; about one in four has one broken key."""
+    n_clutter = draw(st.integers(0, 3))
+    d = {
+        "n_tx": draw(st.integers(1, 8)), "n_rx": draw(st.integers(1, 8)),
+        "n_rf": draw(st.integers(1, 2)), "code_len": draw(st.integers(2, 8)),
+        "target_mean_angle_deg": draw(st.floats(-90.0, 90.0)),
+        "target_uncertainty_deg": draw(st.floats(0.0, 6.0)),
+        "target_grid_spacing_deg": draw(st.floats(0.5, 4.0)),
+        "target_power_db": draw(st.floats(-30.0, 30.0)),
+        "clutter_angles_deg": draw(st.lists(st.floats(-90.0, 90.0), min_size=n_clutter,
+                                            max_size=n_clutter)),
+        "clutter_powers_db": draw(st.floats(-10.0, 40.0)),
+        "noise_power_db": draw(st.floats(-10.0, 10.0)),
+    }
+    if draw(st.integers(0, 3)) == 3:
+        key = draw(st.sampled_from(sorted(_BROKEN)))
+        d[key] = _BROKEN[key]
+    return d
+
+
+def _flag(draw, valid, invalid):
+    """A valid flag value, or one time in eight an invalid one."""
+    return draw(st.sampled_from(invalid if draw(st.integers(0, 7)) == 7 else valid))
+
+
+@st.composite
+def cli_calls(draw):
+    """A command and its flags, bounded so that one call takes well under a second."""
+    command = draw(st.sampled_from(["allocate-power", "design-ce", "design-onebit",
+                                    "evaluate", "sweep-snr"]))
+    flags = ["--seed", _flag(draw, ["0", "1", "5"], ["-1"]),
+             "--bits", _flag(draw, ["1", "2", "3", "ideal"], ["0", "9"]),
+             "--max-iters", _flag(draw, ["1", "7", "30"], ["0", "-2"])]
+    if draw(st.booleans()):
+        flags += ["--tol", _flag(draw, ["1e-4", "0.5", "1e9"], ["0", "-1", "nan", "inf"])]
+    if command == "sweep-snr":
+        flags += ["--pfa", _flag(draw, ["0.05", "0.2"], ["0", "1", "nan"]),
+                  "--trials", _flag(draw, ["300", "700"], ["0", "10"]),
+                  "--snr", *[repr(round(draw(st.floats(-10.0, 10.0)), 3))
+                             for _ in range(draw(st.integers(1, 2)))]]
+    return command, flags
+
+
+def _assert_finite_artifacts(out):
+    """Every number an artifact holds is finite."""
+    def refuse(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=refuse)
+            continue
+        for line in text.splitlines():
+            if line.startswith("#"):
+                continue
+            for cell in line.replace(",", " ").split():
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue            # a column name or the "ideal" resolution
+                assert math.isfinite(value), f"{path.name}: {line}"
+
+
+class TestCliFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(tiny_scenario_dicts(), cli_calls(), st.integers(0, 2 ** 32 - 1))
+    def test_exit_status_artifacts_and_round_trip(self, scenario, call, design_seed):
+        command, flags = call
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "sc.json").write_text(json.dumps(scenario))
+            argv = [command, "--scenario", str(tmp / "sc.json"), "--out", str(tmp / "out"),
+                    *flags]
+            if command == "evaluate":
+                shape = (scenario["n_tx"], scenario["n_rf"])
+                phases = np.random.default_rng(design_seed).uniform(-180.0, 180.0, shape)
+                np.savetxt(tmp / "design.txt", phases)
+                argv += ["--design", str(tmp / "design.txt")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)   # any other exception is a traceback
+                except SystemExit as exc:   # argparse refused a flag
+                    code = exc.code
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if (tmp / "out").exists():
+                _assert_finite_artifacts(tmp / "out")
+            try:
+                sc = PL.load_scenario(str(tmp / "sc.json"))
+            except M.ModelError:
+                return
+            (tmp / "back.json").write_text(json.dumps(sc.to_dict()))
+            back = PL.load_scenario(str(tmp / "back.json"))
+        for name in ("n_tx", "n_rx", "n_rf", "code_len"):
+            assert getattr(back, name) == getattr(sc, name)
+        # degrees <-> radians and dB <-> linear convert to within a few ulps
+        for name in ("target_mean_angle", "target_uncertainty", "target_grid_spacing",
+                     "target_power", "noise_power", "clutter_angles", "clutter_powers"):
+            np.testing.assert_allclose(getattr(back, name), getattr(sc, name),
+                                       rtol=8 * np.finfo(float).eps, atol=0, err_msg=name)

@@ -141,6 +141,24 @@ class TestBcd:
         assert np.all(res.profile.target_levels >= 0.9)
         assert np.all(res.profile.clutter_levels <= 0.1)
 
+    def test_tie_breaks_count_updates_below_the_candidate_maximum(self, flagship_scenario,
+                                                                  monkeypatch):
+        # the plateau rule picks the first level within a hair of the maximum,
+        # so a chosen level scores below max(vals) exactly when it is not argmax(vals)
+        maxima = []
+        objective = P.profile_objective
+
+        def recorded(*args):
+            vals = objective(*args)
+            maxima.append(vals.max())
+            return vals
+
+        monkeypatch.setattr(P, "profile_objective", recorded)
+        res = P.bcd_power_allocation(flagship_scenario, M.quantization_model("ideal"))
+        maxima = np.array(maxima[1:])          # the first call scores the start point
+        assert maxima.size == res.trace.size
+        assert res.tie_breaks == int(np.sum(res.trace < maxima)) > 0
+
     def test_bad_grid_step_rejected(self, desk_scenario):
         with pytest.raises(M.ModelError):
             P.bcd_power_allocation(desk_scenario, M.quantization_model(1), grid_step=0.7)
