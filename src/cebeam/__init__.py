@@ -20,9 +20,10 @@ from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelEr
                     unit_modulus)
 from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
                           bcd_power_allocation, profile_objective)
-from .ce_design import (CeDesignParams, Iterate, MinorizerState, MmTrace, beampattern_mse,
-                        evaluate_iterate, minorizer_matrix, mm_map, orthogonality_residual,
-                        penalized_objective, plain_mm, squarem_accelerated_mm)
+from .ce_design import (CeDesignParams, DesignProblem, Iterate, MinorizerState, MmTrace,
+                        beampattern_mse, design_problem, evaluate_iterate, minorizer_matrix,
+                        mm_map, orthogonality_residual, penalized_objective, plain_mm,
+                        squarem_accelerated_mm)
 from .onebit import (DegenerateIterateError, EpmPoint, EpmTrace, LineSearchStallError,
                      OneBitParams, box_project, epm_gradient, epm_objective, epm_point,
                      exhaustive_onebit, nesterov_epm, round_to_signs)

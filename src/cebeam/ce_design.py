@@ -47,6 +47,11 @@ B = U R instead.  The minorizer takes this form when N_t >= 32 and
 2 r <= N_t (``takes_low_rank``, a measured crossover); below it the dense Q
 and its eigensolve are cheaper.
 
+The per-design constants (A, conj(A), the levels, lam_max(G), A^T conj(A),
+the side of the crossover, the dense scratch) live in one ``DesignProblem``
+that each design loop builds once; stage 2, the one-bit EPM, the exhaustive
+search and the projection baseline all read them from it.
+
 Every point the loops visit is evaluated once, into an ``Iterate``: its
 pattern terms Z and gaps, the MSE and the orthogonality residual.  The map
 takes its minorizer and base objective from the incoming record and returns
@@ -57,7 +62,6 @@ and ``beampattern_mse`` are thin wrappers over the same evaluation.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -92,8 +96,7 @@ class MinorizerState:
     """Quadratic surrogate at the current iterate T_m.
 
     ``lambda_max`` is the exact top eigenvalue of Q (equal to the top
-    eigenvalue of I (x) Q, so the Kronecker-size matrix is never formed);
-    ``gram_lambda`` bounds the curvature of the pattern functionals and
+    eigenvalue of I (x) Q, so the Kronecker-size matrix is never formed) and
     ``sigma_max`` is the spectral norm of T_m.
 
     Q = B diag(d) B^H with B = [conj(A), T_m] and d = [gaps, penalty * 1]
@@ -111,29 +114,21 @@ class MinorizerState:
     q_matrix: np.ndarray | None
     q_times_t: np.ndarray | None
     lambda_max: float
-    gram_lambda: float
     sigma_max: float
     gram_fallback: bool = False
 
-    def direction(self, T_m: np.ndarray, shift: float) -> np.ndarray:
+    def direction(self, problem: DesignProblem, T_m: np.ndarray, shift: float) -> np.ndarray:
         """(shift * I - Q) T_m, whose phases are the next iterate."""
         if self.q_matrix is None:
             return shift * T_m - self.q_times_t
-        return (shift * _identity(T_m.shape[0]) - self.q_matrix) @ T_m
-
-
-@functools.lru_cache(maxsize=8)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+        return (shift * problem.eye - self.q_matrix) @ T_m
 
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
     """A design point evaluated once; every later use reads these fields.
 
-    ``Z`` and ``gaps`` are ``pattern_terms(T, profile)``, ``mse`` the sum of
+    ``Z`` and ``gaps`` are ``pattern_terms(T, problem)``, ``mse`` the sum of
     the squared gaps, ``gram`` the column Gram T^H T and ``orth`` the residual
     ||T^H T - I||_F.  ``fallback`` marks a point that ``mm_map`` reached with
     the guaranteed shift after rejecting the optimistic one.
@@ -184,51 +179,61 @@ class MmTrace:
                 "squarem_rejections": self.squarem_rejections}
 
 
-@functools.lru_cache(maxsize=32)
-def _steering_and_gram(angle_bytes: bytes, n_tx: int
-                       ) -> tuple[np.ndarray, float, np.ndarray]:
-    """A, the pattern-Gram top eigenvalue, and the steering Gram A^T conj(A)."""
-    angles = np.frombuffer(angle_bytes)
-    A = steering_matrix(angles, n_tx)
-    cross = A.conj().T @ A
-    lam = float(np.linalg.eigvalsh(np.abs(cross) ** 2)[-1]) if angles.size else 0.0
-    steering_gram = cross.conj()       # A^T conj(A), the top-left block of B^H B
-    for shared in (A, steering_gram):  # shared by every caller of the cache
-        shared.flags.writeable = False
-    return A, lam, steering_gram
+@dataclass(frozen=True, eq=False)
+class DesignProblem:
+    """What every design point of one profile on n_tx x n_rf designs shares.
 
-
-def profile_steering(profile: PowerProfile, n_tx: int) -> tuple[np.ndarray, float]:
-    """Steering matrix of the profile angles and its pattern-Gram top eigenvalue.
-
-    Returns the read-only (n_tx x P) matrix A = [a_1 .. a_P] and lam_max of
-    G[p,q] = |a_p^H a_q|^2, built once per (profile angles, n_tx): the design
-    loops evaluate them for a fixed profile on every objective call.
+    ``A`` = [a_1 .. a_P] steers toward the profile angles (targets, then
+    clutter), ``levels`` are the requested levels in that order,
+    ``gram_lambda`` = lam_max(G), G[p,q] = |a_p^H a_q|^2, bounds the curvature
+    of the pattern functionals and ``steering_gram`` = A^T conj(A).  Only the
+    dense side (not ``low_rank``) holds ``eye``, the n_tx identity, and
+    ``work``, the (2, n_tx, n_tx) scratch Q is built in: fresh n_tx x n_tx
+    temporaries on every call page-fault, thousands of times per design.
     """
-    return _steering_and_gram(profile.all_angles().tobytes(), n_tx)[:2]
+
+    A: np.ndarray
+    A_conj: np.ndarray
+    levels: np.ndarray
+    gram_lambda: float
+    steering_gram: np.ndarray
+    low_rank: bool
+    eye: np.ndarray | None = None
+    work: np.ndarray | None = None
 
 
-def pattern_terms(T: np.ndarray, profile: PowerProfile) -> tuple[np.ndarray, np.ndarray]:
+def design_problem(profile: PowerProfile, n_tx: int, n_rf: int) -> DesignProblem:
+    """The ``DesignProblem`` of ``profile`` on n_tx x n_rf designs; one per design loop."""
+    A = steering_matrix(profile.all_angles(), n_tx)
+    cross = A.conj().T @ A
+    lam = float(np.linalg.eigvalsh(np.abs(cross) ** 2)[-1]) if A.shape[1] else 0.0
+    shared = (A, A.conj(), profile.all_levels(), lam, cross.conj())
+    if takes_low_rank(n_tx, A.shape[1] + n_rf):
+        return DesignProblem(*shared, low_rank=True)
+    return DesignProblem(*shared, low_rank=False, eye=np.eye(n_tx),
+                         work=np.empty((2, n_tx, n_tx), dtype=complex))
+
+
+def pattern_terms(T: np.ndarray, problem: DesignProblem) -> tuple[np.ndarray, np.ndarray]:
     """Responses Z = A^T T and pattern gaps sum_r |Z[p, r]|^2 - level_p.
 
     ``T`` may carry leading batch axes in front of its (n_tx x n_rf) shape;
     Z and the gaps keep them.
     """
-    A, _ = profile_steering(profile, T.shape[-2])
-    Z = A.T @ T
-    return Z, np.sum(np.abs(Z) ** 2, axis=-1) - profile.all_levels()
+    Z = problem.A.T @ T
+    return Z, np.sum(np.abs(Z) ** 2, axis=-1) - problem.levels
 
 
-def evaluate_iterate(T: np.ndarray, profile: PowerProfile, fallback: bool = False) -> Iterate:
+def evaluate_iterate(T: np.ndarray, problem: DesignProblem, fallback: bool = False) -> Iterate:
     """The one evaluation of a design point that the loops and wrappers share."""
-    Z, gaps = pattern_terms(T, profile)
+    Z, gaps = pattern_terms(T, problem)
     gram = T.conj().T @ T
     return Iterate(T, Z, gaps, float(np.sum(gaps ** 2)), _residual(gram), gram, fallback)
 
 
 def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
     """Sum of squared gaps between the achieved and requested pattern levels."""
-    return evaluate_iterate(T, profile).mse
+    return evaluate_iterate(T, design_problem(profile, *T.shape)).mse
 
 
 def orthogonality_residual(T: np.ndarray) -> float:
@@ -237,13 +242,13 @@ def orthogonality_residual(T: np.ndarray) -> float:
 
 def _residual(gram: np.ndarray) -> float:
     """||T^H T - I||_F from the column Gram T^H T."""
-    return float(np.linalg.norm(gram - _identity(gram.shape[0])))
+    return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
 
 def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) -> float:
     if penalty < 0:
         raise ModelError("penalty must be >= 0")
-    return evaluate_iterate(T, profile).objective(penalty)
+    return evaluate_iterate(T, design_problem(profile, *T.shape)).objective(penalty)
 
 
 # Crossover of the matrix-free minorizer, measured per mm_map call with one
@@ -262,42 +267,32 @@ def takes_low_rank(n_tx: int, rank: int) -> bool:
     return n_tx >= LOW_RANK_MIN_TX and 2 * rank <= n_tx
 
 
-def minorizer_matrix(x: Iterate, profile: PowerProfile, penalty: float,
-                     work: np.ndarray | None = None) -> MinorizerState:
+def minorizer_matrix(x: Iterate, problem: DesignProblem, penalty: float) -> MinorizerState:
     """Surrogate Q = sum_p (phi_p - level_p) a_p* a_p^T + penalty * T_m T_m^H.
 
     T_m is ``x.T``; the gaps phi_p - level_p, Z = A^T T_m and T_m^H T_m come
-    from the record ``x`` and are not evaluated again.  Above the crossover
-    (``takes_low_rank``) only lambda_max and Q T_m are computed, from the
-    r x r Gram of B = [conj(A), T_m]; see ``MinorizerState``.
-
-    On the dense path ``work`` is an optional (2, n_tx, n_tx) complex scratch,
-    reused by the design loop for every call; Q is then ``work[0]``.  Fresh
-    n_tx x n_tx temporaries on every call make glibc hand the top of the heap
-    back to the OS and page-fault it in again, thousands of faults per
-    128-antenna design.  Q is the same to the last bit either way.
+    from the record ``x`` and are not evaluated again.  On the problem's
+    low-rank side only lambda_max and Q T_m are computed, from the r x r
+    Gram of B = [conj(A), T_m]; see ``MinorizerState``.  On the dense side Q
+    is built in the problem's scratch.
     """
     T_m = x.T
-    n_tx, n_rf = T_m.shape
-    A, gram_lambda, steering_gram = _steering_and_gram(profile.all_angles().tobytes(), n_tx)
-    if takes_low_rank(n_tx, A.shape[1] + n_rf):
-        lam, q_t, sigma_max, fell_back = _low_rank_minorizer(x, A, steering_gram, penalty)
-        return MinorizerState(None, q_t, lam, gram_lambda, sigma_max, fell_back)
+    if problem.low_rank:
+        lam, q_t, sigma_max, fell_back = _low_rank_minorizer(x, problem, penalty)
+        return MinorizerState(None, q_t, lam, sigma_max, fell_back)
     # the spectral norm, as np.linalg.norm(T_m, 2) takes it: the top singular value
     sigma_max = float(np.linalg.svd(T_m, compute_uv=False)[0])
-    Q = _dense_minorizer(A, x.gaps, T_m, penalty, work)
+    Q = _dense_minorizer(problem, x.gaps, T_m, penalty)
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
-    return MinorizerState(Q, None, float(np.linalg.eigvalsh(Q)[-1]), gram_lambda, sigma_max)
+    return MinorizerState(Q, None, float(np.linalg.eigvalsh(Q)[-1]), sigma_max)
 
 
-def _dense_minorizer(A: np.ndarray, gaps: np.ndarray, T_m: np.ndarray, penalty: float,
-                     work: np.ndarray | None = None) -> np.ndarray:
-    """Q = conj(A) diag(gaps) A^T + penalty * T_m T_m^H, built in ``work[0]``."""
-    n_tx = T_m.shape[0]
-    if work is None:
-        work = np.empty((2, n_tx, n_tx), dtype=complex)
-    Q = np.matmul(A.conj() * gaps, A.T, out=work[0])
+def _dense_minorizer(problem: DesignProblem, gaps: np.ndarray, T_m: np.ndarray,
+                     penalty: float) -> np.ndarray:
+    """Q = conj(A) diag(gaps) A^T + penalty * T_m T_m^H, built in ``problem.work[0]``."""
+    work = problem.work
+    Q = np.matmul(problem.A_conj * gaps, problem.A.T, out=work[0])
     if penalty != 0.0:
         gram = np.matmul(T_m, T_m.conj().T, out=work[1])
         gram *= penalty
@@ -313,14 +308,14 @@ GRAM_ERROR_LIMIT = 1e-13
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _low_rank_minorizer(x: Iterate, A: np.ndarray, steering_gram: np.ndarray,
+def _low_rank_minorizer(x: Iterate, problem: DesignProblem,
                         penalty: float) -> tuple[float, np.ndarray, float, bool]:
     """Exact lambda_max(Q), Q T_m and sigma_max(T_m) without an n_tx-row factorization.
 
     With B = [conj(A), T_m] and d = [gaps, penalty * 1], Q = B diag(d) B^H
     shares its nonzero eigenvalues with diag(d) B^H B, and so with the
     Hermitian L^H diag(d) L for the Cholesky factor B^H B = L L^H.  The Gram
-    is filled from ``steering_gram`` = A^T conj(A) and the record's
+    is filled from the problem's A^T conj(A) and the record's
     Z = A^T T_m and T_m^H T_m.  When 2 r > n_tx, or when the Gram route
     cannot be trusted (``_gram_eigenvalues``), the thin QR B = U R gives
     R diag(d) R^H instead.  Q is singular when r < n_tx, so its top
@@ -330,11 +325,12 @@ def _low_rank_minorizer(x: Iterate, A: np.ndarray, steering_gram: np.ndarray,
     """
     T_m, Z, gaps, gram = x.T, x.Z, x.gaps, x.gram
     n_tx, n_rf = T_m.shape
-    G, d = steering_gram, gaps
+    A_conj = problem.A_conj
+    G, d = problem.steering_gram, gaps
     if penalty != 0.0:
         P = gaps.size
         G = np.empty((P + n_rf, P + n_rf), dtype=complex)   # 4x faster than np.block
-        G[:P, :P] = steering_gram
+        G[:P, :P] = problem.steering_gram
         G[:P, P:] = Z
         G[P:, :P] = Z.conj().T
         G[P:, P:] = gram
@@ -342,12 +338,12 @@ def _low_rank_minorizer(x: Iterate, A: np.ndarray, steering_gram: np.ndarray,
     eigs = _gram_eigenvalues(G, d) if 2 * d.size <= n_tx else None
     fell_back = eigs is None
     if fell_back:
-        B = A.conj() if penalty == 0.0 else np.concatenate((A.conj(), T_m), axis=1)
+        B = A_conj if penalty == 0.0 else np.concatenate((A_conj, T_m), axis=1)
         R = np.linalg.qr(B, mode="r")
         eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
     lam = float(np.max(eigs, initial=0.0) if d.size < n_tx else eigs[-1])
     sigma_max = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    q_t = A.conj() @ (gaps[:, None] * Z) + penalty * (T_m @ gram)
+    q_t = A_conj @ (gaps[:, None] * Z) + penalty * (T_m @ gram)
     return lam, q_t, sigma_max, fell_back
 
 
@@ -380,8 +376,8 @@ def _gram_eigenvalues(G: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def mm_map(x: Iterate, profile: PowerProfile, penalty: float,
-           work: np.ndarray | None = None, counts: dict | None = None) -> Iterate:
+def mm_map(x: Iterate, problem: DesignProblem, penalty: float,
+           counts: dict | None = None) -> Iterate:
     """One closed-form phase update of the fixed-point map, from and to a record.
 
     New phases are the arguments of (shift*I - Q) T_m applied column by
@@ -391,21 +387,21 @@ def mm_map(x: Iterate, profile: PowerProfile, penalty: float,
     objective would grow, so the map never ascends.  Each candidate is
     evaluated once and the accepted one's record is returned; when both
     shifts would ascend (a stall) the input record itself comes back.
-    ``work`` goes to ``minorizer_matrix``; ``counts``, when given, gains one
-    under ``gram_fallbacks`` for a minorizer that took the thin QR.
+    ``counts``, when given, gains one under ``gram_fallbacks`` for a
+    minorizer that took the thin QR.
     """
-    state = minorizer_matrix(x, profile, penalty, work)
+    state = minorizer_matrix(x, problem, penalty)
     if counts is not None:
         counts["gram_fallbacks"] += state.gram_fallback
-    lam_p = state.gram_lambda + penalty
+    lam_p = problem.gram_lambda + penalty
     base = x.objective(penalty)
     T_m = x.T
     n_tx, n_rf = T_m.shape
     shifts = (state.lambda_max + 0.5 * (state.sigma_max + 1.05) ** 2 * lam_p,
               state.lambda_max + 2.0 * n_rf * lam_p)
     for k, shift in enumerate(shifts):
-        cand = evaluate_iterate(_project_phases(state.direction(T_m, shift), T_m, n_tx),
-                                profile, fallback=k > 0)
+        direction = state.direction(problem, T_m, shift)
+        cand = evaluate_iterate(_project_phases(direction, T_m, n_tx), problem, fallback=k > 0)
         if cand.objective(penalty) <= base + 1e-12:
             return cand
     return x
@@ -424,7 +420,8 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
                 accelerated: bool, monitor=None) -> tuple[np.ndarray, MmTrace]:
     n_tx = T0.shape[0]
     penalty = params.penalty_init
-    x = evaluate_iterate(T0, profile)
+    problem = design_problem(profile, *T0.shape)
+    x = evaluate_iterate(T0, problem)
     mse_hist, obj_hist, pen_hist, orth_hist = [], [], [], []
     counts = {"map_evals": 0, "shift_rejections": 0, "gram_fallbacks": 0, "stalls": 0,
               "squarem_rejections": 0}
@@ -432,10 +429,8 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     period_max_step = 0.0
     started = time.perf_counter()
 
-    work = np.empty((2, n_tx, n_tx), dtype=complex)     # dense minorizer scratch
-
     def counted_map(x_in: Iterate) -> Iterate:
-        x_out = mm_map(x_in, profile, penalty, work=work, counts=counts)
+        x_out = mm_map(x_in, problem, penalty, counts=counts)
         counts["map_evals"] += 1
         counts["stalls"] += x_out is x_in
         counts["shift_rejections"] += x_out is x_in or x_out.fallback
@@ -452,7 +447,7 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
             if n2 > 0.0:
                 kappa = -np.linalg.norm(Y1) / n2
                 Z = x.T - 2.0 * kappa * Y1 + kappa ** 2 * Y2
-                x_acc = evaluate_iterate(_project_phases(Z, x.T, n_tx), profile)
+                x_acc = evaluate_iterate(_project_phases(Z, x.T, n_tx), problem)
                 # the extrapolated point must not undo the two plain steps
                 if x_acc.objective(penalty) <= x2.objective(penalty):
                     x_new = x_acc

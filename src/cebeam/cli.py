@@ -8,6 +8,7 @@ stage converged within its tolerance.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .model import ModelError
@@ -18,6 +19,13 @@ def _parse_bits(value: str):
     if value == "ideal":
         return "ideal"
     return int(value)
+
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches the parser's negative-number pattern, which before Python 3.13 has
+# no exponent form: "--snr -1e-3" was refused as an unknown option.  No cebeam
+# option starts with "-<digit>", so every such argument is a number.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,6 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--scenario",
                        help="scenario JSON path or built-in name (default128, desk32)")
         p.add_argument("--seed", type=int)

@@ -11,8 +11,11 @@ to exact signs.
 
 Vectors use column-major (Fortran) layout: entry (j-1)*N_t + i is T[i, j].
 
-Every point the solver visits (the extrapolated point, each backtracking
-candidate) is evaluated once, into an ``EpmPoint``: the pattern terms, ||t||
+The per-design constants (the profile's steering matrix A and its conjugate,
+the levels) live in the ``ce_design.DesignProblem`` that ``nesterov_epm``
+builds once per run; the exhaustive search takes one too.  Every point the
+solver visits (the extrapolated point, each backtracking candidate) is
+evaluated once against it, into an ``EpmPoint``: the pattern terms, ||t||
 and T^T T - I.  The objective at any penalties and the gradient are both
 assembled from those terms, so a momentum reset or a penalty bump reuses
 them; ``epm_objective`` and ``epm_gradient`` are thin wrappers over the same
@@ -21,14 +24,13 @@ evaluation.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ce_design import pattern_terms, profile_steering
+from .ce_design import DesignProblem, design_problem, pattern_terms
 from .model import ModelError
 from .power_alloc import PowerProfile
 
@@ -96,7 +98,7 @@ class EpmPoint:
     pattern terms, ``norm`` = ||t||, ``gram`` = T^T T - I, and ``mse``,
     ``binary_gap`` = N_rf - sqrt(N_rf) ||t|| and ``orth`` = ||gram||_F^2 the
     three cost terms.  The objective and the gradient at any penalties are
-    assembled from these.
+    assembled from these and, for the gradient, the problem's conj(A).
     """
 
     t: np.ndarray
@@ -108,44 +110,39 @@ class EpmPoint:
     mse: float
     binary_gap: float
     orth: float
-    A: np.ndarray                # profile steering matrix
 
     def objective(self, penalty_orth: float, penalty_bin: float) -> float:
         """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
         return self.mse + penalty_bin * self.binary_gap + penalty_orth * self.orth
 
-    @functools.cached_property
-    def pattern_gradient(self) -> np.ndarray:
-        """sum_p 4 (q_p - level_p) Phi_p t, through the rank-one a_p structure."""
-        coeff = 4.0 * self.gaps
-        return np.real(self.A.conj() @ (coeff[:, None] * self.Z))
-
-    def gradient(self, penalty_orth: float, penalty_bin: float) -> np.ndarray:
+    def gradient(self, problem: DesignProblem, penalty_orth: float,
+                 penalty_bin: float) -> np.ndarray:
         """Exact gradient of ``objective`` (column-major layout)."""
         if self.norm == 0.0:
             raise DegenerateIterateError("gradient undefined at t = 0")
         n_rf = self.T.shape[1]
+        g_pattern = np.real(problem.A_conj @ ((4.0 * self.gaps)[:, None] * self.Z))
         g_bin = -penalty_bin * np.sqrt(n_rf) / self.norm * self.T
         g_orth = 4.0 * penalty_orth * self.T @ self.gram
-        return (self.pattern_gradient + g_bin + g_orth).reshape(-1, order="F")
+        return (g_pattern + g_bin + g_orth).reshape(-1, order="F")
 
 
-def epm_point(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int) -> EpmPoint:
+def epm_point(t: np.ndarray, problem: DesignProblem, n_tx: int, n_rf: int) -> EpmPoint:
     """Evaluate the column-major vector ``t`` once."""
     t = np.asarray(t, float).reshape(-1)
     T = t.reshape((n_tx, n_rf), order="F")
-    Z, gaps = pattern_terms(T, profile)
+    Z, gaps = pattern_terms(T, problem)
     norm = np.linalg.norm(t)
     gram = T.T @ T - np.eye(n_rf)
     return EpmPoint(t, T, Z, gaps, norm, gram, float(np.sum(gaps ** 2)),
-                    n_rf - np.sqrt(n_rf) * norm, float(np.sum(gram ** 2)),
-                    profile_steering(profile, n_tx)[0])
+                    n_rf - np.sqrt(n_rf) * norm, float(np.sum(gram ** 2)))
 
 
 def epm_objective(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
                   penalty_orth: float, penalty_bin: float) -> float:
     """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
-    return epm_point(t, profile, n_tx, n_rf).objective(penalty_orth, penalty_bin)
+    problem = design_problem(profile, n_tx, n_rf)
+    return epm_point(t, problem, n_tx, n_rf).objective(penalty_orth, penalty_bin)
 
 
 def epm_gradient(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
@@ -156,7 +153,8 @@ def epm_gradient(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
     with symmetric per-angle quadratic forms Phi_p, evaluated through the
     rank-one a_p structure so the Kronecker matrices are never materialized.
     """
-    return epm_point(t, profile, n_tx, n_rf).gradient(penalty_orth, penalty_bin)
+    problem = design_problem(profile, n_tx, n_rf)
+    return epm_point(t, problem, n_tx, n_rf).gradient(problem, penalty_orth, penalty_bin)
 
 
 def round_to_signs(t: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
@@ -183,7 +181,8 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
 
     pen_o = params.penalty_orth_init
     pen_b = params.penalty_bin_init
-    point = lambda v: epm_point(v, profile, n_tx, n_rf)
+    problem = design_problem(profile, n_tx, n_rf)
+    point = lambda v: epm_point(v, problem, n_tx, n_rf)
 
     tau = 1.0
     x = point(t)                                 # the incumbent
@@ -220,11 +219,11 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         w = box_project(w, n_tx)
         x_w = x if np.linalg.norm(w) == 0.0 else point(w)
         x_new, f_new, fixed = backtrack(x_w, x_w.objective(pen_o, pen_b),
-                                        x_w.gradient(pen_o, pen_b))
+                                        x_w.gradient(problem, pen_o, pen_b))
 
         if f_new > f_cur:
             # extrapolation overshoots: plain step from the incumbent
-            x_new, f_new, fixed = backtrack(x, f_cur, x.gradient(pen_o, pen_b))
+            x_new, f_new, fixed = backtrack(x, f_cur, x.gradient(problem, pen_o, pen_b))
             tau_next = 1.0
             resets += 1
 
@@ -232,7 +231,7 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         f_cur = min(f_new, f_cur) if fixed else f_new
         tau = tau_next
 
-        gnorm = float(np.linalg.norm(x.gradient(pen_o, pen_b)))
+        gnorm = float(np.linalg.norm(x.gradient(problem, pen_o, pen_b)))
         hist_f.append(f_cur)
         hist_g.append(gnorm)
         hist_gap.append(x.binary_gap)
@@ -267,7 +266,7 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
 MAX_EXHAUSTIVE_ENTRIES = 20
 
 
-def exhaustive_onebit(profile: PowerProfile, n_tx: int, n_rf: int,
+def exhaustive_onebit(problem: DesignProblem, n_tx: int, n_rf: int,
                       penalty_orth: float) -> tuple[np.ndarray, float]:
     """Globally optimal one-bit beamformer by sign enumeration.
 
@@ -291,7 +290,7 @@ def exhaustive_onebit(profile: PowerProfile, n_tx: int, n_rf: int,
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         signs = (((idx[:, None] >> bit_id[None, :]) & 1) * 2 - 1).astype(np.float64)
         Tb = signs.reshape(-1, n_rf, n_tx).transpose(0, 2, 1) * scale   # column-major bits
-        mse = np.sum(pattern_terms(Tb, profile)[1] ** 2, axis=-1)
+        mse = np.sum(pattern_terms(Tb, problem)[1] ** 2, axis=-1)
         gram = np.einsum("bnr,bns->brs", Tb, Tb) - eye[None]
         vals = mse + penalty_orth * np.sum(gram ** 2, axis=(1, 2))
         k = int(np.argmin(vals))

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ce_design import (CeDesignParams, MmTrace, beampattern_mse, orthogonality_residual,
-                        pattern_terms, plain_mm, profile_steering, squarem_accelerated_mm)
+from .ce_design import (CeDesignParams, DesignProblem, MmTrace, beampattern_mse,
+                        evaluate_iterate, orthogonality_residual, pattern_terms, plain_mm,
+                        squarem_accelerated_mm)
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
                     beampattern_powers, db_to_linear, quantization_model, random_unit_modulus,
                     relative_entropies, unit_modulus)
@@ -198,7 +199,7 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
     return T, report, trace, profile
 
 
-def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0,
+def projection_baseline(scenario: Scenario, problem: DesignProblem, seed: int = 0,
                         iters: int = 500, penalty: float = 1.0
                         ) -> tuple[np.ndarray, DesignReport]:
     """Unconstrained least-squares pattern fit, then entrywise phase projection.
@@ -208,17 +209,16 @@ def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0
     applied only at the end by keeping the phases.
     """
     n_tx, n_rf = scenario.n_tx, scenario.n_rf
-    A, _ = profile_steering(profile, n_tx)
     eye = np.eye(n_rf)
 
     def cost(T):
         gram = T.conj().T @ T - eye
-        return float(np.sum(pattern_terms(T, profile)[1] ** 2)
+        return float(np.sum(pattern_terms(T, problem)[1] ** 2)
                      + penalty * np.sum(np.abs(gram) ** 2))
 
     def grad(T):
-        Z, gaps = pattern_terms(T, profile)
-        g = 2.0 * (A.conj() * gaps) @ Z
+        Z, gaps = pattern_terms(T, problem)
+        g = 2.0 * (problem.A_conj * gaps) @ Z
         return g + 2.0 * penalty * T @ (T.conj().T @ T - eye)
 
     started = time.perf_counter()
@@ -240,13 +240,13 @@ def projection_baseline(scenario: Scenario, profile: PowerProfile, seed: int = 0
 
     phases = np.angle(T)
     T_proj = unit_modulus(phases, n_tx)
+    x = evaluate_iterate(T_proj, problem)
     report = DesignReport(
         method="projection-baseline", iterations=iters,
         wall_time_s=time.perf_counter() - started,
-        final_mse=beampattern_mse(T_proj, profile),
-        orthogonality_residual=orthogonality_residual(T_proj),
+        final_mse=x.mse, orthogonality_residual=x.orth,
         extras={"unconstrained_cost": f,
-                "unconstrained_mse": beampattern_mse(T, profile)})
+                "unconstrained_mse": evaluate_iterate(T, problem).mse})
     return T_proj, report
 
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._accel import lrt_statistics
-from .model import (ModelError, Scenario, db_to_linear, hypothesis_covariances,
-                    low_rank_covariances, quantization_model, steering_matrix)
+from .model import (ModelError, Scenario, db_to_linear, low_rank_covariances,
+                    quantization_model, steering_matrix)
+# the dense oracle, under the name perfbench's tracer wraps in this module
+from .model import hypothesis_covariances  # noqa: F401
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
 # Trials per Monte Carlo block.  Block b of run r of a detection point draws
@@ -291,18 +293,20 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     L = scenario.code_len
     trials = max(1, math.ceil(snapshots / L))
-    p0 = low_rank_covariances(scenario, T, q, scenario.target_mean_angle).row0
+    f = low_rank_covariances(scenario, T, q, scenario.target_mean_angle)
     rng = np.random.default_rng(seed)
 
     n_r = scenario.n_rx
     acc = np.zeros((n_r, n_r), dtype=complex)
     for done in range(0, trials, _COVARIANCE_CHUNK):
         m = min(_COVARIANCE_CHUNK, trials - done)
-        Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, p0)
+        Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, f.row0)
         Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
         acc += Y @ Y.conj().T
     sample_cov = acc / (trials * L)
-    model_cov = hypothesis_covariances(scenario, T, q, scenario.target_mean_angle).r0 / L
+    # R0 = c0 I + A_c diag(g0) A_c^H, A_c the steering columns after the target's
+    X = f.steering[:, f.c1.size:] * f.sqrt_g0
+    model_cov = (f.c0 * np.eye(n_r) + X @ X.conj().T) / L
     return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))
 
 

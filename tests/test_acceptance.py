@@ -12,8 +12,8 @@ from cebeam import model as M
 from cebeam import onebit as OB
 from cebeam import pipeline as PL
 from cebeam import simulate as SIM
-from cebeam.ce_design import (CeDesignParams, penalized_objective, plain_mm,
-                               squarem_accelerated_mm)
+from cebeam.ce_design import (CeDesignParams, design_problem, penalized_objective,
+                               plain_mm, squarem_accelerated_mm)
 from cebeam.model import ADC_DISTORTION
 from cebeam.power_alloc import PowerProfile, bcd_power_allocation
 from cebeam.quantizer import lloyd_max_codebook
@@ -103,7 +103,8 @@ def test_method_ordering_at_full_scale():
         params = CeDesignParams(max_iters=1500, tol=1e-30, seed=seed)
         T_am, _ = squarem_accelerated_mm(T0, prof, params)
         T_mm, _ = plain_mm(T0, prof, params)
-        T_pr, _ = PL.projection_baseline(sc, prof, seed=seed)
+        problem = design_problem(prof, sc.n_tx, sc.n_rf)
+        T_pr, _ = PL.projection_baseline(sc, problem, seed=seed)
         d_amm.append(M.averaged_relative_entropy(sc, T_am, q))
         d_mm.append(M.averaged_relative_entropy(sc, T_mm, q))
         d_proj.append(M.averaged_relative_entropy(sc, T_pr, q))
@@ -128,7 +129,7 @@ def test_onebit_matches_exhaustive_within_ten_percent():
     prof = PowerProfile(np.radians([0.0]), np.array([1.0]),
                         np.radians([-50.0, 55.0]), np.zeros(2))
     penalty = 1.0
-    _, v_opt = OB.exhaustive_onebit(prof, n_tx, n_rf, penalty)
+    _, v_opt = OB.exhaustive_onebit(design_problem(prof, n_tx, n_rf), n_tx, n_rf, penalty)
     gaps = []
     for seed in range(10):
         rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cebeam import ce_design as C
 from cebeam import model as M
@@ -13,13 +14,27 @@ from cebeam import onebit as OB
 from cebeam.power_alloc import PowerProfile
 
 
-def minorizer(T, prof, pen, work=None):
-    return C.minorizer_matrix(C.evaluate_iterate(T, prof), prof, pen, work)
+def minorizer(T, prof, pen):
+    problem = C.design_problem(prof, *T.shape)
+    return C.minorizer_matrix(C.evaluate_iterate(T, problem), problem, pen)
 
 
 def map_T(T, prof, pen):
     """One map step from the matrix T, as a matrix."""
-    return C.mm_map(C.evaluate_iterate(T, prof), prof, pen).T
+    problem = C.design_problem(prof, *T.shape)
+    return C.mm_map(C.evaluate_iterate(T, problem), problem, pen).T
+
+
+def steering_and_lambda(profile, n_tx):
+    """A and the pattern-Gram top eigenvalue, built inline, apart from ``DesignProblem``."""
+    A = M.steering_matrix(profile.all_angles(), n_tx)
+    lam = float(np.linalg.eigvalsh(np.abs(A.conj().T @ A) ** 2)[-1]) if A.shape[1] else 0.0
+    return A, lam
+
+
+def gaps_of(T, profile, A):
+    """Pattern gaps sum_r |(A^T T)[p, r]|^2 - level_p, in pattern_terms' operations."""
+    return np.sum(np.abs(A.T @ T) ** 2, axis=-1) - profile.all_levels()
 
 
 def random_profile(rng, n_target=3, n_clutter=3):
@@ -125,7 +140,7 @@ class TestMinorizer:
             X = M.random_unit_modulus(n_tx, n_rf, rng)
             prof = random_profile(rng)
             pen = float(rng.uniform(0, 2))
-            lam_p = C.profile_steering(prof, n_tx)[1] + pen
+            lam_p = C.design_problem(prof, n_tx, n_rf).gram_lambda + pen
             state = minorizer(X, prof, pen)
             delta = T @ T.conj().T - X @ X.conj().T
             bound = (C.penalized_objective(X, prof, pen)
@@ -136,18 +151,23 @@ class TestMinorizer:
 
     @pytest.mark.parametrize("pen", [0.0, 0.7])
     def test_scratch_keeps_every_bit(self, pen):
-        # the in-place build against the plain expression it replaced
+        # the in-place build in the problem's scratch against the plain
+        # expression it replaced, on a scratch holding NaN and then Q itself
         rng = np.random.default_rng(8)
         T = M.random_unit_modulus(12, 3, rng)
         prof = random_profile(rng)
-        A = C.profile_steering(prof, 12)[0]
-        Q = (A.conj() * C.pattern_terms(T, prof)[1]) @ A.T
+        A, _ = steering_and_lambda(prof, 12)
+        Q = (A.conj() * gaps_of(T, prof, A)) @ A.T
         if pen != 0.0:
             Q = Q + pen * (T @ T.conj().T)
         Q = 0.5 * (Q + Q.conj().T)
-        work = np.full((2, 12, 12), np.nan, dtype=complex)
-        for scratch in (None, work, work):
-            np.testing.assert_array_equal(minorizer(T, prof, pen, scratch).q_matrix, Q)
+        problem = C.design_problem(prof, 12, 3)
+        problem.work[...] = np.nan
+        x = C.evaluate_iterate(T, problem)
+        for _ in range(2):
+            state = C.minorizer_matrix(x, problem, pen)
+            assert np.shares_memory(state.q_matrix, problem.work)
+            np.testing.assert_array_equal(state.q_matrix, Q)
 
 
 # minor page faults over 15 SQUAREM iterations of a 128-antenna design, after
@@ -350,6 +370,46 @@ class TestDesignLoops:
         assert trace.orth_residual[-1] < 0.05
 
 
+@pytest.mark.parametrize("n_tx", [40, 12], ids=["low-rank", "dense"])
+@pytest.mark.parametrize("design", ["plain", "accelerated", "epm"])
+def test_one_problem_per_design(monkeypatch, design, n_tx):
+    # each design builds the profile's steering once, into one problem, and
+    # writes none of the problem's arrays but the dense minorizer's scratch
+    builds, problems = [], []
+    steering, build = C.steering_matrix, C.design_problem
+
+    def counted_steering(*args):
+        builds.append(args)
+        return steering(*args)
+
+    def recorded_problem(*args):
+        problem = build(*args)
+        arrays = {f.name: getattr(problem, f.name).copy() for f in dataclasses.fields(problem)
+                  if f.name != "work" and isinstance(getattr(problem, f.name), np.ndarray)}
+        problems.append((problem, arrays))
+        return problem
+
+    monkeypatch.setattr(C, "steering_matrix", counted_steering)
+    monkeypatch.setattr(C, "design_problem", recorded_problem)
+    monkeypatch.setattr(OB, "design_problem", recorded_problem)
+    prof = random_profile(np.random.default_rng(40), 3, 3)
+    T0 = M.random_unit_modulus(n_tx, 2, np.random.default_rng(41))
+    if design == "epm":
+        t0 = OB.round_to_signs(np.real(T0), n_tx, 2).reshape(-1, order="F")
+        _, trace = OB.nesterov_epm(t0, prof, n_tx, 2, OB.OneBitParams(max_iters=20))
+    else:
+        runner = C.plain_mm if design == "plain" else C.squarem_accelerated_mm
+        _, trace = runner(T0, prof, C.CeDesignParams(max_iters=20, tol=1e-30))
+    assert trace.iterations > 1
+    assert len(builds) == len(problems) == 1
+    problem, arrays = problems[0]
+    assert problem.low_rank == (n_tx == 40)
+    assert set(arrays) == ({"A", "A_conj", "levels", "steering_gram"}
+                           | (set() if problem.low_rank else {"eye"}))
+    for name, before in arrays.items():
+        np.testing.assert_array_equal(getattr(problem, name), before, err_msg=name)
+
+
 class TestParams:
     def test_invalid_params_rejected(self):
         with pytest.raises(M.ModelError):
@@ -412,33 +472,42 @@ class TestPatternCore:
         assert OB.epm_objective(t, prof, n_tx, n_rf, 0.0, 0.0) == pytest.approx(
             mse_bit, rel=1e-10, abs=1e-13)
         # the exhaustive search scores its argmin as the penalized objective does
-        T_opt, value = OB.exhaustive_onebit(prof, n_tx, n_rf, penalty)
+        T_opt, value = OB.exhaustive_onebit(C.design_problem(prof, n_tx, n_rf), n_tx, n_rf,
+                                            penalty)
         assert value == pytest.approx(C.penalized_objective(T_opt, prof, penalty), rel=1e-12)
 
 
-def _low_rank(T, A, gaps, penalty):
-    """``_low_rank_minorizer`` on a record holding T with arbitrary gaps."""
-    x = C.Iterate(T, A.T @ T, gaps, 0.0, 0.0, T.conj().T @ T)
-    return C._low_rank_minorizer(x, A, A.T @ A.conj(), penalty)
+def _low_rank(T, angles, gaps, penalty):
+    """``_low_rank_minorizer`` on a record holding T with arbitrary gaps.
+
+    Returns the problem, whose A steers toward ``angles``, and the result.
+    """
+    prof = PowerProfile(angles, np.zeros(len(angles)), [], [])
+    problem = C.design_problem(prof, *T.shape)
+    x = C.Iterate(T, problem.A.T @ T, gaps, 0.0, 0.0, T.conj().T @ T)
+    return problem, C._low_rank_minorizer(x, problem, penalty)
 
 
 def _check_low_rank(n_tx, n_rf, angles, gaps, penalty, seed, shift):
-    """Low-rank lambda_max and (shift*I - Q) T_m against the dense minorizer.
+    """Low-rank lambda_max and (shift*I - Q) T_m against the dense Q.
 
     Returns whether the minorizer fell back to the thin QR.
     """
     T = M.random_unit_modulus(n_tx, n_rf, np.random.default_rng(seed))
     A = M.steering_matrix(angles, n_tx)
     gaps = np.asarray(gaps, dtype=float)
-    Q = C._dense_minorizer(A, gaps, T, penalty)
-    lam, q_t, sigma, fell_back = _low_rank(T, A, gaps, penalty)
-    tol = 1e-12 * np.linalg.norm(Q, 2)
+    Q = (A.conj() * gaps) @ A.T + penalty * (T @ T.conj().T)
+    Q = 0.5 * (Q + Q.conj().T)
+    problem, (lam, q_t, sigma, fell_back) = _low_rank(T, angles, gaps, penalty)
+    # below the normal range a value carries no relative accuracy (the Gram
+    # route refuses such a Q for that reason), so the tolerance stops there
+    tol = max(1e-12 * np.linalg.norm(Q, 2), np.finfo(float).tiny)
     assert abs(lam - np.linalg.eigvalsh(Q)[-1]) <= tol
     assert sigma == pytest.approx(np.linalg.norm(T, 2), rel=1e-14)
-    state = C.MinorizerState(None, q_t, lam, 0.0, 1.0)
+    state = C.MinorizerState(None, q_t, lam, 1.0)
     dense = (shift * np.eye(n_tx) - Q) @ T
     # plus the dense product's own rounding of shift * I - Q
-    assert np.linalg.norm(state.direction(T, shift) - dense) <= \
+    assert np.linalg.norm(state.direction(problem, T, shift) - dense) <= \
         (tol + 1e-15 * abs(shift)) * np.linalg.norm(T)
     return fell_back
 
@@ -463,6 +532,10 @@ class TestLowRankMinorizer:
 
     @settings(max_examples=300, deadline=None)
     @given(low_rank_cases())
+    # subnormal Q, where 1e-12 ||Q||_2 underflows: the thin QR gives 5e-324
+    # and dense eigvalsh 0, or the two differ in the last subnormal bit
+    @example(case=(2, 1, [], [], 5e-324, 0, 0.0))
+    @example(case=(4, 1, [0.0], [2.2250738585e-313], 0.0, 0, 0.0))
     def test_matches_dense_oracle(self, case):
         _check_low_rank(*case)
 
@@ -498,14 +571,13 @@ class TestLowRankMinorizer:
         # sqrt(lambda_max(T^H T)) is the spectral norm of a unit-modulus T
         n_rf = min(n_rf, n_tx)
         T = M.random_unit_modulus(n_tx, n_rf, np.random.default_rng(seed))
-        _, _, sigma, _ = _low_rank(T, M.steering_matrix([], n_tx), np.zeros(0), 0.0)
+        _, (_, _, sigma, _) = _low_rank(T, [], np.zeros(0), 0.0)
         assert sigma == pytest.approx(np.linalg.norm(T, 2), rel=1e-14)
 
     def test_all_negative_gaps_clamp_to_zero(self):
         # Q has null directions when r < n_tx, so lambda_max(Q) = 0 exactly
-        A = M.steering_matrix([-0.4, 0.3], 20)
         T = M.random_unit_modulus(20, 2, np.random.default_rng(0))
-        lam, _, _, _ = _low_rank(T, A, np.array([-0.3, -0.6]), 0.0)
+        _, (lam, _, _, _) = _low_rank(T, [-0.4, 0.3], np.array([-0.3, -0.6]), 0.0)
         assert lam == 0.0
 
     def test_sides_of_the_crossover(self):
@@ -549,7 +621,8 @@ class TestLowRankMinorizer:
 
 def _parent_objective(T, profile, penalty):
     """The penalized objective as it stood before the evaluated-iterate record."""
-    mse = float(np.sum(C.pattern_terms(T, profile)[1] ** 2))
+    A, _ = steering_and_lambda(profile, T.shape[0])
+    mse = float(np.sum(gaps_of(T, profile, A) ** 2))
     orth = float(np.linalg.norm(T.conj().T @ T - np.eye(T.shape[1])))
     return mse + penalty * orth ** 2
 
@@ -557,8 +630,8 @@ def _parent_objective(T, profile, penalty):
 def _parent_mm_map(T_m, profile, penalty):
     """The dense map as it stood before the low-rank path, operation for operation."""
     n_tx, n_rf = T_m.shape
-    A, gram_lambda = C.profile_steering(profile, n_tx)
-    Q = np.matmul(A.conj() * C.pattern_terms(T_m, profile)[1], A.T)
+    A, gram_lambda = steering_and_lambda(profile, n_tx)
+    Q = np.matmul(A.conj() * gaps_of(T_m, profile, A), A.T)
     if penalty != 0.0:
         gram = np.matmul(T_m, T_m.conj().T)
         gram *= penalty
@@ -598,9 +671,9 @@ def _parent_squarem(T, profile, penalty, iters):
     return out
 
 
-def _assert_fresh(x, profile):
+def _assert_fresh(x, problem):
     """A carried record holds exactly what a fresh evaluation of its point gives."""
-    fresh = C.evaluate_iterate(x.T, profile)
+    fresh = C.evaluate_iterate(x.T, problem)
     for name in ("Z", "gaps", "gram"):
         np.testing.assert_array_equal(getattr(x, name), getattr(fresh, name))
     assert (x.mse, x.orth) == (fresh.mse, fresh.orth)
@@ -612,14 +685,15 @@ def test_dense_map_is_bit_identical_below_crossover(desk_scenario):
     prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
     assert not C.takes_low_rank(desk_scenario.n_tx, prof.all_angles().size + desk_scenario.n_rf)
     T = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, np.random.default_rng(30))
-    x = C.evaluate_iterate(T, prof)
-    work = np.full((2, 32, 32), np.nan, dtype=complex)
+    problem = C.design_problem(prof, desk_scenario.n_tx, desk_scenario.n_rf)
+    problem.work[...] = np.nan
+    x = C.evaluate_iterate(T, problem)
     for penalty in (0.01, 0.01, 0.3, 0.3, 2.0):
         expected = _parent_mm_map(x.T, prof, penalty)
-        np.testing.assert_array_equal(C.mm_map(x, prof, penalty).T, expected)
-        x = C.mm_map(x, prof, penalty, work=work)
+        np.testing.assert_array_equal(C.mm_map(x, problem, penalty).T, expected)
+        x = C.mm_map(x, problem, penalty)
         np.testing.assert_array_equal(x.T, expected)
-        _assert_fresh(x, prof)
+        _assert_fresh(x, problem)
 
 
 @pytest.mark.parametrize("n_tx", [40, 12], ids=["low-rank", "dense"])
@@ -691,11 +765,12 @@ def test_accelerated_loop_is_bit_identical_to_parent():
 def _parent_epm(t, profile, n_tx, n_rf, penalty_orth, penalty_bin):
     """The EPM objective and gradient as they stood before the fused point."""
     T = t.reshape((n_tx, n_rf), order="F")
-    Z, gaps = C.pattern_terms(T, profile)
+    A, _ = steering_and_lambda(profile, n_tx)
+    Z = A.T @ T
+    gaps = np.sum(np.abs(Z) ** 2, axis=-1) - profile.all_levels()
     gap = n_rf - np.sqrt(n_rf) * np.linalg.norm(t)
     gram = T.T @ T - np.eye(n_rf)
     value = float(np.sum(gaps ** 2)) + penalty_bin * gap + penalty_orth * float(np.sum(gram ** 2))
-    A, _ = C.profile_steering(profile, n_tx)
     g_pattern = np.real(A.conj() @ ((4.0 * gaps)[:, None] * Z))
     g_bin = -penalty_bin * np.sqrt(n_rf) / np.linalg.norm(t) * T
     g_orth = 4.0 * penalty_orth * T @ (T.T @ T - np.eye(n_rf))
@@ -709,23 +784,24 @@ class TestEvaluateOnce:
     @given(small_designs(), st.floats(0.05, 1.0), st.floats(0.0, 2.0))
     def test_records_match_fresh_values(self, case, shrink, penalty_bin):
         prof, T_ce, T_bit, penalty = case
-        x = C.evaluate_iterate(T_ce, prof)
+        problem = C.design_problem(prof, *T_ce.shape)
+        x = C.evaluate_iterate(T_ce, problem)
         for pen in (penalty, 1.5 * penalty):
             assert x.objective(pen) == C.penalized_objective(T_ce, prof, pen) \
                 == _parent_objective(T_ce, prof, pen)
         # two maps chained through records against the parent's map
         T_ref = T_ce
         for _ in range(2):
-            x = C.mm_map(x, prof, penalty)
+            x = C.mm_map(x, problem, penalty)
             T_ref = _parent_mm_map(T_ref, prof, penalty)
             np.testing.assert_array_equal(x.T, T_ref)
-            _assert_fresh(x, prof)
+            _assert_fresh(x, problem)
         # the fused EPM value and gradient, also right after a penalty change
         n_tx, n_rf = T_bit.shape
         t = shrink * T_bit.reshape(-1, order="F")
-        point = OB.epm_point(t, prof, n_tx, n_rf)
+        point = OB.epm_point(t, problem, n_tx, n_rf)
         for po, pb in ((penalty, penalty_bin), (1.5 * penalty, 1.3 * penalty_bin)):
-            grad = point.gradient(po, pb)
+            grad = point.gradient(problem, po, pb)
             value = point.objective(po, pb)
             ref_value, ref_grad = _parent_epm(t, prof, n_tx, n_rf, po, pb)
             assert value == OB.epm_objective(t, prof, n_tx, n_rf, po, pb) == ref_value

@@ -214,14 +214,14 @@ class TestParams:
 class TestExhaustive:
     def test_two_element_single_beam(self):
         prof = PowerProfile(np.array([0.0]), np.array([1.0]), np.zeros(0), np.zeros(0))
-        T, val = OB.exhaustive_onebit(prof, 2, 1, 1.0)
+        T, val = OB.exhaustive_onebit(C.design_problem(prof, 2, 1), 2, 1, 1.0)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert abs(T[0, 0]) == abs(T[1, 0]) == pytest.approx(1 / np.sqrt(2))
         assert T[0, 0] == T[1, 0]   # coherent pair (either all + or all -)
 
     def test_beats_random_patterns(self):
         prof = three_angle_profile()
-        T, val = OB.exhaustive_onebit(prof, 4, 2, 1.0)
+        T, val = OB.exhaustive_onebit(C.design_problem(prof, 4, 2), 4, 2, 1.0)
         rng = np.random.default_rng(11)
         for _ in range(1000):
             R = rng.choice([-1.0, 1.0], (4, 2)) / 2.0
@@ -229,12 +229,12 @@ class TestExhaustive:
 
     def test_sign_flip_invariance(self):
         prof = three_angle_profile()
-        T, val = OB.exhaustive_onebit(prof, 4, 2, 1.0)
+        T, val = OB.exhaustive_onebit(C.design_problem(prof, 4, 2), 4, 2, 1.0)
         assert C.penalized_objective(-T, prof, 1.0) == pytest.approx(val, rel=1e-12)
 
     def test_size_limit_enforced(self):
         with pytest.raises(M.ModelError):
-            OB.exhaustive_onebit(three_angle_profile(), 8, 4, 1.0)
+            OB.exhaustive_onebit(C.design_problem(three_angle_profile(), 8, 4), 8, 4, 1.0)
 
 
 class TestRounding:

@@ -13,6 +13,7 @@ from cebeam import cli
 from cebeam import model as M
 from cebeam import pipeline as PL
 from cebeam import simulate as SIM
+from cebeam.ce_design import design_problem
 from cebeam.power_alloc import PowerProfile, bcd_power_allocation
 
 
@@ -64,7 +65,8 @@ class TestDesignReport:
 class TestProjectionBaseline:
     def test_output_unit_modulus_and_projection_cost(self, desk_scenario):
         prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
-        T, report = PL.projection_baseline(desk_scenario, prof, seed=0, iters=200)
+        problem = design_problem(prof, desk_scenario.n_tx, desk_scenario.n_rf)
+        T, report = PL.projection_baseline(desk_scenario, problem, seed=0, iters=200)
         assert M.is_unit_modulus(T, desk_scenario.n_tx, tol=1e-12)
         assert report.method == "projection-baseline"
         # projecting away from the unconstrained optimum cannot reduce the fit
@@ -308,6 +310,12 @@ class TestCliSpec:
             PL.ExperimentSpec(command="design-ce", method="MM"),
         ]
 
+    def test_negative_snr_in_e_notation(self, captured):
+        # Python 3.11's argparse took "-1e-3" for an unknown option and exited 2
+        assert cli.main(["sweep-snr", "--snr", "-1e-3", "-5", "-.5E+1"]) == 0
+        assert captured == [PL.ExperimentSpec(command="sweep-snr",
+                                              snr_grid_db=(-1e-3, -5.0, -5.0))]
+
 
 class TestReportCounters:
     def test_design_reports_carry_fallback_counts(self, mini_scenario_file, tmp_path):
@@ -411,7 +419,7 @@ def cli_calls(draw):
     if command == "sweep-snr":
         flags += ["--pfa", _flag(draw, ["0.05", "0.2"], ["0", "1", "nan"]),
                   "--trials", _flag(draw, ["300", "700"], ["0", "10"]),
-                  "--snr", *[repr(round(draw(st.floats(-10.0, 10.0)), 3))
+                  "--snr", *[repr(draw(st.floats(-10.0, 10.0)))
                              for _ in range(draw(st.integers(1, 2)))]]
     return command, flags
 
