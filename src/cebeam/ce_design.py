@@ -74,6 +74,13 @@ from .power_alloc import PowerProfile
 
 @dataclass
 class CeDesignParams:
+    """Penalty schedule and stopping rule of the stage-2 MM loops.
+
+    ``seed`` is read by no solver: the start point comes from the ``seed`` of
+    ``run_ce_design``, and this field reaches only the artifacts' provenance.
+    It stays while the benchmark's workloads construct ``CeDesignParams(seed=...)``.
+    """
+
     penalty_init: float = 0.01
     penalty_growth: float = 1.5
     penalty_period: int = 50

@@ -24,10 +24,9 @@ import numpy as np
 ADC_DISTORTION = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
 # Covariances worse conditioned than this are refused rather than silently
-# inverted.  For R = c*I + U diag(g) U^H, with m columns in U, the condition
-# number is closed-form: (c + w_1)/c when m < N_r and (c + w_1)/(c + w_{N_r})
-# otherwise, where w_1 >= w_2 >= ... are the eigenvalues of the m x m form
-# diag(g)^1/2 U^H U diag(g)^1/2.
+# inverted.  In the orthonormal steering basis of ``LowRankCovariances``,
+# R = c (I - Q Q^H) + Q C Q^H has the eigenvalues of its k x k core C, plus c
+# when k < N_r, so the exact condition number needs no N_r x N_r eigensolve.
 MAX_CONDITION = 1e12
 
 
@@ -355,85 +354,51 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
 
 @dataclass(frozen=True)
 class LowRankCovariances:
-    """Both hypothesis covariances as a scaled identity plus low rank.
+    """Both hypothesis covariances in one orthonormal steering basis per target angle.
 
-    R0 = c0*I + A_c diag(g0) A_c^H and, for target angle i,
-    R1_i = c1[i]*I + U_i diag(g1[i]) U_i^H with U_i = [a_t,i, A_c].  Each is
-    held through its small symmetric form W = diag(g)^1/2 (U^H U) diag(g)^1/2
-    = V diag(w) V^H (w ascending), which stays valid when some g_k = 0.  R
-    then has eigenvalues c + w, plus c repeated N_r - m times when U has
-    m < N_r columns.
+    For target angle i the steering U_i = [a_t,i, A_c] = Q_i R_i (thin QR), with
+    k = min(K + 1, N_r) orthonormal columns in Q_i, and
+        R0   = c0 (I - Q_i Q_i^H)    + Q_i C0_i Q_i^H,
+        R1_i = c1[i] (I - Q_i Q_i^H) + Q_i C1_i Q_i^H,
+    with the k x k cores C0_i = c0 I + R_i diag(g0) R_i^H (g0 is 0 in the
+    target's column) and C1_i = c1[i] I + R_i diag(g1_i) R_i^H.  R has the
+    eigenvalues of its core, plus c repeated N_r - k times when k < N_r.
     """
 
-    steering: np.ndarray           # [a_t,0 .. a_t,n-1, A_c], N_r x (n + K)
+    basis: np.ndarray              # Q_i, (n, N_r, k)
+    core0: np.ndarray              # C0_i, (n, k, k)
+    core1: np.ndarray              # C1_i, (n, k, k)
     # received variance per antenna and snapshot before quantization, the
     # quantizer's gain control: without the target, and with it at each angle
     row0: float
     row1: np.ndarray               # (n,)
     c0: float
-    sqrt_g0: np.ndarray            # (K,)
-    w0: np.ndarray                 # (K,)
-    v0: np.ndarray                 # (K, K)
     c1: np.ndarray                 # (n,)
-    sqrt_g1: np.ndarray            # (n, K+1)
-    w1: np.ndarray                 # (n, K+1)
-    v1: np.ndarray                 # (n, K+1, K+1)
 
     def lrt_form(self, i: int, L: int) -> tuple[np.ndarray, np.ndarray, float]:
         """L*(R0^-1 - R1_i^-1) as gamma*I + G^H diag(w) G, returned as (G, w, gamma).
 
-        Woodbury in the small form: R^-1 = (I - U P U^H)/c with
-        P = diag(g)^1/2 V diag(1/(c + w)) V^H diag(g)^1/2, so the difference
-        is gamma*I + U_i H U_i^H with U_i = [a_t,i, A_c] and a (K+1) x (K+1)
-        Hermitian H = V diag(w) V^H.  G = (U_i V)^H has K + 1 rows, so
-        y^H M y = gamma*||y||^2 + sum_k w_k |(G y)_k|^2 needs no N_r x N_r matrix.
-
-        Where U_i has N_r or more columns it may span every direction, and
-        then R^-1 is of order 1/(c + w_min) everywhere while Woodbury's
-        I/c - U P U^H/c cancels to it from order 1/c.  There the difference
-        is taken from dense N_r x N_r inverses instead: gamma = 0 and G has
-        N_r <= K + 1 rows.
+        In the basis, R^-1 = (I - Q Q^H)/c + Q C^-1 Q^H, so the difference is
+        gamma*I + Q H Q^H with H = L (C0^-1 - C1^-1) - gamma*I = V diag(w) V^H
+        and G = (Q V)^H, k rows: y^H M y = gamma*||y||^2 + sum_k w_k |(G y)_k|^2
+        needs no N_r x N_r matrix.  gamma = L (1/c0 - 1/c1) when k < N_r; when
+        k = N_r the basis spans the array, Q Q^H = I and gamma = 0.
         """
-        U = self.steering[:, np.r_[i, self.c1.size:self.steering.shape[1]]]
-        n_r = U.shape[0]
-        if U.shape[1] >= n_r:
-            def inv(c, X):
-                return np.linalg.inv(c * np.eye(n_r) + X @ X.conj().T)
-
-            M = L * (inv(self.c0, U[:, 1:] * self.sqrt_g0)
-                     - inv(self.c1[i], U * self.sqrt_g1[i]))
-            w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
-            return V.conj().T, w, 0.0
-
-        def p(sqrt_g, w, v, c):
-            x = sqrt_g[:, None] * v
-            return (x / (c + w)) @ x.conj().T
-
-        H = (L / self.c1[i]) * p(self.sqrt_g1[i], self.w1[i], self.v1[i], self.c1[i])
-        H[1:, 1:] -= (L / self.c0) * p(self.sqrt_g0, self.w0, self.v0, self.c0)
-        w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
-        return (U @ V).conj().T, w, float(L * (1.0 / self.c0 - 1.0 / self.c1[i]))
-
-
-def _check_condition(c, w: np.ndarray, n_r: int) -> None:
-    """Refuse c*I + U diag(g) U^H whose small form has ascending eigenvalues ``w``."""
-    m = w.shape[-1]
-    top = c + (w[..., -1] if m else 0.0)
-    low = c + w[..., m - n_r] if m >= n_r else c
-    cond = top / np.maximum(low, 1e-300)
-    if np.any((low <= 0.0) | (cond > MAX_CONDITION)):
-        raise IllConditionedModelError(
-            f"covariance condition number {np.max(cond):.3e} exceeds {MAX_CONDITION:.0e}")
+        Q = self.basis[i]
+        n_r, k = Q.shape
+        gamma = float(L * (1.0 / self.c0 - 1.0 / self.c1[i])) if k < n_r else 0.0
+        H = L * (np.linalg.inv(self.core0[i]) - np.linalg.inv(self.core1[i])) - gamma * np.eye(k)
+        w, V = np.linalg.eigh(H)
+        return (Q @ V).conj().T, w, gamma
 
 
 def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
                          thetas) -> LowRankCovariances:
     """The two hypothesis covariances of ``hypothesis_covariances`` at each target
-    angle in ``thetas``, in scaled-identity-plus-low-rank form.
+    angle in ``thetas``, as k x k cores in an orthonormal steering basis.
 
-    R0 does not depend on the target angle and is factored once.  Raises
-    ``IllConditionedModelError`` where the dense check would, from the exact
-    condition number (see ``MAX_CONDITION``).
+    Raises ``IllConditionedModelError`` where the dense check would, from the
+    exact condition number of each covariance (see ``MAX_CONDITION``).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     n, K, n_r, L = thetas.size, scenario.n_clutter, scenario.n_rx, scenario.code_len
@@ -445,46 +410,56 @@ def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel
     c0 = a2L * scenario.noise_power + q.alpha * q.beta * L * row0
     c1 = a2L * scenario.noise_power + q.alpha * q.beta * L * row1
 
-    steering = steering_matrix(np.concatenate((thetas, scenario.clutter_angles)), n_r)
-    gram = steering.conj().T @ steering
-    sqrt_g0 = np.sqrt(a2L * scenario.clutter_powers * phi_c)
-    sqrt_g1 = np.column_stack((np.sqrt(a2L * scenario.target_power * phi_t),
-                               np.tile(sqrt_g0, (n, 1))))
-    idx = np.column_stack((np.arange(n), np.tile(np.arange(n, n + K), (n, 1))))
-    gram1 = gram[idx[:, :, None], idx[:, None, :]]
+    steering = np.empty((n, n_r, K + 1), dtype=complex)
+    steering[:, :, 0] = steering_matrix(thetas, n_r).T
+    steering[:, :, 1:] = steering_matrix(scenario.clutter_angles, n_r)
+    basis, r = np.linalg.qr(steering)
+    k = basis.shape[2]
+    g0 = np.concatenate(([0.0], a2L * scenario.clutter_powers * phi_c))
+    g1 = np.column_stack((a2L * scenario.target_power * phi_t, np.tile(g0[1:], (n, 1))))
+    r_h = r.conj().transpose(0, 2, 1)
+    core0 = c0 * np.eye(k) + (r * g0) @ r_h
+    core1 = c1[:, None, None] * np.eye(k) + (r * g1[:, None, :]) @ r_h
 
-    w0, v0 = np.linalg.eigh(sqrt_g0[:, None] * gram[n:, n:] * sqrt_g0)
-    w1, v1 = np.linalg.eigh(sqrt_g1[:, :, None] * gram1 * sqrt_g1[:, None, :])
-    _check_condition(c0, w0, n_r)
-    _check_condition(c1, w1, n_r)
-    # U has rank <= N_r, so all but the top N_r eigenvalues are zero exactly
-    w0[:max(K - n_r, 0)] = 0.0
-    w1[:, :max(K + 1 - n_r, 0)] = 0.0
-    return LowRankCovariances(steering=steering, row0=row0, row1=row1, c0=c0, sqrt_g0=sqrt_g0,
-                              w0=w0, v0=v0, c1=c1, sqrt_g1=sqrt_g1, w1=w1, v1=v1)
+    # R0's spectrum is the same at every angle, so one of its cores is checked
+    for c, core in ((c0, core0[:1]), (c1, core1)):
+        s = np.linalg.eigvalsh(core)
+        low, top = s[:, 0], s[:, -1]
+        if k < n_r:
+            low, top = np.minimum(low, c), np.maximum(top, c)
+        cond = top / np.maximum(low, 1e-300)
+        if np.any((low <= 0.0) | (cond > MAX_CONDITION)):
+            raise IllConditionedModelError(
+                f"covariance condition number {np.max(cond):.3e} exceeds {MAX_CONDITION:.0e}")
+    return LowRankCovariances(basis=basis, core0=core0, core1=core1, row0=row0, row1=row1,
+                              c0=c0, c1=c1)
+
+
+def _divergence_terms(x: np.ndarray) -> np.ndarray:
+    """x - 1 - log x, one eigenvalue's share of the Gaussian KL divergence.
+
+    It is >= 0 as computed: a faithfully rounded log1p(u) never exceeds u, and
+    below x = 1/2 the value exceeds 0.19.
+    """
+    u = x - 1.0
+    log_x = np.log(x)
+    np.log1p(u, out=log_x, where=x >= 0.5)      # there u is exact
+    return u - log_x
 
 
 def relative_entropies(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
                        thetas) -> np.ndarray:
     """Relative entropy D at each target angle in ``thetas``, without N_r x N_r work.
 
-    With x = c0/c1 - 1 and R1 - R0 = (c1 - c0) I + g_t a_t a_t^H,
-        D = N_r (x - log1p(x)) + log|S1| - log|S0|
-            - x Tr(W1 (c1 + W1)^-1) - [W1 (c1 + W1)^-1]_00,
-    where log|S| = sum log1p(w/c) (determinant lemma) and the trace terms are
-    Woodbury's Tr(R1^-1) and g_t a_t^H R1^-1 a_t.  The O(N_r) parts combine
-    into one small term instead of a difference of large log-determinants;
-    log1p(x) is taken as log(c0/c1) when c0/c1 < 1/2, where x is inexact.
+    D = sum (x - 1 - log x) over the eigenvalues x of R1^-1/2 R0 R1^-1/2: those
+    of C1^-1/2 C0 C1^-1/2 in the basis of ``low_rank_covariances``, plus c0/c1
+    repeated N_r - k times outside it.  Every term is >= 0, so nothing cancels.
     """
     f = low_rank_covariances(scenario, T, q, thetas)
-    c1 = f.c1[:, None]
-    ratio = f.c0 / f.c1                         # in (0, 1]: c1 adds the target's floor
-    x = ratio - 1.0                             # exact for ratio >= 1/2
-    log_ratio = np.where(ratio >= 0.5, np.log1p(x), np.log(ratio))
-    shrink = f.w1 / (c1 + f.w1)
-    logdets = np.sum(np.log1p(f.w1 / c1), axis=1) - np.sum(np.log1p(f.w0 / f.c0))
-    return (scenario.n_rx * (x - log_ratio) + logdets - x * np.sum(shrink, axis=1)
-            - np.sum(np.abs(f.v1[:, 0, :]) ** 2 * shrink, axis=1))
+    w = np.linalg.inv(np.linalg.cholesky(f.core1))   # C1^-1/2 up to a unitary factor
+    x = np.linalg.eigvalsh(w @ f.core0 @ w.conj().transpose(0, 2, 1))
+    outside = scenario.n_rx - f.basis.shape[2]
+    return np.sum(_divergence_terms(x), axis=1) + outside * _divergence_terms(f.c0 / f.c1)
 
 
 def _logdet_and_eigs(r: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

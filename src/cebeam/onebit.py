@@ -45,6 +45,13 @@ class LineSearchStallError(ModelError):
 
 @dataclass
 class OneBitParams:
+    """Penalty schedules and stopping rule of the Nesterov-EPM loop.
+
+    ``seed`` is read by no solver: the start point is the warm start that the
+    ``seed`` of ``run_onebit_design`` fixes, and this field reaches only the
+    artifacts' provenance.  It stays as long as ``CeDesignParams.seed`` does.
+    """
+
     penalty_orth_init: float = 0.01
     penalty_orth_growth: float = 1.5
     penalty_bin_init: float = 0.02

@@ -304,9 +304,9 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
         Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
         acc += Y @ Y.conj().T
     sample_cov = acc / (trials * L)
-    # R0 = c0 I + A_c diag(g0) A_c^H, A_c the steering columns after the target's
-    X = f.steering[:, f.c1.size:] * f.sqrt_g0
-    model_cov = (f.c0 * np.eye(n_r) + X @ X.conj().T) / L
+    # R0 = c0 I + Q (C0 - c0 I) Q^H in the model's steering basis
+    Q, k = f.basis[0], f.basis.shape[2]
+    model_cov = (f.c0 * np.eye(n_r) + Q @ (f.core0[0] - f.c0 * np.eye(k)) @ Q.conj().T) / L
     return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))
 
 
