@@ -53,12 +53,16 @@ def lrt_statistics(Y: np.ndarray, G: np.ndarray, w: np.ndarray, gamma: float,
     ``Y`` has shape (trials, n_rx, snapshots) and ``G`` (rank, n_rx), with
     ``w`` real (``LowRankCovariances.lrt_form``), so each statistic is real:
     gamma*||Y_t||^2 + sum_k w_k ||(G Y_t)_k||^2, each squared norm a row-wise
-    dot product of float64 views.  ``work``, a complex (trials, rank,
-    snapshots) array, receives ``G @ Y`` when given.
+    dot product of float64 views; the first term is skipped when gamma is 0.
+    ``work``, a complex (trials, rank, snapshots) array, receives ``G @ Y``
+    when given.
     """
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
     GY = np.matmul(G, Y, out=work)
     n = Y.shape[0]
-    y = Y.view(np.float64).reshape(n, -1)
     gy = GY.view(np.float64).reshape(n, G.shape[0], -1)
-    return gamma * np.einsum("ti,ti->t", y, y) + np.einsum("tki,tki->tk", gy, gy) @ w
+    stats = np.einsum("tki,tki->tk", gy, gy) @ w
+    if gamma != 0.0:
+        y = Y.view(np.float64).reshape(n, -1)
+        stats += gamma * np.einsum("ti,ti->t", y, y)
+    return stats

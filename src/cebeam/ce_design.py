@@ -125,10 +125,15 @@ class MinorizerState:
     gram_fallback: bool = False
 
     def direction(self, problem: DesignProblem, T_m: np.ndarray, shift: float) -> np.ndarray:
-        """(shift * I - Q) T_m, whose phases are the next iterate."""
+        """(shift * I - Q) T_m, whose phases are the next iterate.
+
+        The dense shift * I - Q is built in ``problem.work[1]``, which Q leaves free.
+        """
         if self.q_matrix is None:
             return shift * T_m - self.q_times_t
-        return (shift * problem.eye - self.q_matrix) @ T_m
+        shifted = np.multiply(problem.eye, shift, out=problem.work[1])
+        shifted -= self.q_matrix
+        return shifted @ T_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +200,9 @@ class DesignProblem:
     ``gram_lambda`` = lam_max(G), G[p,q] = |a_p^H a_q|^2, bounds the curvature
     of the pattern functionals and ``steering_gram`` = A^T conj(A).  Only the
     dense side (not ``low_rank``) holds ``eye``, the n_tx identity, and
-    ``work``, the (2, n_tx, n_tx) scratch Q is built in: fresh n_tx x n_tx
-    temporaries on every call page-fault, thousands of times per design.
+    ``work``, the (2, n_tx, n_tx) scratch that Q and then shift * I - Q are
+    built in: fresh n_tx x n_tx temporaries on every call page-fault,
+    thousands of times per design.
     """
 
     A: np.ndarray

@@ -106,6 +106,7 @@ def provenance(scenario: Scenario, spec: ExperimentSpec, params: dict) -> dict:
         "seed": spec.seed,
         "params": params,
         "version": __version__,
+        "numpy": np.__version__,           # the only numeric library a run imports
         "command": spec.command,
     }
 

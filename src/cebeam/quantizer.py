@@ -3,21 +3,26 @@ quantization of received sample matrices.
 
 The codebook is designed for a unit-variance real Gaussian source by
 Lloyd-Max fixed-point iteration; its measured distortion reproduces the
-normalized-MSE table that the linearized receiver model is built on.
+normalized-MSE table that the linearized receiver model is built on.  The
+Gaussian cdf and quantiles come from the standard library (``math.erf``,
+``statistics.NormalDist``): a codebook has at most 33 cell edges, so the
+module needs no special-function library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from ._accel import quantize_values
 from .model import ADC_DISTORTION, ModelError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _phi(x):
@@ -25,7 +30,7 @@ def _phi(x):
 
 
 def _cdf(x):
-    return 0.5 * (1.0 + special.erf(x / _SQRT2))
+    return 0.5 * (1.0 + _erf(x / _SQRT2))
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,8 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) 
         raise ModelError(f"codebook supported for 1..5 bits, got {bits!r}")
     n_levels = 2 ** bits
     # quantile-spread initialization
-    levels = np.sqrt(2.0) * special.erfinv(2.0 * (np.arange(n_levels) + 0.5) / n_levels - 1.0)
+    normal = NormalDist()
+    levels = np.array([normal.inv_cdf((i + 0.5) / n_levels) for i in range(n_levels)])
     for _ in range(max_iters):
         thresholds = 0.5 * (levels[:-1] + levels[1:])
         edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
@@ -90,6 +96,26 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) 
             thresholds = 0.5 * (levels[:-1] + levels[1:])
             return ScalarQuantizer(bits=bits, levels=levels, thresholds=thresholds)
     raise ModelError(f"codebook iteration did not converge in {max_iters} sweeps")
+
+
+def _row_scale(row_power: np.ndarray | float) -> np.ndarray:
+    """Per-row standard deviation of one real dimension; 1 for a row without power."""
+    scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
+    return np.where(scale > 0.0, scale, 1.0)
+
+
+def quantized_norm2(quantizer: ScalarQuantizer | None, row_power: np.ndarray | float,
+                    n_rx: int, code_len: int) -> float | None:
+    """||y||^2 of every (n_rx, code_len) matrix ``quantize_received`` returns, or None.
+
+    A one-bit codebook has one magnitude, so each real and imaginary part of
+    row r comes out as +-level * scale_r and the norm is the same for every
+    input.  Any other codebook (or ``None``, ideal conversion) gives None.
+    """
+    if quantizer is None or quantizer.levels.size != 2:
+        return None
+    part = np.broadcast_to(np.square(quantizer.levels[1] * _row_scale(row_power)), (n_rx,))
+    return 2.0 * code_len * float(np.sum(part))
 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
@@ -114,8 +140,7 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     if quantizer is None:
         return Y
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
-    scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
-    scale = np.where(scale > 0.0, scale, 1.0)
+    scale = _row_scale(row_power)
     if np.ndim(scale) == 1:
         scale = scale[:, None]
     # real and imaginary parts interleave along the last axis of the float64

@@ -18,13 +18,17 @@ from .model import (ModelError, Scenario, db_to_linear, low_rank_covariances,
                     quantization_model, steering_matrix)
 # the dense oracle, under the name perfbench's tracer wraps in this module
 from .model import hypothesis_covariances  # noqa: F401
-from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
+from .quantizer import (ScalarQuantizer, lloyd_max_codebook, quantize_received,
+                        quantized_norm2)
 
 # Trials per Monte Carlo block.  Block b of run r of a detection point draws
 # from its own stream, SeedSequence(seed, spawn_key=(r, b)), so this constant
-# defines the realization of a seed.  A block's buffers stay small enough to
-# be cached, and there are enough blocks to keep every worker busy.
+# defines the realization of a seed.  There are enough blocks to keep every
+# worker busy.
 _BLOCK_TRIALS = 512
+# Trials per stage chunk: a block mixes, quantizes and reduces its trials this
+# many at a time, in buffers small enough to be cached.  It changes no result.
+_CHUNK_TRIALS = 64
 # the runs of a detection point, numbered as their streams' first spawn key
 _CALIBRATION, _H0, _H1 = range(3)
 # trials per received_batch call when accumulating a sample covariance
@@ -94,12 +98,15 @@ def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
          A_r: np.ndarray, B: np.ndarray, work: np.ndarray | None = None) -> None:
     """Add the sources' echoes, Doppler-ramped at normalized frequencies ``freq``, to ``Y``.
 
-    ``work``, a complex array of ``Y``'s shape, takes the echoes when given.
+    The ramp of a source over the snapshots l is z**l, z = exp(2j*pi*freq),
+    taken as running products of z: one cos and one sin per trial and
+    source, not one per snapshot.  ``work``, a complex array of ``Y``'s
+    shape, takes the echoes when given.
     """
-    phase = (2.0 * np.pi * freq)[:, :, None] * np.arange(Y.shape[-1])
-    src_signals = np.empty(phase.shape, dtype=complex)         # Doppler ramps
-    np.cos(phase, out=src_signals.real)
-    np.sin(phase, out=src_signals.imag)
+    src_signals = np.empty(freq.shape + (Y.shape[-1],), dtype=complex)    # Doppler ramps
+    src_signals[..., 0] = 1.0
+    src_signals[..., 1:] = np.exp(2j * np.pi * freq)[..., None]
+    np.cumprod(src_signals, axis=-1, out=src_signals)
     # complex products round differently with swapped operands: keep amps first
     np.multiply(amps[:, :, None], src_signals, out=src_signals)
     src_signals *= B
@@ -169,15 +176,22 @@ def _block_rng(seed: int, run: int, block: int) -> np.random.Generator:
 
 
 class _BlockScratch:
-    """One worker's buffers for a block of trials, allocated once per worker."""
+    """One worker's buffers, allocated once per worker.
+
+    Only ``Y`` holds a whole block, because the block's stream draws every
+    real part of its noise before any imaginary part.  The rest hold one
+    chunk of ``_CHUNK_TRIALS`` trials: the block draws its noise through
+    ``draw`` and then mixes, quantizes and reduces one chunk after another
+    in ``work`` and ``GY``, so these stay small enough to be cached.
+    """
 
     def __init__(self, n_rx: int, code_len: int, rank: int):
-        samples = (_BLOCK_TRIALS, n_rx, code_len)
-        self.Y = np.empty(samples, dtype=complex)         # the samples, quantized in place
-        self.draw = np.empty(samples)                     # one part of the noise draw
-        # the mixed echoes, then (as float64) the quantizer's magnitudes
-        self.work = np.empty(samples, dtype=complex)
-        self.GY = np.empty((_BLOCK_TRIALS, rank, code_len), dtype=complex)
+        chunk = min(_CHUNK_TRIALS, _BLOCK_TRIALS)
+        self.Y = np.empty((_BLOCK_TRIALS, n_rx, code_len), dtype=complex)  # quantized in place
+        self.draw = np.empty((chunk, n_rx, code_len))     # a chunk of one part of the noise
+        # a chunk's mixed echoes, then (as float64) its quantizer's magnitudes
+        self.work = np.empty((chunk, n_rx, code_len), dtype=complex)
+        self.GY = np.empty((chunk, rank, code_len), dtype=complex)
 
 
 class _TrialStatistics:
@@ -186,9 +200,9 @@ class _TrialStatistics:
     Each run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
     trials.  Block b of run r draws its noise, amplitudes and Dopplers from
     its own stream (``_block_rng(seed, r, b)``) on whichever worker of
-    ``pool`` runs it, then mixes, quantizes and reduces its trials in that
-    worker's scratch and writes its slice of the statistics.  So the
-    statistics depend on the seed alone, not on the worker count.
+    ``pool`` runs it, then mixes, quantizes and reduces its trials chunk by
+    chunk in that worker's scratch and writes its slice of the statistics.
+    So the statistics depend on the seed alone, not on the worker count.
     """
 
     def __init__(self, scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | None,
@@ -211,17 +225,27 @@ class _TrialStatistics:
         sc, trials, blk = self.scenario, self.trials, _BLOCK_TRIALS
         A_r, B, amp_scale = _sources(sc, self.T, theta_t)
         noise_scale = math.sqrt(sc.noise_power / 2.0)
+        G, w, gamma = self.form
+        # every one-bit quantized sample matrix has the same norm, so the
+        # statistic's gamma*||y||^2 term is one constant
+        norm2, offset = quantized_norm2(self.quant, row_power, sc.n_rx, sc.code_len), 0.0
+        if norm2 is not None:
+            gamma, offset = 0.0, gamma * norm2
         out = np.empty(trials)
 
         def block(b):
             s = self._scratch()
-            a, m = b * blk, min(blk, trials - b * blk)
-            Y, work = s.Y[:m], s.work[:m]
+            a, m, chunk = b * blk, min(blk, trials - b * blk), s.work.shape[0]
+            Y = s.Y[:m]
             amps, freq = _draw(Y, s.draw, noise_scale, amp_scale, _block_rng(self.seed, run, b))
-            if A_r is not None:
-                _mix(Y, amps, freq, A_r, B, work=work)
-            Y = quantize_received(Y, self.quant, row_power, out=Y, work=work.view(np.float64))
-            out[a:a + m] = lrt_statistics(Y, *self.form, work=s.GY[:m])
+            for c in range(0, m, chunk):
+                part, k = slice(c, min(c + chunk, m)), min(chunk, m - c)
+                Yc, work = Y[part], s.work[:k]
+                if A_r is not None:
+                    _mix(Yc, amps[part], freq[part], A_r, B, work=work)
+                Yc = quantize_received(Yc, self.quant, row_power, out=Yc,
+                                       work=work.view(np.float64))
+                out[a + c:a + c + k] = lrt_statistics(Yc, G, w, gamma, work=s.GY[:k]) + offset
 
         for f in [self.pool.submit(block, b) for b in range(-(-trials // blk))]:
             f.result()

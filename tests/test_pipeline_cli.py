@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,6 +32,31 @@ def mini_scenario_file(tmp_path):
     p = tmp_path / "mini.json"
     p.write_text(json.dumps(d))
     return str(p)
+
+
+# imports the package and its CLI, then runs a tiny 3-bit design and
+# detection sweep, and prints the scipy modules the process has imported
+_SCIPY_MODULES = """
+import sys, tempfile
+import cebeam, cebeam.cli
+from cebeam import pipeline as PL
+with tempfile.TemporaryDirectory() as out:
+    PL.run_pipeline(PL.ExperimentSpec(command="design-ce", scenario=sys.argv[1], bits=3,
+                                      max_iters=5, out_dir=out + "/ce"))
+    PL.run_pipeline(PL.ExperimentSpec(command="sweep-snr", scenario=sys.argv[1], bits=3,
+                                      pfa=0.01, trials=1000, snr_grid_db=(0.0,), max_iters=5,
+                                      out_dir=out + "/snr"))
+    print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_runs_import_no_scipy(mini_scenario_file):
+    # scipy's import alone adds about 25 MB to a run's resident memory
+    env = {**os.environ, "PYTHONPATH": str(Path(PL.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, mini_scenario_file],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestScenarioLoading:

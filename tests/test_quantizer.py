@@ -3,7 +3,37 @@ import pytest
 
 from cebeam import _accel
 from cebeam.model import ADC_DISTORTION, ModelError
-from cebeam.quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
+from cebeam.quantizer import (ScalarQuantizer, lloyd_max_codebook, quantize_received,
+                              quantized_norm2)
+
+
+def _scipy_codebook(bits, tol=1e-10):
+    """``lloyd_max_codebook``'s iteration with scipy's erf and erfinv, and the
+    distortion of the result by per-cell quadrature."""
+    special = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def pdf(x):
+        return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+    def cdf(x):
+        return 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+
+    n = 2 ** bits
+    levels = np.sqrt(2.0) * special.erfinv(2.0 * (np.arange(n) + 0.5) / n - 1.0)
+    while True:
+        edges = np.concatenate(([-np.inf], 0.5 * (levels[:-1] + levels[1:]), [np.inf]))
+        new = (pdf(edges[:-1]) - pdf(edges[1:])) / (cdf(edges[1:]) - cdf(edges[:-1]))
+        new = 0.5 * (new - new[::-1])
+        move = np.max(np.abs(new - levels))
+        levels = new
+        if move < tol:
+            break
+    edges = np.concatenate(([-np.inf], 0.5 * (levels[:-1] + levels[1:]), [np.inf]))
+    distortion = sum(integrate.quad(lambda x, c=c: (x - c) ** 2 * pdf(x), lo, hi,
+                                    epsabs=1e-15, epsrel=1e-13)[0]
+                     for c, lo, hi in zip(levels, edges[:-1], edges[1:]))
+    return levels, edges[1:-1], distortion
 
 
 class TestCodebook:
@@ -11,6 +41,15 @@ class TestCodebook:
     def test_distortion_matches_table(self, bits):
         q = lloyd_max_codebook(bits)
         assert q.distortion() == pytest.approx(ADC_DISTORTION[bits], rel=0.02)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+    def test_matches_scipy_reference(self, bits):
+        # the standard library's erf and inverse cdf give scipy's codebook
+        levels, thresholds, distortion = _scipy_codebook(bits)
+        q = lloyd_max_codebook(bits)
+        np.testing.assert_allclose(q.levels, levels, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(q.thresholds, thresholds, rtol=0.0, atol=1e-12)
+        assert q.distortion() == pytest.approx(distortion, rel=0.0, abs=1e-12)
 
     def test_one_bit_closed_form(self):
         q = lloyd_max_codebook(1)
@@ -66,6 +105,17 @@ class TestQuantizeReceived:
         for r in range(3):
             assert np.unique(Yq[r].real).size == 2
             assert np.unique(Yq[r].imag).size == 2
+
+    @pytest.mark.parametrize("power", [2.5, np.array([0.5, 0.0, 3.0])])
+    def test_one_bit_norm_is_constant(self, power):
+        # a zero-power row passes through unscaled, with magnitude level
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((20, 3, 7)) + 1j * rng.standard_normal((20, 3, 7))
+        norm2 = quantized_norm2(lloyd_max_codebook(1), power, 3, 7)
+        Yq = quantize_received(Y, lloyd_max_codebook(1), row_power=power)
+        np.testing.assert_allclose(np.sum(np.abs(Yq) ** 2, axis=(1, 2)), norm2, rtol=1e-13)
+        assert quantized_norm2(lloyd_max_codebook(3), power, 3, 7) is None
+        assert quantized_norm2(None, power, 3, 7) is None
 
     def test_round_trip_scaling(self):
         # unit-variance rows scaled by s must quantize like unscaled ones
@@ -132,9 +182,9 @@ class TestKernelPaths:
             ScalarQuantizer(bits=1, levels=np.array([-1.0, 2.0]), thresholds=np.array([0.5]))
 
     @staticmethod
-    def lrt_form(rng, n_rx, rank):
+    def lrt_form(rng, n_rx, rank, gamma=0.5):
         G = rng.standard_normal((rank, n_rx)) + 1j * rng.standard_normal((rank, n_rx))
-        w, gamma = rng.uniform(-0.3, 1.0, rank), 0.5
+        w = rng.uniform(-0.3, 1.0, rank)
         return G, w, gamma, gamma * np.eye(n_rx) + (G.conj().T * w) @ G
 
     def test_lrt_statistics_agree(self):
@@ -154,3 +204,10 @@ class TestKernelPaths:
         direct = [sum((Y[t, :, l].conj() @ Mh @ Y[t, :, l]).real for l in range(3))
                   for t in range(5)]
         np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), direct, rtol=1e-12)
+
+    def test_zero_gamma_drops_the_norm_term(self):
+        rng = np.random.default_rng(10)
+        Y = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
+        G, w, gamma, Mh = self.lrt_form(rng, 4, 2, gamma=0.0)
+        oracle = np.einsum("trl,rs,tsl->t", Y.conj(), Mh, Y).real
+        np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +65,18 @@ class TestReceivedBatch:
         Y = SIM.received_batch(sc, T, theta, 3000, np.random.default_rng(14))
         ref = _reference_batch(sc, T, theta, 3000, np.random.default_rng(14))
         np.testing.assert_allclose(Y, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_long_code_same_draws_as_reference_formula(self, tiny_scenario, with_target):
+        # the ramps' running products carry their rounding across 1024
+        # snapshots; the direct formula rounds its phase 2*pi*f*l by as much,
+        # so the gap is taken relative to the largest sample
+        sc = dataclasses.replace(tiny_scenario, code_len=1024)
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(13))
+        theta = sc.target_mean_angle if with_target else None
+        Y = SIM.received_batch(sc, T, theta, 40, np.random.default_rng(14))
+        ref = _reference_batch(sc, T, theta, 40, np.random.default_rng(14))
+        np.testing.assert_allclose(Y, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_sample_covariance_matches_model(self, tiny_scenario):
         # unquantized data of either hypothesis, Doppler ramps included, must
@@ -155,15 +168,15 @@ def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, t
 
 class TestPipelinedEngine:
     @settings(max_examples=40, deadline=None)
-    @given(trials=st.integers(1, 300), block=st.integers(1, 50), workers=st.integers(1, 3),
-           bits=st.sampled_from([1, 3, "ideal"]), with_target=st.booleans(),
-           runs=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    @given(trials=st.integers(1, 300), block=st.integers(1, 50), chunk=st.integers(1, 20),
+           workers=st.integers(1, 3), bits=st.sampled_from([1, 3, "ideal"]),
+           with_target=st.booleans(), runs=st.lists(st.integers(0, 2), min_size=1, max_size=3),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_whole_batch_chain(self, tiny_scenario, trials, block, workers, bits,
+    def test_matches_whole_batch_chain(self, tiny_scenario, trials, block, chunk, workers, bits,
                                        with_target, runs, seed):
-        # each run of the engine, for any block size and worker count and
-        # with the workers' scratch reused from run to run, equals the
-        # per-block oracle
+        # each run of the engine, for any block size, chunk size and worker
+        # count and with the workers' scratch reused from run to run, equals
+        # the per-block oracle
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(21))
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
@@ -173,12 +186,40 @@ class TestPipelinedEngine:
         power = model.row0 if theta is None else model.row1[0]
 
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
+                mock.patch.object(SIM, "_CHUNK_TRIALS", chunk), \
                 ThreadPoolExecutor(workers) as pool:
             engine = SIM._TrialStatistics(sc, T, quant, form, seed, trials, pool)
             got = [engine.run(r, theta, power) for r in runs]
             for r, stats in zip(runs, got):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, seed, r, trials)
                 np.testing.assert_allclose(stats, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bits", [1, 3, "ideal"])
+    def test_full_blocks_match_dense_oracle(self, desk_scenario, bits):
+        # 512-trial blocks in 64-trial chunks, the last of each cut short; at
+        # one bit the engine adds the constant gamma*||y||^2 instead of
+        # reducing it.  The ideal ADC's scaled-identity parts are equal, so
+        # its gamma is 0 and the norm term is skipped.
+        sc = desk_scenario
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(22))
+        quant = None if bits == "ideal" else lloyd_max_codebook(bits)
+        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+        form = model.lrt_form(0, sc.code_len)
+        assert (form[2] == 0.0) == (bits == "ideal")
+        with ThreadPoolExecutor(2) as pool:
+            engine = SIM._TrialStatistics(sc, T, quant, form, 23, 1100, pool)
+            for run, theta, power in ((0, None, model.row0),
+                                      (2, sc.target_mean_angle, model.row1[0])):
+                ref = _per_block_statistics(sc, T, quant, form, power, theta, 23, run, 1100)
+                np.testing.assert_allclose(engine.run(run, theta, power), ref,
+                                           rtol=1e-13, atol=0.0)
+
+    def test_worker_scratch_is_about_one_block(self, desk_scenario):
+        # only the samples are block-sized; the stage buffers hold one chunk
+        sc = desk_scenario
+        scratch = SIM._BlockScratch(sc.n_rx, sc.code_len, min(sc.n_clutter + 1, sc.n_rx))
+        assert scratch.Y.shape == (SIM._BLOCK_TRIALS, sc.n_rx, sc.code_len)
+        assert sum(a.nbytes for a in vars(scratch).values()) <= 1.5 * scratch.Y.nbytes
 
     def test_worker_count_does_not_change_the_point(self, tiny_scenario, monkeypatch):
         # more workers than cores and frequent thread switches: a block that
