@@ -314,8 +314,21 @@ def clutter_load(scenario: Scenario, phi_c) -> np.ndarray:
     return np.sum(scenario.clutter_powers * phi_c, axis=-1) / scenario.n_rx
 
 
-def _row_power(scenario: Scenario, phi_c: np.ndarray) -> float:
-    return float(clutter_load(scenario, phi_c)) + scenario.noise_power
+def white_levels(scenario: Scenario, q: QuantizationModel, phi_c, phi_t):
+    """(row0, row1, c0, c1) of the no-target and target hypotheses.
+
+    row is the received variance per antenna and snapshot before
+    quantization, the quantizer's gain control, and c = alpha^2 L noise +
+    alpha beta L row the white level that each covariance adds to its steered
+    terms.  Broadcasts over the leading axes of ``phi_c`` (clutter last) and
+    ``phi_t``.
+    """
+    L = scenario.code_len
+    row0 = clutter_load(scenario, phi_c) + scenario.noise_power
+    row1 = row0 + scenario.target_power * phi_t / scenario.n_rx
+    c0 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row0
+    c1 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row1
+    return row0, row1, c0, c1
 
 
 def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
@@ -333,7 +346,7 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
     A_c = steering_matrix(scenario.clutter_angles, n_r)
     phi_c = beampattern_powers(T, scenario.clutter_angles)
     phi_t = beampattern_power(T, theta_t)
-    row0 = _row_power(scenario, phi_c)
+    row0 = float(clutter_load(scenario, phi_c)) + scenario.noise_power
     rq0 = q.alpha * q.beta * L * row0
     rq1 = q.alpha * q.beta * L * (row0 + scenario.target_power * phi_t / n_r)
 
@@ -405,10 +418,7 @@ def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel
     a2L = q.alpha ** 2 * L
     phi_c = beampattern_powers(T, scenario.clutter_angles)
     phi_t = beampattern_powers(T, thetas)
-    row0 = _row_power(scenario, phi_c)
-    row1 = row0 + scenario.target_power * phi_t / n_r
-    c0 = a2L * scenario.noise_power + q.alpha * q.beta * L * row0
-    c1 = a2L * scenario.noise_power + q.alpha * q.beta * L * row1
+    row0, row1, c0, c1 = white_levels(scenario, q, phi_c, phi_t)
 
     steering = np.empty((n, n_r, K + 1), dtype=complex)
     steering[:, :, 0] = steering_matrix(thetas, n_r).T
@@ -435,14 +445,14 @@ def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel
                               c0=c0, c1=c1)
 
 
-def _divergence_terms(x: np.ndarray) -> np.ndarray:
+def divergence_terms(x) -> np.ndarray:
     """x - 1 - log x, one eigenvalue's share of the Gaussian KL divergence.
 
     It is >= 0 as computed: a faithfully rounded log1p(u) never exceeds u, and
-    below x = 1/2 the value exceeds 0.19.
+    below x = 1/2 the value exceeds 0.19.  A 0-d ``x`` gives a 0-d result.
     """
     u = x - 1.0
-    log_x = np.log(x)
+    log_x = np.log(x, out=np.empty_like(u))     # an array, so that out= below takes it
     np.log1p(u, out=log_x, where=x >= 0.5)      # there u is exact
     return u - log_x
 
@@ -459,7 +469,7 @@ def relative_entropies(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
     w = np.linalg.inv(np.linalg.cholesky(f.core1))   # C1^-1/2 up to a unitary factor
     x = np.linalg.eigvalsh(w @ f.core0 @ w.conj().transpose(0, 2, 1))
     outside = scenario.n_rx - f.basis.shape[2]
-    return np.sum(_divergence_terms(x), axis=1) + outside * _divergence_terms(f.c0 / f.c1)
+    return np.sum(divergence_terms(x), axis=1) + outside * divergence_terms(f.c0 / f.c1)
 
 
 def _logdet_and_eigs(r: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -43,38 +43,25 @@ class LineSearchStallError(ModelError):
     """Backtracking could not find a decreasing step."""
 
 
+# Exact-penalty continuation: the orthogonality and binary-gap penalties
+# start at their INIT values and both grow, each by its GROWTH factor, after
+# every PENALTY_PERIOD iterations.
+PENALTY_ORTH_INIT, PENALTY_ORTH_GROWTH = 0.01, 1.5
+PENALTY_BIN_INIT, PENALTY_BIN_GROWTH = 0.02, 1.3
+PENALTY_PERIOD = 50
+
+
 @dataclass
 class OneBitParams:
-    """Penalty schedules and stopping rule of the Nesterov-EPM loop.
+    """Stopping rule of the Nesterov-EPM loop."""
 
-    ``seed`` is read by no solver: the start point is the warm start that the
-    ``seed`` of ``run_onebit_design`` fixes, and this field reaches only the
-    artifacts' provenance.  It stays as long as ``CeDesignParams.seed`` does.
-    """
-
-    penalty_orth_init: float = 0.01
-    penalty_orth_growth: float = 1.5
-    penalty_bin_init: float = 0.02
-    penalty_bin_growth: float = 1.3
-    orth_period: int = 50
-    bin_period: int = 50
     max_iters: int = 1500
     tol: float = 1e-4            # on the gradient norm
-    seed: int = 0
 
     def __post_init__(self):
-        penalties = (self.penalty_orth_init, self.penalty_orth_growth,
-                     self.penalty_bin_init, self.penalty_bin_growth)
-        if not all(math.isfinite(p) for p in penalties):
-            raise ModelError("penalty parameters must be finite")
-        if min(self.penalty_orth_init, self.penalty_bin_init) <= 0:
-            raise ModelError("penalties must start > 0")
-        if min(self.penalty_orth_growth, self.penalty_bin_growth) <= 1:
-            raise ModelError("penalty growth factors must exceed 1")
-        if min(self.orth_period, self.bin_period, self.max_iters) < 1 \
-                or not (math.isfinite(self.tol) and self.tol > 0):
-            raise ModelError(f"periods, max_iters >= 1 and a finite tol > 0 required, "
-                             f"got tol {self.tol}")
+        if self.max_iters < 1 or not (math.isfinite(self.tol) and self.tol > 0):
+            raise ModelError(f"max_iters >= 1 and a finite tol > 0 required, "
+                             f"got {self.max_iters} and {self.tol}")
 
 
 @dataclass
@@ -186,8 +173,7 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
     if t.size != n_tx * n_rf:
         raise ModelError(f"t0 has {t.size} entries, expected {n_tx * n_rf}")
 
-    pen_o = params.penalty_orth_init
-    pen_b = params.penalty_bin_init
+    pen_o, pen_b = PENALTY_ORTH_INIT, PENALTY_BIN_INIT
     problem = design_problem(profile, n_tx, n_rf)
     point = lambda v: epm_point(v, problem, n_tx, n_rf)
 
@@ -251,14 +237,9 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         if fixed and not np.any(x.t - t_prev):
             converged = True                     # locked on a box vertex set
             break
-        bumped = False
-        if it % params.orth_period == 0:
-            pen_o *= params.penalty_orth_growth
-            bumped = True
-        if it % params.bin_period == 0:
-            pen_b *= params.penalty_bin_growth
-            bumped = True
-        if bumped:
+        if it % PENALTY_PERIOD == 0:
+            pen_o *= PENALTY_ORTH_GROWTH
+            pen_b *= PENALTY_BIN_GROWTH
             f_cur = x.objective(pen_o, pen_b)
 
     trace = EpmTrace(

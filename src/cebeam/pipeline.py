@@ -178,7 +178,7 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
     """Stage 1, a constant-envelope warm start, then the exact-penalty solver."""
     if profile is None:
         profile = run_power_allocation(scenario, bits).profile
-    params = params or OneBitParams(seed=seed)
+    params = params or OneBitParams()
     T_ce, _, ce_trace, _ = run_ce_design(scenario, bits, seed, "AMM",
                                          ce_params or CeDesignParams(seed=seed), profile)
     # one-bit starting point: phases snapped to {0, pi}, column-major vector
@@ -328,7 +328,7 @@ def _design_ce(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
 
 
 def _design_onebit(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
-    params = OneBitParams(seed=spec.seed, **_limits(spec))
+    params = OneBitParams(**_limits(spec))
     T, report, trace, profile = run_onebit_design(scenario, spec.bits, spec.seed, params)
     prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
     np.savetxt(out / "signs.txt", np.sign(T).astype(int), fmt="%+d")

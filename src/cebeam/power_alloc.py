@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, QuantizationModel, Scenario, clutter_load
+from .model import ModelError, QuantizationModel, Scenario, divergence_terms, white_levels
 
 
 @dataclass
@@ -57,34 +57,24 @@ class PowerProfile:
 def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel):
     """Large-array relative-entropy surrogate for one target-grid power.
 
-    Treats the steering directions as asymptotically orthogonal, which
-    diagonalizes both hypothesis covariances; the divergence then reduces to
-    scalar log and ratio terms in the per-direction powers.  Broadcasts over
-    leading dimensions of ``phi_t`` / ``phi_c``.
+    Treats the steering directions as orthogonal, which diagonalizes both
+    hypothesis covariances.  With the white levels c0 and c1 of
+    ``white_levels`` and the steered gains g = alpha^2 L P phi, R0 against R1
+    is c0 against c1 + g_t toward the target, c0 + g_k against c1 + g_k toward
+    clutter k, and c0 against c1 in the N_r - K - 1 other directions.  The
+    surrogate is D's own kernel ``divergence_terms`` over those ratios.
+    Broadcasts over leading dimensions of ``phi_t`` / ``phi_c``.
     """
     phi_t = np.asarray(phi_t, float)
     phi_c = np.asarray(phi_c, float)
-    L, n_r, K = scenario.code_len, scenario.n_rx, scenario.n_clutter
-    a2L = q.alpha ** 2 * L
-    abL = q.alpha * q.beta * L
-
-    clutter_sum = clutter_load(scenario, phi_c)
-    chi = a2L * scenario.noise_power + abL * (
-        scenario.target_power * phi_t / n_r + clutter_sum + scenario.noise_power)
-    varpi = a2L * scenario.noise_power + abL * (clutter_sum + scenario.noise_power)
-
-    target_gain = a2L * scenario.target_power * phi_t
-    clutter_gain = a2L * scenario.clutter_powers * phi_c
-
-    log_h1 = n_r * np.log(chi) + np.log1p(target_gain / chi) \
-        + np.sum(np.log1p(clutter_gain / chi[..., None]), axis=-1)
-    log_h0 = n_r * np.log(varpi) + np.sum(np.log1p(clutter_gain / varpi[..., None]), axis=-1)
-
-    trace = varpi / (chi + target_gain) \
-        + np.sum((varpi[..., None] + clutter_gain) / (chi[..., None] + clutter_gain), axis=-1) \
-        + varpi / chi * (n_r - K - 1)
-
-    return log_h1 - log_h0 + trace - n_r
+    a2L = q.alpha ** 2 * scenario.code_len
+    _, _, c0, c1 = white_levels(scenario, q, phi_c, phi_t)
+    g_t = a2L * scenario.target_power * phi_t
+    g_c = a2L * scenario.clutter_powers * phi_c
+    clutter = divergence_terms((c0[..., None] + g_c) / (c1[..., None] + g_c))
+    outside = scenario.n_rx - scenario.n_clutter - 1
+    return (divergence_terms(c0 / (c1 + g_t)) + np.sum(clutter, axis=-1)
+            + outside * divergence_terms(c0 / c1))
 
 
 def profile_objective(target_levels, clutter_levels, scenario: Scenario, q: QuantizationModel):

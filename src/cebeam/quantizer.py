@@ -68,7 +68,13 @@ class ScalarQuantizer:
         return float(np.sum(second - 2.0 * self.levels * first + self.levels ** 2 * mass))
 
 
-def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) -> ScalarQuantizer:
+# Lloyd-Max stops once no level moves by more than this, or fails after this
+# many sweeps.
+_LLOYD_TOL = 1e-10
+_LLOYD_MAX_ITERS = 100_000
+
+
+def lloyd_max_codebook(bits: int) -> ScalarQuantizer:
     """Minimum-MSE codebook by alternating centroid/midpoint updates.
 
     Converges for the Gaussian density (log-concave source); the fixed point
@@ -80,7 +86,7 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) 
     # quantile-spread initialization
     normal = NormalDist()
     levels = np.array([normal.inv_cdf((i + 0.5) / n_levels) for i in range(n_levels)])
-    for _ in range(max_iters):
+    for _ in range(_LLOYD_MAX_ITERS):
         thresholds = 0.5 * (levels[:-1] + levels[1:])
         edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
         a, b = edges[:-1], edges[1:]
@@ -92,30 +98,10 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iters: int = 100_000) 
         new_levels = 0.5 * (new_levels - new_levels[::-1])   # enforce odd symmetry
         move = np.max(np.abs(new_levels - levels))
         levels = new_levels
-        if move < tol:
+        if move < _LLOYD_TOL:
             thresholds = 0.5 * (levels[:-1] + levels[1:])
             return ScalarQuantizer(bits=bits, levels=levels, thresholds=thresholds)
-    raise ModelError(f"codebook iteration did not converge in {max_iters} sweeps")
-
-
-def _row_scale(row_power: np.ndarray | float) -> np.ndarray:
-    """Per-row standard deviation of one real dimension; 1 for a row without power."""
-    scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
-    return np.where(scale > 0.0, scale, 1.0)
-
-
-def quantized_norm2(quantizer: ScalarQuantizer | None, row_power: np.ndarray | float,
-                    n_rx: int, code_len: int) -> float | None:
-    """||y||^2 of every (n_rx, code_len) matrix ``quantize_received`` returns, or None.
-
-    A one-bit codebook has one magnitude, so each real and imaginary part of
-    row r comes out as +-level * scale_r and the norm is the same for every
-    input.  Any other codebook (or ``None``, ideal conversion) gives None.
-    """
-    if quantizer is None or quantizer.levels.size != 2:
-        return None
-    part = np.broadcast_to(np.square(quantizer.levels[1] * _row_scale(row_power)), (n_rx,))
-    return 2.0 * code_len * float(np.sum(part))
+    raise ModelError(f"codebook iteration did not converge in {_LLOYD_MAX_ITERS} sweeps")
 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
@@ -140,7 +126,9 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     if quantizer is None:
         return Y
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
-    scale = _row_scale(row_power)
+    # per-row standard deviation of one real dimension; 1 for a row without power
+    scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
+    scale = np.where(scale > 0.0, scale, 1.0)
     if np.ndim(scale) == 1:
         scale = scale[:, None]
     # real and imaginary parts interleave along the last axis of the float64

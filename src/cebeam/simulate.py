@@ -18,8 +18,7 @@ from .model import (ModelError, Scenario, db_to_linear, low_rank_covariances,
                     quantization_model, steering_matrix)
 # the dense oracle, under the name perfbench's tracer wraps in this module
 from .model import hypothesis_covariances  # noqa: F401
-from .quantizer import (ScalarQuantizer, lloyd_max_codebook, quantize_received,
-                        quantized_norm2)
+from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
 # Trials per Monte Carlo block.  Block b of run r of a detection point draws
 # from its own stream, SeedSequence(seed, spawn_key=(r, b)), so this constant
@@ -226,11 +225,6 @@ class _TrialStatistics:
         A_r, B, amp_scale = _sources(sc, self.T, theta_t)
         noise_scale = math.sqrt(sc.noise_power / 2.0)
         G, w, gamma = self.form
-        # every one-bit quantized sample matrix has the same norm, so the
-        # statistic's gamma*||y||^2 term is one constant
-        norm2, offset = quantized_norm2(self.quant, row_power, sc.n_rx, sc.code_len), 0.0
-        if norm2 is not None:
-            gamma, offset = 0.0, gamma * norm2
         out = np.empty(trials)
 
         def block(b):
@@ -245,7 +239,7 @@ class _TrialStatistics:
                     _mix(Yc, amps[part], freq[part], A_r, B, work=work)
                 Yc = quantize_received(Yc, self.quant, row_power, out=Yc,
                                        work=work.view(np.float64))
-                out[a + c:a + c + k] = lrt_statistics(Yc, G, w, gamma, work=s.GY[:k]) + offset
+                out[a + c:a + c + k] = lrt_statistics(Yc, G, w, gamma, work=s.GY[:k])
 
         for f in [self.pool.submit(block, b) for b in range(-(-trials // blk))]:
             f.result()

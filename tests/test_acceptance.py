@@ -134,7 +134,7 @@ def test_onebit_matches_exhaustive_within_ten_percent():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         start = rng.choice([-1.0, 1.0], n_tx * n_rf) * 0.9 / np.sqrt(n_tx)
-        T, _ = OB.nesterov_epm(start, prof, n_tx, n_rf, OB.OneBitParams(seed=seed))
+        T, _ = OB.nesterov_epm(start, prof, n_tx, n_rf, OB.OneBitParams())
         gaps.append((penalized_objective(T, prof, penalty) - v_opt) / v_opt)
     worst = max(gaps)
     report("one-bit design within 10% of exhaustive optimum",

@@ -332,13 +332,15 @@ class TestDesignLoops:
     def test_penalty_schedule_growth(self, desk_scenario):
         from cebeam.power_alloc import bcd_power_allocation
         prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
-        params = C.CeDesignParams(max_iters=120, penalty_period=40, penalty_growth=2.0,
-                                  tol=1e-30)
+        params = C.CeDesignParams(max_iters=120, tol=1e-30)
         T0 = M.random_unit_modulus(32, 8, np.random.default_rng(6))
         _, trace = C.plain_mm(T0, prof, params)
         assert trace.iterations == 120
-        assert trace.penalty[0] == params.penalty_init
-        assert trace.penalty[-1] == pytest.approx(params.penalty_init * 4.0)
+        assert C.PENALTY_PERIOD == 50
+        assert trace.penalty[0] == C.PENALTY_INIT
+        # bumps after iterations 50 and 100
+        assert trace.penalty[-1] == pytest.approx(C.PENALTY_INIT * C.PENALTY_GROWTH ** 2)
+        assert np.count_nonzero(np.diff(trace.penalty)) == 2
 
     def test_accelerated_beats_plain_per_map_eval(self, desk_scenario):
         from cebeam.power_alloc import bcd_power_allocation
@@ -413,16 +415,14 @@ def test_one_problem_per_design(monkeypatch, design, n_tx):
 class TestParams:
     def test_invalid_params_rejected(self):
         with pytest.raises(M.ModelError):
-            C.CeDesignParams(penalty_growth=0.9)
-        with pytest.raises(M.ModelError):
-            C.CeDesignParams(penalty_init=0.0)
+            C.CeDesignParams(tol=0.0)
         with pytest.raises(M.ModelError):
             C.CeDesignParams(max_iters=0)
 
-    @pytest.mark.parametrize("field", ["tol", "penalty_init", "penalty_growth"])
+    @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_params_rejected(self, field, value):
-        # NaN passes every "<= 0" test, and an infinite growth overflows the schedule
+        # NaN passes every "<= 0" test
         with pytest.raises(M.ModelError):
             C.CeDesignParams(**{field: value})
 
@@ -753,10 +753,12 @@ def test_accelerated_loop_is_bit_identical_to_parent():
     rng = np.random.default_rng(33)
     prof = random_profile(rng, 3, 3)
     T0 = M.random_unit_modulus(12, 3, rng)
-    params = C.CeDesignParams(max_iters=30, penalty_period=1000, tol=1e-30)
+    # 30 iterations stay inside the first penalty period
+    assert C.PENALTY_PERIOD > 30
+    params = C.CeDesignParams(max_iters=30, tol=1e-30)
     seen = []
     C.squarem_accelerated_mm(T0, prof, params, monitor=lambda it, T: seen.append(T))
-    expected = _parent_squarem(T0, prof, params.penalty_init, len(seen))
+    expected = _parent_squarem(T0, prof, C.PENALTY_INIT, len(seen))
     assert len(seen) == 30
     for T, T_ref in zip(seen, expected):
         np.testing.assert_array_equal(T, T_ref)

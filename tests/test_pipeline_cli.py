@@ -59,6 +59,29 @@ def test_runs_import_no_scipy(mini_scenario_file):
     assert proc.stdout.strip() == "[]"
 
 
+# sha256 of the seed-0 CE design on default128 and one-bit design on desk32
+_DESIGN_HASHES = """
+import hashlib
+from cebeam.pipeline import load_scenario, run_ce_design, run_onebit_design
+T_ce = run_ce_design(load_scenario("default128"), 1, 0)[0]
+T_ob = run_onebit_design(load_scenario("desk32"), 1, 0)[0]
+print([hashlib.sha256(T.tobytes()).hexdigest() for T in (T_ce, T_ob)])
+"""
+
+
+def test_designs_do_not_depend_on_the_blas_thread_count():
+    # the determinism contract covers 1 and 2 OpenBLAS threads
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(PL.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _DESIGN_HASHES], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
+
+
 class TestScenarioLoading:
     def test_builtin_names(self):
         flagship = PL.load_scenario("default128")

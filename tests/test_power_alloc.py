@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cebeam import model as M
 from cebeam import power_alloc as P
+from cebeam.pipeline import load_scenario
 
 
 def straight_line_objective(phi_t, phi_c, sc, q):
@@ -30,6 +32,24 @@ def straight_line_objective(phi_t, phi_c, sc, q):
         trace += (eta + g) / (gamma + g)
     trace += eta / gamma * (n_r - K - 1)
     return log_h1 - log_h0 + trace - n_r
+
+
+def _mp_surrogate(mp, phi_t, phi_c, sc, q) -> float:
+    """The surrogate at 40 digits from the same float inputs, as
+    log|R1| - log|R0| + Tr(R1^-1 R0) - N_r of the two diagonal covariances."""
+    with mp.workdps(40):
+        L, n_r, K = sc.code_len, sc.n_rx, sc.n_clutter
+        alpha, beta = mp.mpf(q.alpha), mp.mpf(q.beta)
+        a2L, noise = alpha ** 2 * L, mp.mpf(sc.noise_power)
+        powers = [mp.mpf(float(p)) * mp.mpf(float(f)) for p, f in zip(sc.clutter_powers, phi_c)]
+        target = mp.mpf(sc.target_power) * mp.mpf(phi_t)
+        row0 = mp.fsum(powers) / n_r + noise
+        c0 = a2L * noise + alpha * beta * L * row0
+        c1 = a2L * noise + alpha * beta * L * (row0 + target / n_r)
+        # (R0, R1) eigenvalue pairs: target, clutter, then N_r - K - 1 white directions
+        pairs = [(c0, c1 + a2L * target)] + [(c0 + a2L * g, c1 + a2L * g) for g in powers]
+        pairs += [(c0, c1)] * (n_r - K - 1)
+        return float(mp.fsum(mp.log(r1) - mp.log(r0) + r0 / r1 - 1 for r0, r1 in pairs))
 
 
 class TestAsymptoticObjective:
@@ -69,6 +89,50 @@ class TestAsymptoticObjective:
         exact = M.relative_entropy(M.hypothesis_covariances(sc, T, q, sc.target_mean_angle))
         surrogate = float(P.asymptotic_objective(phi_t, np.zeros(0), sc, q))
         assert surrogate == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("bits", [1, 3, "ideal"])
+    def test_orthogonal_steering_recovers_relative_entropy(self, bits):
+        # sin(theta) on the grid 2k/N_r makes the receive steering vectors DFT
+        # columns, exactly orthogonal, so with clutter too the surrogate is D
+        n_r = 16
+        ks = np.array([-5, -2, 3, 6])
+        sc = M.Scenario(n_tx=12, n_rx=n_r, n_rf=3, code_len=8, target_mean_angle=0.0,
+                        target_uncertainty=0.0, target_power=2.0,
+                        clutter_angles=np.arcsin(2.0 * ks / n_r),
+                        clutter_powers=np.array([5.0, 50.0, 300.0, 1000.0]), noise_power=1.0)
+        A = M.steering_matrix(sc.profile_angles(), n_r)
+        np.testing.assert_allclose(A.conj().T @ A, np.eye(5), atol=1e-14)
+        q = M.quantization_model(bits)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            T = M.random_unit_modulus(sc.n_tx, sc.n_rf, rng)
+            phi_t = M.beampattern_power(T, sc.target_mean_angle)
+            phi_c = M.beampattern_powers(T, sc.clutter_angles)
+            exact = M.relative_entropies(sc, T, q, sc.target_mean_angle)[0]
+            surrogate = float(P.asymptotic_objective(phi_t, phi_c, sc, q))
+            assert surrogate == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("power_db, bound", [(0.0, 1e-11), (-30.0, 1e-10), (-60.0, 1e-7)])
+    @pytest.mark.parametrize("bits", [1, 3, "ideal"])
+    @pytest.mark.parametrize("name", ["default128", "desk32"])
+    def test_matches_high_precision(self, name, bits, power_db, bound):
+        """Within ``bound`` of a 40-digit reference, or within the kernel's own
+        floor: x - 1 - log x is about (x - 1)^2 / 2, so a ratio x with an error
+        near eps carries a relative error of a few eps / |x - 1|.  At -60 dB
+        that floor exceeds the bound for small phi_t."""
+        mp = pytest.importorskip("mpmath")
+        sc = replace(load_scenario(name), target_power=M.db_to_linear(power_db))
+        q = M.quantization_model(bits)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            phi_t = rng.uniform(0.0, 1.0)
+            phi_c = rng.uniform(0.0, 1.0, sc.n_clutter)
+            exact = _mp_surrogate(mp, phi_t, phi_c, sc, q)
+            got = float(P.asymptotic_objective(phi_t, phi_c, sc, q))
+            _, _, c0, c1 = M.white_levels(sc, q, phi_c, phi_t)
+            u_t = 1.0 - c0 / (c1 + q.alpha ** 2 * sc.code_len * sc.target_power * phi_t)
+            floor = 8.0 * np.finfo(float).eps / u_t
+            assert abs(got - exact) <= max(bound, floor) * exact
 
     def test_broadcasting_matches_scalar_calls(self, tiny_scenario):
         q = M.quantization_model(3)
@@ -144,7 +208,9 @@ class TestBcd:
     def test_tie_breaks_count_updates_below_the_candidate_maximum(self, flagship_scenario,
                                                                   monkeypatch):
         # the plateau rule picks the first level within a hair of the maximum,
-        # so a chosen level scores below max(vals) exactly when it is not argmax(vals)
+        # so a chosen level scores below max(vals) exactly when it is not
+        # argmax(vals); at -30 dB and one bit the target levels, updated while the
+        # clutter levels still sit at 0.5, have genuine near-ties
         maxima = []
         objective = P.profile_objective
 
@@ -154,10 +220,18 @@ class TestBcd:
             return vals
 
         monkeypatch.setattr(P, "profile_objective", recorded)
-        res = P.bcd_power_allocation(flagship_scenario, M.quantization_model("ideal"))
+        sc = replace(flagship_scenario, target_power=M.db_to_linear(-30.0))
+        res = P.bcd_power_allocation(sc, M.quantization_model(1))
         maxima = np.array(maxima[1:])          # the first call scores the start point
         assert maxima.size == res.trace.size
         assert res.tie_breaks == int(np.sum(res.trace < maxima)) > 0
+
+    @pytest.mark.parametrize("power_db", [0.0, -30.0])
+    def test_no_tie_breaks_at_ideal_adcs(self, flagship_scenario, power_db):
+        # without quantizer noise the clutter terms are exactly 0 whatever the
+        # target power, so no clutter update sees a near-tie
+        sc = replace(flagship_scenario, target_power=M.db_to_linear(power_db))
+        assert P.bcd_power_allocation(sc, M.quantization_model("ideal")).tie_breaks == 0
 
     def test_bad_grid_step_rejected(self, desk_scenario):
         with pytest.raises(M.ModelError):

@@ -3,8 +3,7 @@ import pytest
 
 from cebeam import _accel
 from cebeam.model import ADC_DISTORTION, ModelError
-from cebeam.quantizer import (ScalarQuantizer, lloyd_max_codebook, quantize_received,
-                              quantized_norm2)
+from cebeam.quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
 
 def _scipy_codebook(bits, tol=1e-10):
@@ -105,17 +104,6 @@ class TestQuantizeReceived:
         for r in range(3):
             assert np.unique(Yq[r].real).size == 2
             assert np.unique(Yq[r].imag).size == 2
-
-    @pytest.mark.parametrize("power", [2.5, np.array([0.5, 0.0, 3.0])])
-    def test_one_bit_norm_is_constant(self, power):
-        # a zero-power row passes through unscaled, with magnitude level
-        rng = np.random.default_rng(5)
-        Y = rng.standard_normal((20, 3, 7)) + 1j * rng.standard_normal((20, 3, 7))
-        norm2 = quantized_norm2(lloyd_max_codebook(1), power, 3, 7)
-        Yq = quantize_received(Y, lloyd_max_codebook(1), row_power=power)
-        np.testing.assert_allclose(np.sum(np.abs(Yq) ** 2, axis=(1, 2)), norm2, rtol=1e-13)
-        assert quantized_norm2(lloyd_max_codebook(3), power, 3, 7) is None
-        assert quantized_norm2(None, power, 3, 7) is None
 
     def test_round_trip_scaling(self):
         # unit-variance rows scaled by s must quantize like unscaled ones
