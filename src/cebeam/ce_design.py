@@ -48,7 +48,7 @@ B = U R instead.  The minorizer takes this form when N_t >= 32 and
 and its eigensolve are cheaper.
 
 The per-design constants (A, conj(A), the levels, lam_max(G), A^T conj(A),
-the side of the crossover, the dense scratch) live in one ``DesignProblem``
+the side of the crossover, the minorizers' scratch) live in one ``DesignProblem``
 that each design loop builds once; stage 2, the one-bit EPM, the exhaustive
 search and the projection baseline all read them from it.
 
@@ -199,11 +199,13 @@ class DesignProblem:
     ``A`` = [a_1 .. a_P] steers toward the profile angles (targets, then
     clutter), ``levels`` are the requested levels in that order,
     ``gram_lambda`` = lam_max(G), G[p,q] = |a_p^H a_q|^2, bounds the curvature
-    of the pattern functionals and ``steering_gram`` = A^T conj(A).  Only the
-    dense side (not ``low_rank``) holds ``eye``, the n_tx identity, and
-    ``work``, the (2, n_tx, n_tx) scratch that Q and then shift * I - Q are
-    built in: fresh n_tx x n_tx temporaries on every call page-fault,
-    thousands of times per design.
+    of the pattern functionals and ``steering_gram`` = A^T conj(A), the
+    fixed block of ``gram_work``, the scratch of B^H B that the low-rank
+    minorizer fills with ``d_work`` = d (see ``MinorizerState``).  Only the
+    dense side (not ``low_rank``) holds ``eye``, the n_tx identity, and the
+    scratch ``scaled`` = conj(A) diag(gaps) and ``work``, (2, n_tx, n_tx),
+    that Q and then shift * I - Q are built in: fresh temporaries of that
+    size on every call page-fault, thousands of times per design.
     """
 
     A: np.ndarray
@@ -212,19 +214,28 @@ class DesignProblem:
     gram_lambda: float
     steering_gram: np.ndarray
     low_rank: bool
+    eye_rf: np.ndarray
+    gram_work: np.ndarray
+    d_work: np.ndarray
     eye: np.ndarray | None = None
+    scaled: np.ndarray | None = None
     work: np.ndarray | None = None
 
 
 def design_problem(profile: PowerProfile, n_tx: int, n_rf: int) -> DesignProblem:
     """The ``DesignProblem`` of ``profile`` on n_tx x n_rf designs; one per design loop."""
     A = steering_matrix(profile.all_angles(), n_tx)
+    P = A.shape[1]
     cross = A.conj().T @ A
-    lam = float(np.linalg.eigvalsh(np.abs(cross) ** 2)[-1]) if A.shape[1] else 0.0
-    shared = (A, A.conj(), profile.all_levels(), lam, cross.conj())
-    if takes_low_rank(n_tx, A.shape[1] + n_rf):
-        return DesignProblem(*shared, low_rank=True)
-    return DesignProblem(*shared, low_rank=False, eye=np.eye(n_tx),
+    lam = float(np.linalg.eigvalsh(np.abs(cross) ** 2)[-1]) if P else 0.0
+    gram_work = np.empty((P + n_rf, P + n_rf), dtype=complex)
+    gram_work[:P, :P] = cross.conj()
+    shared = (A, A.conj(), profile.all_levels(), lam, gram_work[:P, :P])
+    scratch = (np.eye(n_rf), gram_work, np.empty(P + n_rf))
+    if takes_low_rank(n_tx, P + n_rf):
+        return DesignProblem(*shared, True, *scratch)
+    return DesignProblem(*shared, False, *scratch, eye=np.eye(n_tx),
+                         scaled=np.empty((n_tx, P), dtype=complex),
                          work=np.empty((2, n_tx, n_tx), dtype=complex))
 
 
@@ -235,14 +246,15 @@ def pattern_terms(T: np.ndarray, problem: DesignProblem) -> tuple[np.ndarray, np
     Z and the gaps keep them.
     """
     Z = problem.A.T @ T
-    return Z, np.sum(np.abs(Z) ** 2, axis=-1) - problem.levels
+    return Z, np.add.reduce(np.square(np.abs(Z)), axis=-1) - problem.levels
 
 
 def evaluate_iterate(T: np.ndarray, problem: DesignProblem, fallback: bool = False) -> Iterate:
     """The one evaluation of a design point that the loops and wrappers share."""
     Z, gaps = pattern_terms(T, problem)
     gram = T.conj().T @ T
-    return Iterate(T, Z, gaps, float(np.sum(gaps ** 2)), _residual(gram), gram, fallback)
+    return Iterate(T, Z, gaps, float(np.add.reduce(np.square(gaps))),
+                   _norm(gram - problem.eye_rf), gram, fallback)
 
 
 def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
@@ -251,12 +263,14 @@ def beampattern_mse(T: np.ndarray, profile: PowerProfile) -> float:
 
 
 def orthogonality_residual(T: np.ndarray) -> float:
-    return _residual(T.conj().T @ T)
+    return _norm(T.conj().T @ T - np.eye(T.shape[1]))
 
 
-def _residual(gram: np.ndarray) -> float:
-    """||T^H T - I||_F from the column Gram T^H T."""
-    return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
+def _norm(X: np.ndarray) -> float:
+    """np.linalg.norm(X) of a complex X, by numpy's own formula without its dispatch."""
+    x = X.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) -> float:
@@ -306,7 +320,8 @@ def _dense_minorizer(problem: DesignProblem, gaps: np.ndarray, T_m: np.ndarray,
                      penalty: float) -> np.ndarray:
     """Q = conj(A) diag(gaps) A^T + penalty * T_m T_m^H, built in ``problem.work[0]``."""
     work = problem.work
-    Q = np.matmul(problem.A_conj * gaps, problem.A.T, out=work[0])
+    scaled = np.multiply(problem.A_conj, gaps, out=problem.scaled)
+    Q = np.matmul(scaled, problem.A.T, out=work[0])
     if penalty != 0.0:
         gram = np.matmul(T_m, T_m.conj().T, out=work[1])
         gram *= penalty
@@ -338,26 +353,27 @@ def _low_rank_minorizer(x: Iterate, problem: DesignProblem,
     lambda_max, Q T_m, sigma_max and whether the thin QR was taken.
     """
     T_m, Z, gaps, gram = x.T, x.Z, x.gaps, x.gram
-    n_tx, n_rf = T_m.shape
-    A_conj = problem.A_conj
+    n_tx = T_m.shape[0]
     G, d = problem.steering_gram, gaps
     if penalty != 0.0:
         P = gaps.size
-        G = np.empty((P + n_rf, P + n_rf), dtype=complex)   # 4x faster than np.block
-        G[:P, :P] = problem.steering_gram
+        G, d = problem.gram_work, problem.d_work
         G[:P, P:] = Z
-        G[P:, :P] = Z.conj().T
+        np.conjugate(Z.T, out=G[P:, :P])
         G[P:, P:] = gram
-        d = np.concatenate((d, np.full(n_rf, float(penalty))))
+        d[:P] = gaps
+        d[P:] = penalty
     eigs = _gram_eigenvalues(G, d) if 2 * d.size <= n_tx else None
     fell_back = eigs is None
     if fell_back:
-        B = A_conj if penalty == 0.0 else np.concatenate((A_conj, T_m), axis=1)
+        B = problem.A_conj if penalty == 0.0 else np.concatenate((problem.A_conj, T_m), axis=1)
         R = np.linalg.qr(B, mode="r")
         eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
-    lam = float(np.max(eigs, initial=0.0) if d.size < n_tx else eigs[-1])
+    lam = float(eigs[-1]) if d.size else 0.0       # eigvalsh sorts ascending
+    lam = max(lam, 0.0) if d.size < n_tx else lam
     sigma_max = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    q_t = A_conj @ (gaps[:, None] * Z) + penalty * (T_m @ gram)
+    q_t = problem.A_conj @ (gaps[:, None] * Z)
+    q_t += np.multiply(penalty, T_m @ gram)
     return lam, q_t, sigma_max, fell_back
 
 
@@ -423,9 +439,9 @@ def mm_map(x: Iterate, problem: DesignProblem, penalty: float,
 
 def _project_phases(Z: np.ndarray, fallback: np.ndarray, n_tx: int) -> np.ndarray:
     """Unit-modulus matrix with the phases of Z; zero entries keep the fallback's phase."""
-    phases = np.angle(Z)
-    dead = np.abs(Z) == 0.0
-    if np.any(dead):
+    phases = np.arctan2(Z.imag, Z.real)         # np.angle; Z == 0 where |Z| == 0
+    if not Z.all():
+        dead = Z == 0.0
         phases[dead] = np.angle(fallback)[dead]
     return unit_modulus(phases, n_tx)
 
@@ -455,12 +471,15 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
             x1 = counted_map(x)
             x2 = counted_map(x1)
             Y1 = x1.T - x.T
-            Y2 = x2.T - x1.T - Y1
-            n2 = np.linalg.norm(Y2)
+            Y2 = x2.T - x1.T
+            Y2 -= Y1
+            n2 = _norm(Y2)
             x_new = x2
             if n2 > 0.0:
-                kappa = -np.linalg.norm(Y1) / n2
-                Z = x.T - 2.0 * kappa * Y1 + kappa ** 2 * Y2
+                kappa = -_norm(Y1) / n2
+                # x.T - 2 kappa Y1 + kappa^2 Y2, in that order, in place
+                Z = np.subtract(x.T, np.multiply(2.0 * kappa, Y1, out=Y1), out=Y1)
+                Z += np.multiply(kappa ** 2, Y2, out=Y2)
                 x_acc = evaluate_iterate(_project_phases(Z, x.T, n_tx), problem)
                 # the extrapolated point must not undo the two plain steps
                 if x_acc.objective(penalty) <= x2.objective(penalty):
@@ -469,7 +488,7 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
         else:
             x_new = counted_map(x)
 
-        step = float(np.linalg.norm(x_new.T - x.T) ** 2)
+        step = _norm(x_new.T - x.T) ** 2
         x = x_new
         mse_hist.append(x.mse)
         obj_hist.append(x.objective(penalty))

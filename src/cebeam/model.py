@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +131,10 @@ class Scenario:
     """Radar geometry and second-order statistics.
 
     Angles are radians and powers linear internally; the file format uses
-    degrees and dB (see :meth:`from_dict`).
+    degrees and dB (see :meth:`from_dict`).  Unit conversions do not
+    round-trip exactly, so a scenario read from a file keeps the values as
+    read in ``file_values`` for ``to_dict`` and ``content_hash``; one built
+    in code, or by ``dataclasses.replace``, has none.
     """
 
     n_tx: int
@@ -145,6 +148,7 @@ class Scenario:
     clutter_powers: np.ndarray
     noise_power: float
     target_grid_spacing: float = math.radians(0.5)
+    file_values: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.clutter_angles = np.atleast_1d(np.asarray(self.clutter_angles, dtype=float))
@@ -215,12 +219,10 @@ class Scenario:
         """
         if not isinstance(d, dict):
             raise ModelError(f"scenario must be a JSON object, got {type(d).__name__}")
+        sizes = ("n_tx", "n_rx", "n_rf", "code_len")
         try:
             fields = dict(
-                n_tx=_size(d, "n_tx"),
-                n_rx=_size(d, "n_rx"),
-                n_rf=_size(d, "n_rf"),
-                code_len=_size(d, "code_len"),
+                **{key: _size(d, key) for key in sizes},
                 target_mean_angle=math.radians(d["target_mean_angle_deg"]),
                 target_uncertainty=math.radians(d["target_uncertainty_deg"]),
                 target_grid_spacing=math.radians(d.get("target_grid_spacing_deg", 0.5)),
@@ -234,7 +236,16 @@ class Scenario:
             raise ModelError(f"scenario lacks the key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ModelError(f"scenario holds a value of the wrong type: {exc}") from exc
-        return cls(**fields)
+        sc = cls(**fields)
+        powers = [float(p) for p in np.atleast_1d(d["clutter_powers_db"])]
+        sc.file_values = dict(
+            {key: fields[key] for key in sizes},
+            **{key: float(d[key]) for key in ("target_mean_angle_deg", "target_uncertainty_deg",
+                                              "target_power_db", "noise_power_db")},
+            target_grid_spacing_deg=float(d.get("target_grid_spacing_deg", 0.5)),
+            clutter_angles_deg=np.atleast_1d(np.asarray(d["clutter_angles_deg"], float)).tolist(),
+            clutter_powers_db=powers * sc.n_clutter if len(powers) == 1 else powers)
+        return sc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Scenario":
@@ -246,6 +257,8 @@ class Scenario:
         return cls.from_dict(d)
 
     def to_dict(self) -> dict:
+        if self.file_values is not None:
+            return dict(self.file_values)
         return {
             "n_tx": self.n_tx,
             "n_rx": self.n_rx,
@@ -271,7 +284,13 @@ class Scenario:
 
 def unit_modulus(phases: np.ndarray, n_tx: int) -> np.ndarray:
     """Complex beamformer with the given phases and per-entry modulus 1/sqrt(n_tx)."""
-    return np.exp(1j * np.asarray(phases)) / np.sqrt(n_tx)
+    # bit for bit exp(1j * phases) / sqrt(n_tx), which takes the sine at 0 + phases
+    # (-0 becomes +0) and divides by multiplying both parts with 1 / sqrt(n_tx)
+    phases = np.asarray(phases)
+    T, scale = np.empty(phases.shape, dtype=complex), 1.0 / math.sqrt(n_tx)
+    np.multiply(np.cos(phases), scale, out=T.real)
+    np.multiply(np.sin(phases + 0.0), scale, out=T.imag)
+    return T
 
 
 def random_unit_modulus(n_tx: int, n_rf: int, rng: np.random.Generator) -> np.ndarray:

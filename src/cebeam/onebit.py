@@ -127,7 +127,7 @@ def epm_point(t: np.ndarray, problem: DesignProblem, n_tx: int, n_rf: int) -> Ep
     T = t.reshape((n_tx, n_rf), order="F")
     Z, gaps = pattern_terms(T, problem)
     norm = np.linalg.norm(t)
-    gram = T.T @ T - np.eye(n_rf)
+    gram = T.T @ T - problem.eye_rf
     return EpmPoint(t, T, Z, gaps, norm, gram, float(np.sum(gaps ** 2)),
                     n_rf - np.sqrt(n_rf) * norm, float(np.sum(gram ** 2)))
 
@@ -273,13 +273,12 @@ def exhaustive_onebit(problem: DesignProblem, n_tx: int, n_rf: int,
     chunk = 1 << 14
     total = 1 << n
     bit_id = np.arange(n, dtype=np.int64)
-    eye = np.eye(n_rf)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         signs = (((idx[:, None] >> bit_id[None, :]) & 1) * 2 - 1).astype(np.float64)
         Tb = signs.reshape(-1, n_rf, n_tx).transpose(0, 2, 1) * scale   # column-major bits
         mse = np.sum(pattern_terms(Tb, problem)[1] ** 2, axis=-1)
-        gram = np.einsum("bnr,bns->brs", Tb, Tb) - eye[None]
+        gram = np.einsum("bnr,bns->brs", Tb, Tb) - problem.eye_rf[None]
         vals = mse + penalty_orth * np.sum(gram ** 2, axis=(1, 2))
         k = int(np.argmin(vals))
         if vals[k] < best_val:

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .ce_design import (CeDesignParams, DesignProblem, MmTrace, beampattern_mse,
                         evaluate_iterate, orthogonality_residual, pattern_terms, plain_mm,
-                        squarem_accelerated_mm)
+                        squarem_accelerated_mm, takes_low_rank)
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
                     beampattern_powers, db_to_linear, quantization_model, random_unit_modulus,
                     relative_entropies, unit_modulus)
@@ -162,11 +162,13 @@ def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
     runner = squarem_accelerated_mm if method.upper() == "AMM" else plain_mm
     T, trace = runner(T0, profile, params, monitor=monitor)
     avg, single = evaluate_entropies(scenario, T, bits)
+    low_rank = takes_low_rank(scenario.n_tx, profile.all_angles().size + scenario.n_rf)
     report = DesignReport(
         method=method.upper(), iterations=trace.iterations, wall_time_s=trace.wall_time_s,
         final_mse=float(trace.mse[-1]), orthogonality_residual=float(trace.orth_residual[-1]),
         avg_relative_entropy=avg, mean_angle_relative_entropy=single,
-        converged=trace.converged, map_evals=trace.map_evals, extras=trace.counters())
+        converged=trace.converged, map_evals=trace.map_evals,
+        extras={**trace.counters(), "minorizer": "low-rank" if low_rank else "dense"})
     return T, report, trace, profile
 
 
@@ -179,8 +181,8 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
     if profile is None:
         profile = run_power_allocation(scenario, bits).profile
     params = params or OneBitParams()
-    T_ce, _, ce_trace, _ = run_ce_design(scenario, bits, seed, "AMM",
-                                         ce_params or CeDesignParams(seed=seed), profile)
+    T_ce, ce_report, _, _ = run_ce_design(scenario, bits, seed, "AMM",
+                                          ce_params or CeDesignParams(seed=seed), profile)
     # one-bit starting point: phases snapped to {0, pi}, column-major vector
     t0 = round_to_signs(np.real(T_ce), scenario.n_tx, scenario.n_rf).reshape(-1, order="F")
     started = time.perf_counter()
@@ -195,8 +197,8 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
         converged=trace.converged,
         extras={"momentum_resets": trace.momentum_resets, "halvings": trace.halvings,
                 "final_binary_gap": float(trace.binary_gap[-1]),
-                "warm_start": {"iterations": ce_trace.iterations,
-                               "map_evals": ce_trace.map_evals, **ce_trace.counters()}})
+                "warm_start": {"iterations": ce_report.iterations,
+                               "map_evals": ce_report.map_evals, **ce_report.extras}})
     return T, report, trace, profile
 
 
@@ -210,17 +212,16 @@ def projection_baseline(scenario: Scenario, problem: DesignProblem, seed: int = 
     applied only at the end by keeping the phases.
     """
     n_tx, n_rf = scenario.n_tx, scenario.n_rf
-    eye = np.eye(n_rf)
 
     def cost(T):
-        gram = T.conj().T @ T - eye
+        gram = T.conj().T @ T - problem.eye_rf
         return float(np.sum(pattern_terms(T, problem)[1] ** 2)
                      + penalty * np.sum(np.abs(gram) ** 2))
 
     def grad(T):
         Z, gaps = pattern_terms(T, problem)
         g = 2.0 * (problem.A_conj * gaps) @ Z
-        return g + 2.0 * penalty * T @ (T.conj().T @ T - eye)
+        return g + 2.0 * penalty * T @ (T.conj().T @ T - problem.eye_rf)
 
     started = time.perf_counter()
     rng = np.random.default_rng(seed)

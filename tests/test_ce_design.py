@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -372,11 +373,15 @@ class TestDesignLoops:
         assert trace.orth_residual[-1] < 0.05
 
 
+_SCRATCH = ("work", "scaled", "gram_work", "d_work")
+
+
 @pytest.mark.parametrize("n_tx", [40, 12], ids=["low-rank", "dense"])
 @pytest.mark.parametrize("design", ["plain", "accelerated", "epm"])
 def test_one_problem_per_design(monkeypatch, design, n_tx):
     # each design builds the profile's steering once, into one problem, and
-    # writes none of the problem's arrays but the dense minorizer's scratch
+    # writes none of the problem's arrays but the minorizers' scratch; the
+    # steering block of the low-rank Gram scratch is steering_gram itself
     builds, problems = [], []
     steering, build = C.steering_matrix, C.design_problem
 
@@ -387,7 +392,7 @@ def test_one_problem_per_design(monkeypatch, design, n_tx):
     def recorded_problem(*args):
         problem = build(*args)
         arrays = {f.name: getattr(problem, f.name).copy() for f in dataclasses.fields(problem)
-                  if f.name != "work" and isinstance(getattr(problem, f.name), np.ndarray)}
+                  if f.name not in _SCRATCH and isinstance(getattr(problem, f.name), np.ndarray)}
         problems.append((problem, arrays))
         return problem
 
@@ -406,10 +411,20 @@ def test_one_problem_per_design(monkeypatch, design, n_tx):
     assert len(builds) == len(problems) == 1
     problem, arrays = problems[0]
     assert problem.low_rank == (n_tx == 40)
-    assert set(arrays) == ({"A", "A_conj", "levels", "steering_gram"}
+    assert set(arrays) == ({"A", "A_conj", "levels", "steering_gram", "eye_rf"}
                            | (set() if problem.low_rank else {"eye"}))
     for name, before in arrays.items():
         np.testing.assert_array_equal(getattr(problem, name), before, err_msg=name)
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    # the helper repeats np.linalg.norm's own formula, whatever the layout
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((128, 8)) + 1j * rng.standard_normal((128, 8))
+    for view in (X, X.T, X[3:100:3, 1:7], X.T[::2], X[:, 5], np.empty((0, 3), complex)):
+        assert C._norm(view) == float(np.linalg.norm(view))
+    T = X[:, :3]
+    assert C.orthogonality_residual(T) == float(np.linalg.norm(T.conj().T @ T - np.eye(3)))
 
 
 class TestParams:
@@ -627,6 +642,15 @@ def _parent_objective(T, profile, penalty):
     return mse + penalty * orth ** 2
 
 
+def _parent_project(Z, fallback, n_tx):
+    """The phase projection as it stood before the lean map, operation for operation."""
+    phases = np.angle(Z)
+    dead = np.abs(Z) == 0.0
+    if np.any(dead):
+        phases[dead] = np.angle(fallback)[dead]
+    return np.exp(1j * phases) / np.sqrt(n_tx)
+
+
 def _parent_mm_map(T_m, profile, penalty):
     """The dense map as it stood before the low-rank path, operation for operation."""
     n_tx, n_rf = T_m.shape
@@ -643,10 +667,65 @@ def _parent_mm_map(T_m, profile, penalty):
     lam_p = gram_lambda + penalty
     base = _parent_objective(T_m, profile, penalty)
     for shift in (lam + 0.5 * (sigma + 1.05) ** 2 * lam_p, lam + 2.0 * n_rf * lam_p):
-        T_new = C._project_phases((shift * np.eye(n_tx) - Q) @ T_m, T_m, n_tx)
+        T_new = _parent_project((shift * np.eye(n_tx) - Q) @ T_m, T_m, n_tx)
         if _parent_objective(T_new, profile, penalty) <= base + 1e-12:
             return T_new
     return T_m
+
+
+def _parent_low_rank_map(T_m, profile, penalty):
+    """The low-rank map as it stood before the lean map, operation for operation."""
+    n_tx, n_rf = T_m.shape
+    A, gram_lambda = steering_and_lambda(profile, n_tx)
+    A_conj, steering_gram = A.conj(), (A.conj().T @ A).conj()
+    Z = A.T @ T_m
+    gaps = np.sum(np.abs(Z) ** 2, axis=-1) - profile.all_levels()
+    gram = T_m.conj().T @ T_m
+    G, d = steering_gram, gaps
+    if penalty != 0.0:
+        P = gaps.size
+        G = np.empty((P + n_rf, P + n_rf), dtype=complex)
+        G[:P, :P] = steering_gram
+        G[:P, P:] = Z
+        G[P:, :P] = Z.conj().T
+        G[P:, P:] = gram
+        d = np.concatenate((d, np.full(n_rf, float(penalty))))
+    eigs = None
+    if 2 * d.size <= n_tx:
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            L = None
+        if L is not None:
+            eigs = np.linalg.eigvalsh((L.conj().T * d) @ L)
+            if d.size:
+                g = float(G.diagonal().real.max())
+                p_min = float(L.diagonal().real.min())
+                q_norm = max(-float(eigs[0]), float(eigs[-1]))
+                error = d.size * np.finfo(float).eps * float(np.abs(d).max()) * g * math.sqrt(g)
+                if not (q_norm >= np.finfo(float).tiny
+                        and error <= C.GRAM_ERROR_LIMIT * p_min * q_norm):
+                    eigs = None
+    if eigs is None:
+        B = A_conj if penalty == 0.0 else np.concatenate((A_conj, T_m), axis=1)
+        R = np.linalg.qr(B, mode="r")
+        eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
+    lam = float(np.max(eigs, initial=0.0) if d.size < n_tx else eigs[-1])
+    sigma_max = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    q_t = A_conj @ (gaps[:, None] * Z) + penalty * (T_m @ gram)
+    lam_p = gram_lambda + penalty
+    base = _parent_objective(T_m, profile, penalty)
+    for shift in (lam + 0.5 * (sigma_max + 1.05) ** 2 * lam_p, lam + 2.0 * n_rf * lam_p):
+        T_new = _parent_project(shift * T_m - q_t, T_m, n_tx)
+        if _parent_objective(T_new, profile, penalty) <= base + 1e-12:
+            return T_new
+    return T_m
+
+
+def _parent_map(T_m, profile, penalty):
+    """The parent's map on the side of the crossover that T_m and the profile take."""
+    low_rank = C.takes_low_rank(T_m.shape[0], profile.all_angles().size + T_m.shape[1])
+    return (_parent_low_rank_map if low_rank else _parent_mm_map)(T_m, profile, penalty)
 
 
 def _parent_squarem(T, profile, penalty, iters):
@@ -654,15 +733,15 @@ def _parent_squarem(T, profile, penalty, iters):
     n_tx = T.shape[0]
     out = []
     for _ in range(iters):
-        T1 = _parent_mm_map(T, profile, penalty)
-        T2 = _parent_mm_map(T1, profile, penalty)
+        T1 = _parent_map(T, profile, penalty)
+        T2 = _parent_map(T1, profile, penalty)
         Y1 = T1 - T
         Y2 = T2 - T1 - Y1
         n2 = np.linalg.norm(Y2)
         T_new = T2
         if n2 > 0.0:
             kappa = -np.linalg.norm(Y1) / n2
-            T_acc = C._project_phases(T - 2.0 * kappa * Y1 + kappa ** 2 * Y2, T, n_tx)
+            T_acc = _parent_project(T - 2.0 * kappa * Y1 + kappa ** 2 * Y2, T, n_tx)
             if _parent_objective(T_acc, profile, penalty) <= \
                     _parent_objective(T2, profile, penalty):
                 T_new = T_acc
@@ -686,11 +765,38 @@ def test_dense_map_is_bit_identical_below_crossover(desk_scenario):
     assert not C.takes_low_rank(desk_scenario.n_tx, prof.all_angles().size + desk_scenario.n_rf)
     T = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, np.random.default_rng(30))
     problem = C.design_problem(prof, desk_scenario.n_tx, desk_scenario.n_rf)
-    problem.work[...] = np.nan
+    _poison(problem)
     x = C.evaluate_iterate(T, problem)
     for penalty in (0.01, 0.01, 0.3, 0.3, 2.0):
         expected = _parent_mm_map(x.T, prof, penalty)
         np.testing.assert_array_equal(C.mm_map(x, problem, penalty).T, expected)
+        x = C.mm_map(x, problem, penalty)
+        np.testing.assert_array_equal(x.T, expected)
+        _assert_fresh(x, problem)
+
+
+def _poison(problem):
+    """NaN in every scratch array of the problem, except the Gram's fixed steering block."""
+    P = problem.levels.size
+    for name in ("work", "scaled", "d_work"):
+        if getattr(problem, name) is not None:
+            getattr(problem, name)[...] = np.nan
+    problem.gram_work[P:] = np.nan
+    problem.gram_work[:P, P:] = np.nan
+
+
+def test_low_rank_map_is_bit_identical_to_parent():
+    # default128 with its 1-bit profile (r = 23, n_tx = 128) takes the Gram route, bit for bit
+    from cebeam.pipeline import load_scenario, run_power_allocation
+    sc = load_scenario("default128")
+    prof = run_power_allocation(sc, 1).profile
+    problem = C.design_problem(prof, sc.n_tx, sc.n_rf)
+    assert problem.low_rank
+    _poison(problem)
+    x = C.evaluate_iterate(M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(34)),
+                           problem)
+    for penalty in (0.0, 0.01, 0.01, 0.3, 0.3, 2.0):
+        expected = _parent_low_rank_map(x.T, prof, penalty)
         x = C.mm_map(x, problem, penalty)
         np.testing.assert_array_equal(x.T, expected)
         _assert_fresh(x, problem)
@@ -749,19 +855,21 @@ def test_layer_counts_per_map(monkeypatch, runner, n_tx):
 
 
 def test_accelerated_loop_is_bit_identical_to_parent():
-    # the loop carries records from map to map; its iterates are the parent's
-    rng = np.random.default_rng(33)
-    prof = random_profile(rng, 3, 3)
-    T0 = M.random_unit_modulus(12, 3, rng)
+    # the loop carries records from map to map; its iterates are the parent's,
+    # on both sides of the crossover (r = 9: dense at 12 antennas, low-rank at 40)
     # 30 iterations stay inside the first penalty period
     assert C.PENALTY_PERIOD > 30
     params = C.CeDesignParams(max_iters=30, tol=1e-30)
-    seen = []
-    C.squarem_accelerated_mm(T0, prof, params, monitor=lambda it, T: seen.append(T))
-    expected = _parent_squarem(T0, prof, C.PENALTY_INIT, len(seen))
-    assert len(seen) == 30
-    for T, T_ref in zip(seen, expected):
-        np.testing.assert_array_equal(T, T_ref)
+    for n_tx in (12, 40):
+        rng = np.random.default_rng(33)
+        prof = random_profile(rng, 3, 3)
+        T0 = M.random_unit_modulus(n_tx, 3, rng)
+        seen = []
+        C.squarem_accelerated_mm(T0, prof, params, monitor=lambda it, T: seen.append(T))
+        expected = _parent_squarem(T0, prof, C.PENALTY_INIT, len(seen))
+        assert len(seen) == 30
+        for T, T_ref in zip(seen, expected):
+            np.testing.assert_array_equal(T, T_ref)
 
 
 def _parent_epm(t, profile, n_tx, n_rf, penalty_orth, penalty_bin):

@@ -83,6 +83,22 @@ class TestBeampattern:
         np.testing.assert_allclose(vec, one_by_one, rtol=1e-12)
 
 
+class TestUnitModulus:
+    @pytest.mark.parametrize("n_tx", [1, 7, 32, 128])
+    def test_bytes_of_the_complex_exponential(self, n_tx):
+        # cos and sin scaled by 1/sqrt(n_tx) against exp(1j * phases) / sqrt(n_tx),
+        # byte for byte: the sign of every zero and the last bit of every entry
+        rng = np.random.default_rng(11)
+        edges = [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300, 5e-324, -5e-324]
+        phases = np.concatenate((rng.uniform(-4.0, 4.0, 100_000), edges))
+        expected = np.exp(1j * phases) / np.sqrt(n_tx)
+        assert M.unit_modulus(phases, n_tx).tobytes() == expected.tobytes()
+        grid = phases[:1024].reshape(128, 8)
+        got = M.unit_modulus(grid.T, n_tx)
+        assert got.shape == (8, 128)
+        assert got.tobytes() == (np.exp(1j * grid.T) / np.sqrt(n_tx)).tobytes()
+
+
 def _psd_check(r, tol=1e-9):
     w = np.linalg.eigvalsh(r)
     return w[0] >= -tol * np.trace(r).real

@@ -385,6 +385,18 @@ class TestReportCounters:
             assert 0 <= counts["squarem_rejections"] <= iterations
         assert ob["extras"]["halvings"] >= 0 and ob["extras"]["momentum_resets"] >= 0
 
+    def test_reports_name_the_stage2_path(self, tmp_path):
+        # default128 (r = 23, n_tx = 128) goes low-rank; desk32 (r = 27, n_tx = 32) stays dense
+        for name, path in (("default128", "low-rank"), ("desk32", "dense")):
+            cli.main(["design-ce", "--scenario", name, "--max-iters", "2",
+                      "--out", str(tmp_path / name)])
+            ce = json.loads((tmp_path / name / "design_report.json").read_text())["report"]
+            assert ce["extras"]["minorizer"] == path
+        cli.main(["design-onebit", "--scenario", "desk32", "--max-iters", "2",
+                  "--out", str(tmp_path / "ob")])
+        ob = json.loads((tmp_path / "ob" / "onebit_report.json").read_text())["report"]
+        assert ob["extras"]["warm_start"]["minorizer"] == "dense"
+
 
 class TestIterationFlags:
     def test_onebit_tol_is_honored(self, mini_scenario_file, tmp_path):
@@ -529,8 +541,9 @@ class TestCliFuzz:
             back = PL.load_scenario(str(tmp / "back.json"))
         for name in ("n_tx", "n_rx", "n_rf", "code_len"):
             assert getattr(back, name) == getattr(sc, name)
-        # degrees <-> radians and dB <-> linear convert to within a few ulps
+        # the file-unit values are written back as read, so nothing moves by an ulp
         for name in ("target_mean_angle", "target_uncertainty", "target_grid_spacing",
                      "target_power", "noise_power", "clutter_angles", "clutter_powers"):
-            np.testing.assert_allclose(getattr(back, name), getattr(sc, name),
-                                       rtol=8 * np.finfo(float).eps, atol=0, err_msg=name)
+            np.testing.assert_array_equal(getattr(back, name), getattr(sc, name), err_msg=name)
+        assert back.to_dict() == sc.to_dict()
+        assert back.content_hash() == sc.content_hash()
