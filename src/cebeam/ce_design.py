@@ -40,12 +40,11 @@ factor B^H B = L L^H,
     smax(X)    = sqrt(lam_max(X^H X)),
     (shift * I - Q) X = shift * X - conj(A) ((phi - level) * Z) - pen * X (X^H X).
 
-When 2 r > N_t, or when the Gram's rounding could move lam_max(Q) by more
-than 1e-13 ||Q||_2 (a small Cholesky pivot, or gaps of both signs on nearly
-parallel columns), lam_max(Q) comes from R diag(d) R^H for the thin QR
-B = U R instead.  The minorizer takes this form when N_t >= 32 and
-2 r <= N_t (``takes_low_rank``, a measured crossover); below it the dense Q
-and its eigensolve are cheaper.
+When the Gram's rounding could move lam_max(Q) by more than 1e-13 ||Q||_2
+(a small Cholesky pivot, or gaps of both signs on nearly parallel columns),
+lam_max(Q) comes from R diag(d) R^H for the thin QR B = U R instead.  The
+minorizer takes this form when N_t >= 32 and 2 r <= N_t (``takes_low_rank``,
+a measured crossover); below it the dense Q and its eigensolve are cheaper.
 
 The per-design constants (A, conj(A), the levels, lam_max(G), A^T conj(A),
 the side of the crossover, the minorizers' scratch) live in one ``DesignProblem``
@@ -164,18 +163,20 @@ class Iterate:
 class MmTrace:
     """Per-iteration history of one design run, with its fallback counts.
 
-    ``shift_rejections`` counts maps whose optimistic shift would have
-    ascended (stalls included), ``stalls`` the maps where the guaranteed
-    shift did too, so the map returned its input, ``gram_fallbacks`` the
-    maps whose low-rank minorizer fell back from the Gram's Cholesky factor
-    to the thin QR, and ``squarem_rejections`` the accelerated iterations
-    that kept the plain double update.
+    ``minorizer`` is the side of the crossover the design's problem took,
+    ``"low-rank"`` or ``"dense"``.  ``shift_rejections`` counts maps whose
+    optimistic shift would have ascended (stalls included), ``stalls`` the
+    maps where the guaranteed shift did too, so the map returned its input,
+    ``gram_fallbacks`` the maps whose low-rank minorizer fell back from the
+    Gram's Cholesky factor to the thin QR, and ``squarem_rejections`` the
+    accelerated iterations that kept the plain double update.
     """
 
     mse: np.ndarray
     objective: np.ndarray
     penalty: np.ndarray
     orth_residual: np.ndarray
+    minorizer: str
     iterations: int = 0
     map_evals: int = 0
     converged: bool = False
@@ -199,20 +200,20 @@ class DesignProblem:
     ``A`` = [a_1 .. a_P] steers toward the profile angles (targets, then
     clutter), ``levels`` are the requested levels in that order,
     ``gram_lambda`` = lam_max(G), G[p,q] = |a_p^H a_q|^2, bounds the curvature
-    of the pattern functionals and ``steering_gram`` = A^T conj(A), the
-    fixed block of ``gram_work``, the scratch of B^H B that the low-rank
-    minorizer fills with ``d_work`` = d (see ``MinorizerState``).  Only the
-    dense side (not ``low_rank``) holds ``eye``, the n_tx identity, and the
-    scratch ``scaled`` = conj(A) diag(gaps) and ``work``, (2, n_tx, n_tx),
-    that Q and then shift * I - Q are built in: fresh temporaries of that
-    size on every call page-fault, thousands of times per design.
+    of the pattern functionals, and ``low_rank`` is the one record of the
+    crossover's side.  ``gram_work``, whose P x P block is the fixed
+    A^T conj(A), is the scratch of B^H B that the low-rank minorizer fills
+    with ``d_work`` = d (see ``MinorizerState``).  Only the dense side holds
+    ``eye``, the n_tx identity, and the scratch ``scaled`` = conj(A)
+    diag(gaps) and ``work``, (2, n_tx, n_tx), that Q and then shift * I - Q
+    are built in: fresh temporaries of that size on every call page-fault,
+    thousands of times per design.
     """
 
     A: np.ndarray
     A_conj: np.ndarray
     levels: np.ndarray
     gram_lambda: float
-    steering_gram: np.ndarray
     low_rank: bool
     eye_rf: np.ndarray
     gram_work: np.ndarray
@@ -230,7 +231,7 @@ def design_problem(profile: PowerProfile, n_tx: int, n_rf: int) -> DesignProblem
     lam = float(np.linalg.eigvalsh(np.abs(cross) ** 2)[-1]) if P else 0.0
     gram_work = np.empty((P + n_rf, P + n_rf), dtype=complex)
     gram_work[:P, :P] = cross.conj()
-    shared = (A, A.conj(), profile.all_levels(), lam, gram_work[:P, :P])
+    shared = (A, A.conj(), profile.all_levels(), lam)
     scratch = (np.eye(n_rf), gram_work, np.empty(P + n_rf))
     if takes_low_rank(n_tx, P + n_rf):
         return DesignProblem(*shared, True, *scratch)
@@ -279,10 +280,10 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
     return evaluate_iterate(T, design_problem(profile, *T.shape)).objective(penalty)
 
 
-# Crossover of the matrix-free minorizer, measured per mm_map call with one
-# BLAS thread when it still took a thin QR of B: below 32 antennas the QR's
-# fixed cost lost at any rank, and above it the dense eigensolve lost once
-# 2 r <= n_tx.  It is kept where it was, so desk32 stays on the dense path.
+# Crossover of the matrix-free minorizer.  Per mm_map call with one BLAS
+# thread (best of 5 x 400 maps), the dense path still wins at 8 and 12
+# antennas: 97 us against 123 us, and 104 us against 112 us.  No workload
+# designs on that side, so the crossover stays and desk32 stays dense.
 LOW_RANK_MIN_TX = 32
 
 
@@ -322,10 +323,9 @@ def _dense_minorizer(problem: DesignProblem, gaps: np.ndarray, T_m: np.ndarray,
     work = problem.work
     scaled = np.multiply(problem.A_conj, gaps, out=problem.scaled)
     Q = np.matmul(scaled, problem.A.T, out=work[0])
-    if penalty != 0.0:
-        gram = np.matmul(T_m, T_m.conj().T, out=work[1])
-        gram *= penalty
-        Q += gram
+    gram = np.matmul(T_m, T_m.conj().T, out=work[1])
+    gram *= penalty
+    Q += gram
     Q += np.conjugate(Q.T, out=work[1])
     Q *= 0.5
     return Q
@@ -345,31 +345,27 @@ def _low_rank_minorizer(x: Iterate, problem: DesignProblem,
     shares its nonzero eigenvalues with diag(d) B^H B, and so with the
     Hermitian L^H diag(d) L for the Cholesky factor B^H B = L L^H.  The Gram
     is filled from the problem's A^T conj(A) and the record's
-    Z = A^T T_m and T_m^H T_m.  When 2 r > n_tx, or when the Gram route
-    cannot be trusted (``_gram_eigenvalues``), the thin QR B = U R gives
-    R diag(d) R^H instead.  Q is singular when r < n_tx, so its top
-    eigenvalue is then at least 0, while the gaps may all be negative.  As
-    in the dense build, a zero penalty drops the T_m columns.  Returns
-    lambda_max, Q T_m, sigma_max and whether the thin QR was taken.
+    Z = A^T T_m and T_m^H T_m.  When the Gram route cannot be trusted
+    (``_gram_eigenvalues``), the thin QR B = U R gives R diag(d) R^H
+    instead.  Q is singular when r < n_tx, so its top eigenvalue is then at
+    least 0, while the gaps may all be negative.  Returns lambda_max, Q T_m,
+    sigma_max and whether the thin QR was taken.
     """
     T_m, Z, gaps, gram = x.T, x.Z, x.gaps, x.gram
     n_tx = T_m.shape[0]
-    G, d = problem.steering_gram, gaps
-    if penalty != 0.0:
-        P = gaps.size
-        G, d = problem.gram_work, problem.d_work
-        G[:P, P:] = Z
-        np.conjugate(Z.T, out=G[P:, :P])
-        G[P:, P:] = gram
-        d[:P] = gaps
-        d[P:] = penalty
-    eigs = _gram_eigenvalues(G, d) if 2 * d.size <= n_tx else None
+    P = gaps.size
+    G, d = problem.gram_work, problem.d_work
+    G[:P, P:] = Z
+    np.conjugate(Z.T, out=G[P:, :P])
+    G[P:, P:] = gram
+    d[:P] = gaps
+    d[P:] = penalty
+    eigs = _gram_eigenvalues(G, d)
     fell_back = eigs is None
     if fell_back:
-        B = problem.A_conj if penalty == 0.0 else np.concatenate((problem.A_conj, T_m), axis=1)
-        R = np.linalg.qr(B, mode="r")
+        R = np.linalg.qr(np.concatenate((problem.A_conj, T_m), axis=1), mode="r")
         eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
-    lam = float(eigs[-1]) if d.size else 0.0       # eigvalsh sorts ascending
+    lam = float(eigs[-1])                          # eigvalsh sorts ascending
     lam = max(lam, 0.0) if d.size < n_tx else lam
     sigma_max = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     q_t = problem.A_conj @ (gaps[:, None] * Z)
@@ -395,8 +391,6 @@ def _gram_eigenvalues(G: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     eigs = np.linalg.eigvalsh((L.conj().T * d) @ L)
-    if d.size == 0:
-        return eigs
     g = float(G.diagonal().real.max())
     p_min = float(L.diagonal().real.min())
     q_norm = max(-float(eigs[0]), float(eigs[-1]))
@@ -515,6 +509,7 @@ def _run_design(T0: np.ndarray, profile: PowerProfile, params: CeDesignParams,
     trace = MmTrace(
         mse=np.asarray(mse_hist), objective=np.asarray(obj_hist),
         penalty=np.asarray(pen_hist), orth_residual=np.asarray(orth_hist),
+        minorizer="low-rank" if problem.low_rank else "dense",
         iterations=len(obj_hist), converged=converged,
         wall_time_s=time.perf_counter() - started, **counts)
     return x.T, trace

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import __version__
 from .ce_design import (CeDesignParams, DesignProblem, MmTrace, beampattern_mse,
-                        evaluate_iterate, orthogonality_residual, pattern_terms, plain_mm,
-                        squarem_accelerated_mm, takes_low_rank)
+                        evaluate_iterate, orthogonality_residual, plain_mm,
+                        squarem_accelerated_mm)
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
                     beampattern_powers, db_to_linear, quantization_model, random_unit_modulus,
                     relative_entropies, unit_modulus)
@@ -162,13 +162,12 @@ def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
     runner = squarem_accelerated_mm if method.upper() == "AMM" else plain_mm
     T, trace = runner(T0, profile, params, monitor=monitor)
     avg, single = evaluate_entropies(scenario, T, bits)
-    low_rank = takes_low_rank(scenario.n_tx, profile.all_angles().size + scenario.n_rf)
     report = DesignReport(
         method=method.upper(), iterations=trace.iterations, wall_time_s=trace.wall_time_s,
         final_mse=float(trace.mse[-1]), orthogonality_residual=float(trace.orth_residual[-1]),
         avg_relative_entropy=avg, mean_angle_relative_entropy=single,
         converged=trace.converged, map_evals=trace.map_evals,
-        extras={**trace.counters(), "minorizer": "low-rank" if low_rank else "dense"})
+        extras={**trace.counters(), "minorizer": trace.minorizer})
     return T, report, trace, profile
 
 
@@ -209,46 +208,35 @@ def projection_baseline(scenario: Scenario, problem: DesignProblem, seed: int = 
 
     Gradient descent with backtracking on the pattern MSE plus orthogonality
     penalty over a free complex matrix; the constant-envelope constraint is
-    applied only at the end by keeping the phases.
+    applied only at the end by keeping the phases.  Each candidate is
+    evaluated once, and the gradient is read from the accepted ``Iterate``.
     """
     n_tx, n_rf = scenario.n_tx, scenario.n_rf
-
-    def cost(T):
-        gram = T.conj().T @ T - problem.eye_rf
-        return float(np.sum(pattern_terms(T, problem)[1] ** 2)
-                     + penalty * np.sum(np.abs(gram) ** 2))
-
-    def grad(T):
-        Z, gaps = pattern_terms(T, problem)
-        g = 2.0 * (problem.A_conj * gaps) @ Z
-        return g + 2.0 * penalty * T @ (T.conj().T @ T - problem.eye_rf)
-
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     T = (rng.standard_normal((n_tx, n_rf)) + 1j * rng.standard_normal((n_tx, n_rf)))
     T /= np.sqrt(2.0 * n_tx)
-    f = cost(T)
+    x = evaluate_iterate(T, problem)
+    f = x.objective(penalty)
     for _ in range(iters):
-        g = grad(T)
+        g = 2.0 * (problem.A_conj * x.gaps) @ x.Z
+        g += 2.0 * penalty * x.T @ (x.gram - problem.eye_rf)
         gnorm2 = float(np.sum(np.abs(g) ** 2))
         mu = 1.0
         for _ in range(60):
-            cand = T - mu * g
-            fc = cost(cand)
-            if fc <= f - 1e-4 * mu * gnorm2:
+            cand = evaluate_iterate(x.T - mu * g, problem)
+            if cand.objective(penalty) <= f - 1e-4 * mu * gnorm2:
                 break
             mu *= 0.5
-        T, f = cand, fc
+        x, f = cand, cand.objective(penalty)
 
-    phases = np.angle(T)
-    T_proj = unit_modulus(phases, n_tx)
-    x = evaluate_iterate(T_proj, problem)
+    T_proj = unit_modulus(np.angle(x.T), n_tx)
+    x_proj = evaluate_iterate(T_proj, problem)
     report = DesignReport(
         method="projection-baseline", iterations=iters,
         wall_time_s=time.perf_counter() - started,
-        final_mse=x.mse, orthogonality_residual=x.orth,
-        extras={"unconstrained_cost": f,
-                "unconstrained_mse": evaluate_iterate(T, problem).mse})
+        final_mse=x_proj.mse, orthogonality_residual=x_proj.orth,
+        extras={"unconstrained_cost": f, "unconstrained_mse": x.mse})
     return T_proj, report
 
 

@@ -33,6 +33,16 @@ def _cdf(x):
     return 0.5 * (1.0 + _erf(x / _SQRT2))
 
 
+def _cells(thresholds: np.ndarray):
+    """Cell edges a and b, the Gaussian density at them (0 at +-inf) and the cell masses."""
+    edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    a, b = edges[:-1], edges[1:]
+    pa, pb = _phi(a), _phi(b)
+    pa[np.isinf(a)] = 0.0
+    pb[np.isinf(b)] = 0.0
+    return a, b, pa, pb, _cdf(b) - _cdf(a)
+
+
 @dataclass(frozen=True)
 class ScalarQuantizer:
     """Odd-symmetric codebook for a unit-variance real Gaussian source."""
@@ -54,15 +64,9 @@ class ScalarQuantizer:
 
     def distortion(self) -> float:
         """Exact E[(X - Q(X))^2] for X ~ N(0, 1), by per-cell Gaussian moments."""
-        edges = np.concatenate(([-np.inf], self.thresholds, [np.inf]))
-        a, b = edges[:-1], edges[1:]
-        pa, pb = _phi(a), _phi(b)
-        ca, cb = _cdf(a), _cdf(b)
-        pa[np.isinf(a)] = 0.0
-        pb[np.isinf(b)] = 0.0
+        a, b, pa, pb, mass = _cells(self.thresholds)
         apa = np.where(np.isinf(a), 0.0, a) * pa
         bpb = np.where(np.isinf(b), 0.0, b) * pb
-        mass = cb - ca
         second = mass + apa - bpb          # integral of x^2 over the cell
         first = pa - pb                    # integral of x over the cell
         return float(np.sum(second - 2.0 * self.levels * first + self.levels ** 2 * mass))
@@ -87,13 +91,7 @@ def lloyd_max_codebook(bits: int) -> ScalarQuantizer:
     normal = NormalDist()
     levels = np.array([normal.inv_cdf((i + 0.5) / n_levels) for i in range(n_levels)])
     for _ in range(_LLOYD_MAX_ITERS):
-        thresholds = 0.5 * (levels[:-1] + levels[1:])
-        edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
-        a, b = edges[:-1], edges[1:]
-        pa, pb = _phi(a), _phi(b)
-        pa[np.isinf(a)] = 0.0
-        pb[np.isinf(b)] = 0.0
-        mass = _cdf(b) - _cdf(a)
+        _, _, pa, pb, mass = _cells(0.5 * (levels[:-1] + levels[1:]))
         new_levels = (pa - pb) / mass
         new_levels = 0.5 * (new_levels - new_levels[::-1])   # enforce odd symmetry
         move = np.max(np.abs(new_levels - levels))

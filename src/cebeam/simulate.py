@@ -157,8 +157,7 @@ class DetectionCurve:
     def __post_init__(self):
         if np.any(self.pd < 0.0) or np.any(self.pd > 1.0):
             raise ModelError("detection probabilities must lie in [0, 1]")
-        if self.trials < 10.0 / self.pfa_target:
-            raise ModelError("too few trials to calibrate the requested false-alarm rate")
+        check_detection_settings(self.pfa_target, self.trials)
 
 
 def check_detection_settings(pfa: float, trials: int) -> None:
@@ -288,7 +287,6 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
 def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
                     snr_grid_db, pfa: float, trials: int, seed: int) -> DetectionCurve:
     """Sweep ``simulate_detection`` over an SNR grid; point i takes seed + 1000*i."""
-    check_detection_settings(pfa, trials)
     points = [simulate_detection(T, scenario, bits, s, pfa, trials, seed + 1000 * i)
               for i, s in enumerate(snr_grid_db)]
     return DetectionCurve(

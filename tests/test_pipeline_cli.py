@@ -386,12 +386,15 @@ class TestReportCounters:
         assert ob["extras"]["halvings"] >= 0 and ob["extras"]["momentum_resets"] >= 0
 
     def test_reports_name_the_stage2_path(self, tmp_path):
-        # default128 (r = 23, n_tx = 128) goes low-rank; desk32 (r = 27, n_tx = 32) stays dense
+        # default128 (r = 23, n_tx = 128) goes low-rank; desk32 (r = 27, n_tx = 32) stays
+        # dense; the plain and the accelerated loop report the side their problem took
         for name, path in (("default128", "low-rank"), ("desk32", "dense")):
-            cli.main(["design-ce", "--scenario", name, "--max-iters", "2",
-                      "--out", str(tmp_path / name)])
-            ce = json.loads((tmp_path / name / "design_report.json").read_text())["report"]
-            assert ce["extras"]["minorizer"] == path
+            for method in ("AMM", "MM"):
+                out = tmp_path / f"{name}-{method}"
+                cli.main(["design-ce", "--scenario", name, "--max-iters", "2",
+                          "--method", method, "--out", str(out)])
+                ce = json.loads((out / "design_report.json").read_text())["report"]
+                assert (ce["method"], ce["extras"]["minorizer"]) == (method, path)
         cli.main(["design-onebit", "--scenario", "desk32", "--max-iters", "2",
                   "--out", str(tmp_path / "ob")])
         ob = json.loads((tmp_path / "ob" / "onebit_report.json").read_text())["report"]
