@@ -34,8 +34,6 @@ def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray,
     """
     half = levels.size // 2
     pos_thresholds, pos_levels = thresholds[half:], levels[half:]
-    if pos_thresholds.size == 0:
-        return np.copysign(pos_levels[0], x, out=out)
     mag = np.abs(x, out=np.empty(np.shape(x)) if work is None else work)
     idx = np.zeros(mag.shape, dtype=np.uint8)
     for t in pos_thresholds:

@@ -66,6 +66,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo, svd
 
 from .model import ModelError, steering_matrix, unit_modulus
 from .power_alloc import PowerProfile
@@ -98,7 +99,7 @@ class CeDesignParams:
                              f"got {self.max_iters} and {self.tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MinorizerState:
     """Quadratic surrogate at the current iterate T_m.
 
@@ -136,7 +137,7 @@ class MinorizerState:
         return shifted @ T_m
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Iterate:
     """A design point evaluated once; every later use reads these fields.
 
@@ -281,9 +282,9 @@ def penalized_objective(T: np.ndarray, profile: PowerProfile, penalty: float) ->
 
 
 # Crossover of the matrix-free minorizer.  Per mm_map call with one BLAS
-# thread (best of 5 x 400 maps), the dense path still wins at 8 and 12
-# antennas: 97 us against 123 us, and 104 us against 112 us.  No workload
-# designs on that side, so the crossover stays and desk32 stays dense.
+# thread (best of 5 x 400 maps; 2 and 4 profile angles, 2 RF chains), the dense
+# path still wins at 8 and 12 antennas: 45 us against 54 us, and 50 us against
+# 56 us.  No workload designs on that side, so the crossover stays and desk32 stays dense.
 LOW_RANK_MIN_TX = 32
 
 
@@ -310,11 +311,19 @@ def minorizer_matrix(x: Iterate, problem: DesignProblem, penalty: float) -> Mino
         lam, q_t, sigma_max, fell_back = _low_rank_minorizer(x, problem, penalty)
         return MinorizerState(None, q_t, lam, sigma_max, fell_back)
     # the spectral norm, as np.linalg.norm(T_m, 2) takes it: the top singular value
-    sigma_max = float(np.linalg.svd(T_m, compute_uv=False)[0])
+    sigma_max = float(_lapack_values(svd, T_m)[0])
     Q = _dense_minorizer(problem, x.gaps, T_m, penalty)
     # exact extremal eigenvalue: an underestimated shift voids the descent
     # guarantee, so no iterative approximation here
-    return MinorizerState(Q, None, float(np.linalg.eigvalsh(Q)[-1]), sigma_max)
+    return MinorizerState(Q, None, float(_lapack_values(eigvalsh_lo, Q)[-1]), sigma_max)
+
+
+def _lapack_values(gufunc, X: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh or svd(compute_uv=False) of complex X by its gufunc, without dispatch."""
+    values = gufunc(X, signature="D->d")
+    if math.isnan(values[0]):                      # how the gufunc reports a failed solve
+        raise np.linalg.LinAlgError(f"{gufunc.__name__} did not converge")
+    return values
 
 
 def _dense_minorizer(problem: DesignProblem, gaps: np.ndarray, T_m: np.ndarray,
@@ -364,10 +373,10 @@ def _low_rank_minorizer(x: Iterate, problem: DesignProblem,
     fell_back = eigs is None
     if fell_back:
         R = np.linalg.qr(np.concatenate((problem.A_conj, T_m), axis=1), mode="r")
-        eigs = np.linalg.eigvalsh((R * d) @ R.conj().T)
+        eigs = _lapack_values(eigvalsh_lo, (R * d) @ R.conj().T)
     lam = float(eigs[-1])                          # eigvalsh sorts ascending
     lam = max(lam, 0.0) if d.size < n_tx else lam
-    sigma_max = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    sigma_max = math.sqrt(max(float(_lapack_values(eigvalsh_lo, gram)[-1]), 0.0))
     q_t = problem.A_conj @ (gaps[:, None] * Z)
     q_t += np.multiply(penalty, T_m @ gram)
     return lam, q_t, sigma_max, fell_back
@@ -390,7 +399,7 @@ def _gram_eigenvalues(G: np.ndarray, d: np.ndarray) -> np.ndarray | None:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    eigs = np.linalg.eigvalsh((L.conj().T * d) @ L)
+    eigs = _lapack_values(eigvalsh_lo, (L.conj().T * d) @ L)
     g = float(G.diagonal().real.max())
     p_min = float(L.diagonal().real.min())
     q_norm = max(-float(eigs[0]), float(eigs[-1]))
@@ -434,7 +443,7 @@ def mm_map(x: Iterate, problem: DesignProblem, penalty: float,
 def _project_phases(Z: np.ndarray, fallback: np.ndarray, n_tx: int) -> np.ndarray:
     """Unit-modulus matrix with the phases of Z; zero entries keep the fallback's phase."""
     phases = np.arctan2(Z.imag, Z.real)         # np.angle; Z == 0 where |Z| == 0
-    if not Z.all():
+    if np.count_nonzero(Z) < Z.size:
         dead = Z == 0.0
         phases[dead] = np.angle(fallback)[dead]
     return unit_modulus(phases, n_tx)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,19 +80,19 @@ class EpmTrace:
 
 def box_project(t: np.ndarray, n_tx: int) -> np.ndarray:
     """Componentwise clamp onto [-1/sqrt(n_tx), 1/sqrt(n_tx)]."""
-    bound = 1.0 / np.sqrt(n_tx)
-    return np.clip(t, -bound, bound)
+    bound = 1.0 / math.sqrt(n_tx)
+    return np.minimum(np.maximum(t, -bound), bound)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class EpmPoint:
     """One point of the exact-penalty problem, evaluated once.
 
     ``T`` is ``t`` as an (n_tx x n_rf) matrix, ``Z`` and ``gaps`` its
     pattern terms, ``norm`` = ||t||, ``gram`` = T^T T - I, and ``mse``,
     ``binary_gap`` = N_rf - sqrt(N_rf) ||t|| and ``orth`` = ||gram||_F^2 the
-    three cost terms.  The objective and the gradient at any penalties are
-    assembled from these and, for the gradient, the problem's conj(A).
+    three cost terms.  The objective and the gradient at any penalties come
+    from these and conj(A); the last gradient is kept for its penalty pair.
     """
 
     t: np.ndarray
@@ -104,6 +104,7 @@ class EpmPoint:
     mse: float
     binary_gap: float
     orth: float
+    _grad: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def objective(self, penalty_orth: float, penalty_bin: float) -> float:
         """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
@@ -112,13 +113,15 @@ class EpmPoint:
     def gradient(self, problem: DesignProblem, penalty_orth: float,
                  penalty_bin: float) -> np.ndarray:
         """Exact gradient of ``objective`` (column-major layout)."""
-        if self.norm == 0.0:
-            raise DegenerateIterateError("gradient undefined at t = 0")
-        n_rf = self.T.shape[1]
-        g_pattern = np.real(problem.A_conj @ ((4.0 * self.gaps)[:, None] * self.Z))
-        g_bin = -penalty_bin * np.sqrt(n_rf) / self.norm * self.T
-        g_orth = 4.0 * penalty_orth * self.T @ self.gram
-        return (g_pattern + g_bin + g_orth).reshape(-1, order="F")
+        if self._grad[:2] != (penalty_orth, penalty_bin):
+            if self.norm == 0.0:
+                raise DegenerateIterateError("gradient undefined at t = 0")
+            # (g_pattern + g_bin) + g_orth, bit for bit: g_bin's array takes both sums
+            g = np.multiply(-penalty_bin * math.sqrt(self.T.shape[1]) / self.norm, self.T)
+            g += (problem.A_conj @ ((4.0 * self.gaps)[:, None] * self.Z)).real
+            g += np.multiply(4.0 * penalty_orth, self.T) @ self.gram
+            self._grad = (penalty_orth, penalty_bin, g.reshape(-1, order="F"))
+        return self._grad[2]
 
 
 def epm_point(t: np.ndarray, problem: DesignProblem, n_tx: int, n_rf: int) -> EpmPoint:
@@ -126,10 +129,10 @@ def epm_point(t: np.ndarray, problem: DesignProblem, n_tx: int, n_rf: int) -> Ep
     t = np.asarray(t, float).reshape(-1)
     T = t.reshape((n_tx, n_rf), order="F")
     Z, gaps = pattern_terms(T, problem)
-    norm = np.linalg.norm(t)
+    norm = math.sqrt(t.dot(t))                  # np.linalg.norm(t)
     gram = T.T @ T - problem.eye_rf
-    return EpmPoint(t, T, Z, gaps, norm, gram, float(np.sum(gaps ** 2)),
-                    n_rf - np.sqrt(n_rf) * norm, float(np.sum(gram ** 2)))
+    return EpmPoint(t, T, Z, gaps, norm, gram, float(np.add.reduce(np.square(gaps))),
+                    n_rf - math.sqrt(n_rf) * norm, float(np.add.reduce(np.square(gram), None)))
 
 
 def epm_objective(t: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
@@ -193,7 +196,7 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         for _ in range(50):
             cand = box_project(base.t - mu * g_base, n_tx)
             delta = cand - base.t
-            if not np.any(delta):
+            if not delta.any():
                 return base, f_base, True       # projection fixed point
             x_cand = point(cand)
             f_cand = x_cand.objective(pen_o, pen_b)
@@ -207,10 +210,10 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
 
     for it in range(1, params.max_iters + 1):
         t = x.t
-        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
+        tau_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
         w = t + (tau - 1.0) / tau_next * (t - t_prev)
         w = box_project(w, n_tx)
-        x_w = x if np.linalg.norm(w) == 0.0 else point(w)
+        x_w = x if w.dot(w) == 0.0 else point(w)
         x_new, f_new, fixed = backtrack(x_w, x_w.objective(pen_o, pen_b),
                                         x_w.gradient(problem, pen_o, pen_b))
 
@@ -224,7 +227,8 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         f_cur = min(f_new, f_cur) if fixed else f_new
         tau = tau_next
 
-        gnorm = float(np.linalg.norm(x.gradient(problem, pen_o, pen_b)))
+        g = x.gradient(problem, pen_o, pen_b)
+        gnorm = math.sqrt(g.dot(g))
         hist_f.append(f_cur)
         hist_g.append(gnorm)
         hist_gap.append(x.binary_gap)
@@ -234,7 +238,7 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         if gnorm <= params.tol:
             converged = True
             break
-        if fixed and not np.any(x.t - t_prev):
+        if fixed and not (x.t - t_prev).any():
             converged = True                     # locked on a box vertex set
             break
         if it % PENALTY_PERIOD == 0:

@@ -131,7 +131,10 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
         scale = scale[:, None]
     # real and imaginary parts interleave along the last axis of the float64
     # view, so one pass quantizes both and the row axis is unchanged
-    x = np.divide(Y.view(np.float64), scale, out=None if out is None else out.view(np.float64))
+    y, out = Y.view(np.float64), None if out is None else out.view(np.float64)
+    if quantizer.levels.size == 2:   # y / scale has y's sign; +-level * scale is exact
+        return np.copysign(quantizer.levels[1] * scale, y, out=out).view(np.complex128)
+    x = np.divide(y, scale, out=out)
     x = quantize_values(x, quantizer.thresholds, quantizer.levels, out=x, work=work)
     x *= scale
     return x.view(np.complex128)

@@ -431,6 +431,33 @@ def test_norm_is_numpy_norm_bit_for_bit():
     assert C.orthogonality_residual(T) == float(np.linalg.norm(T.conj().T @ T - np.eye(3)))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_lapack_values_are_numpy_linalg_bit_for_bit():
+    # the gufuncs behind np.linalg.eigvalsh and svd(compute_uv=False), at the
+    # stage-2 loops' shapes: Hermitian 32, 27 (desk32's Gram), 23 (default128's)
+    # and 8 (T^H T); T at 32 x 8 and 128 x 8, unit-modulus and general
+    rng = np.random.default_rng(13)
+    for n in (32, 27, 23, 8):
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for H in (X + X.conj().T, X.conj().T @ X):
+            got = C._lapack_values(C.eigvalsh_lo, H)
+            assert got.tobytes() == np.linalg.eigvalsh(H).tobytes()
+            assert got[-1].tobytes() == np.linalg.eigvalsh(H)[-1].tobytes()
+    for n_tx in (32, 128):
+        for T in (M.random_unit_modulus(n_tx, 8, rng),
+                  rng.standard_normal((n_tx, 8)) + 1j * rng.standard_normal((n_tx, 8))):
+            got = C._lapack_values(C.svd, T)[0]
+            assert got.tobytes() == np.linalg.svd(T, compute_uv=False)[0].tobytes()
+    # a failed solve raises, as the public calls do
+    for gufunc, public in ((C.eigvalsh_lo, np.linalg.eigvalsh),
+                           (C.svd, lambda A: np.linalg.svd(A, compute_uv=False))):
+        bad = np.full((8, 8), np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            public(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            C._lapack_values(gufunc, bad)
+
+
 class TestParams:
     def test_invalid_params_rejected(self):
         with pytest.raises(M.ModelError):

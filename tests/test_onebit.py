@@ -244,3 +244,166 @@ class TestRounding:
         assert T[0, 0] == pytest.approx(+1 / np.sqrt(2))   # zero entry rounds up
         assert T[1, 0] == pytest.approx(-1 / np.sqrt(2))
         assert T[1, 1] == pytest.approx(+1 / np.sqrt(2))   # trailing zero, column-major
+
+
+def _parent_box_project(t, n_tx):
+    """``box_project`` as it stood before the lean loop, operation for operation."""
+    bound = 1.0 / np.sqrt(n_tx)
+    return np.clip(t, -bound, bound)
+
+
+class _ParentPoint:
+    """``epm_point`` and ``EpmPoint.gradient`` as they stood before the lean loop."""
+
+    def __init__(self, t, problem, n_tx, n_rf):
+        self.problem = problem
+        self.t = t = np.asarray(t, float).reshape(-1)
+        self.T = T = t.reshape((n_tx, n_rf), order="F")
+        self.Z, self.gaps = C.pattern_terms(T, problem)
+        self.norm = np.linalg.norm(t)
+        self.gram = T.T @ T - problem.eye_rf
+        self.mse = float(np.sum(self.gaps ** 2))
+        self.binary_gap = n_rf - np.sqrt(n_rf) * self.norm
+        self.orth = float(np.sum(self.gram ** 2))
+
+    def objective(self, penalty_orth, penalty_bin):
+        return self.mse + penalty_bin * self.binary_gap + penalty_orth * self.orth
+
+    def gradient(self, penalty_orth, penalty_bin):
+        n_rf = self.T.shape[1]
+        g_pattern = np.real(self.problem.A_conj @ ((4.0 * self.gaps)[:, None] * self.Z))
+        g_bin = -penalty_bin * np.sqrt(n_rf) / self.norm * self.T
+        g_orth = 4.0 * penalty_orth * self.T @ self.gram
+        return (g_pattern + g_bin + g_orth).reshape(-1, order="F")
+
+
+def _parent_epm(t0, profile, n_tx, n_rf, params):
+    """``nesterov_epm`` as it stood before the lean loop, on the copied formulas."""
+    problem = C.design_problem(profile, n_tx, n_rf)
+    point = lambda v: _ParentPoint(v, problem, n_tx, n_rf)
+    t = _parent_box_project(np.asarray(t0, float).reshape(-1).copy(), n_tx)
+    pen_o, pen_b = OB.PENALTY_ORTH_INIT, OB.PENALTY_BIN_INIT
+    tau = 1.0
+    x = point(t)
+    t_prev = t.copy()
+    f_cur = x.objective(pen_o, pen_b)
+    hist = {"objective": [], "grad_norm": [], "binary_gap": [], "penalty_orth": [],
+            "penalty_bin": []}
+    counts = {"momentum_resets": 0, "halvings": 0}
+
+    def backtrack(base, f_base, g_base):
+        mu = 1.0
+        for _ in range(50):
+            cand = _parent_box_project(base.t - mu * g_base, n_tx)
+            delta = cand - base.t
+            if not np.any(delta):
+                return base, f_base, True
+            x_cand = point(cand)
+            f_cand = x_cand.objective(pen_o, pen_b)
+            if f_cand <= f_base + 1e-4 * float(g_base @ delta):
+                return x_cand, f_cand, False
+            mu *= 0.5
+            counts["halvings"] += 1
+        raise AssertionError("the line search stalled")
+
+    for it in range(1, params.max_iters + 1):
+        t = x.t
+        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
+        w = t + (tau - 1.0) / tau_next * (t - t_prev)
+        w = _parent_box_project(w, n_tx)
+        x_w = x if np.linalg.norm(w) == 0.0 else point(w)
+        x_new, f_new, fixed = backtrack(x_w, x_w.objective(pen_o, pen_b),
+                                        x_w.gradient(pen_o, pen_b))
+        if f_new > f_cur:
+            x_new, f_new, fixed = backtrack(x, f_cur, x.gradient(pen_o, pen_b))
+            tau_next = 1.0
+            counts["momentum_resets"] += 1
+        t_prev, x = t, x_new
+        f_cur = min(f_new, f_cur) if fixed else f_new
+        tau = tau_next
+        gnorm = float(np.linalg.norm(x.gradient(pen_o, pen_b)))
+        for values, v in zip(hist.values(), (f_cur, gnorm, x.binary_gap, pen_o, pen_b)):
+            values.append(v)
+        if gnorm <= params.tol or (fixed and not np.any(x.t - t_prev)):
+            break
+        if it % OB.PENALTY_PERIOD == 0:
+            pen_o *= OB.PENALTY_ORTH_GROWTH
+            pen_b *= OB.PENALTY_BIN_GROWTH
+            f_cur = x.objective(pen_o, pen_b)
+    return OB.round_to_signs(x.t, n_tx, n_rf), hist, counts
+
+
+def _bytes(value):
+    return np.asarray(value).tobytes()
+
+
+def _desk32_profile(desk_scenario):
+    from cebeam.power_alloc import bcd_power_allocation
+    return bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+
+
+class TestLeanLoopIsTheParent:
+    """The EPM point, its gradient, the box projection and the loop, bit for bit
+    against operation-for-operation copies of the formulas they replace."""
+
+    def test_points_and_gradients(self, desk_scenario):
+        rng = np.random.default_rng(13)
+        cases = [(three_angle_profile(), 16, 2),
+                 (_desk32_profile(desk_scenario), desk_scenario.n_tx, desk_scenario.n_rf)]
+        penalties = [(0.01, 0.02), (0.3, 0.7), (0.3, 0.7), (2.0, 5.0), (0.01, 0.02)]
+        for prof, n_tx, n_rf in cases:
+            problem = C.design_problem(prof, n_tx, n_rf)
+            bound = 1.0 / np.sqrt(n_tx)
+            for _ in range(20):
+                u = rng.uniform(-1.5, 1.5, n_tx * n_rf) * bound
+                u[rng.choice(u.size, 6, replace=False)] = [0.0, -0.0, bound, -bound,
+                                                           np.inf, -np.inf]
+                assert OB.box_project(u, n_tx).tobytes() == _parent_box_project(u, n_tx).tobytes()
+                t = _parent_box_project(u, n_tx)
+                t[rng.choice(t.size, 4, replace=False)] = [0.0, -0.0, 0.0, -0.0]
+                got, ref = OB.epm_point(t, problem, n_tx, n_rf), _ParentPoint(t, problem, n_tx, n_rf)
+                for name in ("t", "T", "Z", "gaps", "norm", "gram", "mse", "binary_gap", "orth"):
+                    assert _bytes(getattr(got, name)) == _bytes(getattr(ref, name)), name
+                for po, pb in penalties:
+                    assert _bytes(got.objective(po, pb)) == _bytes(ref.objective(po, pb))
+                    assert _bytes(got.gradient(problem, po, pb)) == _bytes(ref.gradient(po, pb))
+
+    @pytest.mark.parametrize("case", ["16x2", "desk32"])
+    def test_loop_traces_and_signs(self, case, desk_scenario):
+        rng = np.random.default_rng(14)
+        if case == "16x2":
+            prof, n_tx, n_rf = three_angle_profile(), 16, 2
+            t0 = rng.choice([-1.0, 1.0], n_tx * n_rf) * 0.9 / 4.0
+        else:
+            prof, n_tx, n_rf = _desk32_profile(desk_scenario), desk_scenario.n_tx, desk_scenario.n_rf
+            t0 = rng.choice([-1.0, 1.0], n_tx * n_rf) / np.sqrt(n_tx)
+        params = OB.OneBitParams(max_iters=300)
+        T, trace = OB.nesterov_epm(t0, prof, n_tx, n_rf, params)
+        T_ref, hist, counts = _parent_epm(t0, prof, n_tx, n_rf, params)
+        assert T.tobytes() == T_ref.tobytes()
+        for name, values in hist.items():
+            assert getattr(trace, name).tobytes() == np.asarray(values).tobytes(), name
+        assert (trace.momentum_resets, trace.halvings) == (counts["momentum_resets"],
+                                                           counts["halvings"])
+        assert trace.iterations > OB.PENALTY_PERIOD and trace.momentum_resets > 0
+
+    def test_each_gradient_computed_once_per_penalty_pair(self, monkeypatch):
+        # the reset path and the convergence norm ask again for gradients the
+        # loop already has; each point answers with the array it computed
+        calls = []
+        gradient = OB.EpmPoint.gradient
+
+        def recorded(point, problem, penalty_orth, penalty_bin):
+            g = gradient(point, problem, penalty_orth, penalty_bin)
+            calls.append((point, penalty_orth, penalty_bin, g))
+            return g
+
+        monkeypatch.setattr(OB.EpmPoint, "gradient", recorded)
+        rng = np.random.default_rng(12)
+        t0 = rng.choice([-1.0, 1.0], 16 * 2) * 0.9 / 4.0
+        _, trace = OB.nesterov_epm(t0, three_angle_profile(), 16, 2,
+                                   OB.OneBitParams(max_iters=300))
+        first = {}
+        for point, po, pb, g in calls:
+            assert first.setdefault((id(point), po, pb), g) is g
+        assert trace.momentum_resets > 0 and len(first) < len(calls)

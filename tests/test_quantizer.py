@@ -165,6 +165,32 @@ class TestKernelPaths:
             quantize_received(inplace, q, row_power=power, out=inplace, work=work)
             np.testing.assert_array_equal(inplace, oracle)
 
+    @staticmethod
+    def three_pass_one_bit(Y, q, row_power):
+        """One-bit quantization as divide by the row scale, sign, and rescale."""
+        scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        if np.ndim(scale) == 1:
+            scale = scale[:, None]
+        x = np.divide(np.ascontiguousarray(Y).view(np.float64), scale)
+        x = np.copysign(q.levels[1], x, out=x)
+        x *= scale
+        return x.view(np.complex128)
+
+    def test_one_bit_is_the_three_pass_form_bit_for_bit(self):
+        # scalar and per-row power, zero-power rows, +-0, subnormals and extremes
+        rng = np.random.default_rng(11)
+        q = lloyd_max_codebook(1)
+        Y = rng.standard_normal((4, 6, 10)) + 1j * rng.standard_normal((4, 6, 10))
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -np.inf])
+        Y.real[0, :, :8], Y.imag[0, :, :8] = special, special[::-1]
+        for power in (2.0, 0.02, 0.0, np.array([0.0, 1e-3, 0.5, 2.0, 7.0, 0.0])):
+            expected = self.three_pass_one_bit(Y, q, power).tobytes()
+            assert quantize_received(Y, q, row_power=power).tobytes() == expected
+            inplace = Y.copy()
+            quantize_received(inplace, q, row_power=power, out=inplace)
+            assert inplace.tobytes() == expected
+
     def test_asymmetric_codebook_rejected(self):
         with pytest.raises(ModelError):
             ScalarQuantizer(bits=1, levels=np.array([-1.0, 2.0]), thresholds=np.array([0.5]))
