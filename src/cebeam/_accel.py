@@ -16,9 +16,7 @@ def using_numba() -> bool:
     return False
 
 
-def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray,
-                    out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
+def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Map each real value to its level of an odd-symmetric codebook.
 
     ``thresholds`` ascend and, like ``levels``, are odd-symmetric
@@ -27,36 +25,29 @@ def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray,
     from ``x``.  This equals ``levels[np.searchsorted(thresholds, x)]``
     except at values exactly on a threshold, which occur with probability
     zero for continuous input.
-
-    ``out`` (which may be ``x`` itself) receives the result.  ``work``, a
-    float64 array of ``x``'s shape, holds the magnitudes; it is allocated
-    when not given.
     """
     half = levels.size // 2
     pos_thresholds, pos_levels = thresholds[half:], levels[half:]
-    mag = np.abs(x, out=np.empty(np.shape(x)) if work is None else work)
+    mag = np.abs(x)
     idx = np.zeros(mag.shape, dtype=np.uint8)
     for t in pos_thresholds:
         idx += mag > t
-    # the magnitudes' buffer takes the levels; idx < half, so 'clip' never
-    # clips, and unlike 'raise' it writes to ``out`` without a copy of it
-    mag = np.take(pos_levels, idx, out=mag, mode="clip")
-    return np.copysign(mag, x, out=mag if out is None else out)
+    # the magnitudes' array takes the levels; idx < half, so 'clip' never
+    # clips, and unlike 'raise' it writes to ``mag`` without a copy of it
+    np.take(pos_levels, idx, out=mag, mode="clip")
+    return np.copysign(mag, x, out=mag)
 
 
-def lrt_statistics(Y: np.ndarray, G: np.ndarray, w: np.ndarray, gamma: float,
-                   work: np.ndarray | None = None) -> np.ndarray:
+def lrt_statistics(Y: np.ndarray, G: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
     """Sum over snapshots of y^H M y for each trial, M = gamma*I + G^H diag(w) G.
 
     ``Y`` has shape (trials, n_rx, snapshots) and ``G`` (rank, n_rx), with
     ``w`` real (``LowRankCovariances.lrt_form``), so each statistic is real:
     gamma*||Y_t||^2 + sum_k w_k ||(G Y_t)_k||^2, each squared norm a row-wise
     dot product of float64 views; the first term is skipped when gamma is 0.
-    ``work``, a complex (trials, rank, snapshots) array, receives ``G @ Y``
-    when given.
     """
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
-    GY = np.matmul(G, Y, out=work)
+    GY = G @ Y
     n = Y.shape[0]
     gy = GY.view(np.float64).reshape(n, G.shape[0], -1)
     stats = np.einsum("tki,tki->tk", gy, gy) @ w

@@ -58,10 +58,6 @@ class ScalarQuantizer:
                 or np.any(self.thresholds != -self.thresholds[::-1])):
             raise ModelError("codebook must be odd-symmetric with one threshold between levels")
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Element-wise nearest-level quantization of real values."""
-        return quantize_values(np.asarray(x, dtype=np.float64), self.thresholds, self.levels)
-
     def distortion(self) -> float:
         """Exact E[(X - Q(X))^2] for X ~ N(0, 1), by per-cell Gaussian moments."""
         a, b, pa, pb, mass = _cells(self.thresholds)
@@ -103,8 +99,7 @@ def lloyd_max_codebook(bits: int) -> ScalarQuantizer:
 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
-                      row_power: np.ndarray | float, out: np.ndarray | None = None,
-                      work: np.ndarray | None = None) -> np.ndarray:
+                      row_power: np.ndarray | float) -> np.ndarray:
     """Quantize real and imaginary parts of a received sample matrix.
 
     Rows (receive antennas) are scaled to unit variance per real dimension
@@ -115,11 +110,6 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     passed through unscaled.
 
     ``Y`` may carry leading batch dimensions; the row axis is ``-2``.
-    ``out`` (complex, ``Y``'s shape; it may be ``Y`` itself) receives the
-    result.  ``work``, a float64 array of ``Y.view(np.float64)``'s shape,
-    holds the quantizer's magnitudes, so a caller that quantizes block after
-    block reuses it in place of a new array per call.  Neither changes a bit
-    of the result.
     """
     if quantizer is None:
         return Y
@@ -131,10 +121,9 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
         scale = scale[:, None]
     # real and imaginary parts interleave along the last axis of the float64
     # view, so one pass quantizes both and the row axis is unchanged
-    y, out = Y.view(np.float64), None if out is None else out.view(np.float64)
+    y = Y.view(np.float64)
     if quantizer.levels.size == 2:   # y / scale has y's sign; +-level * scale is exact
-        return np.copysign(quantizer.levels[1] * scale, y, out=out).view(np.complex128)
-    x = np.divide(y, scale, out=out)
-    x = quantize_values(x, quantizer.thresholds, quantizer.levels, out=x, work=work)
+        return np.copysign(quantizer.levels[1] * scale, y).view(np.complex128)
+    x = quantize_values(y / scale, quantizer.thresholds, quantizer.levels)
     x *= scale
     return x.view(np.complex128)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,8 +24,9 @@ from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 # defines the realization of a seed.  There are enough blocks to keep every
 # worker busy.
 _BLOCK_TRIALS = 512
-# Trials per stage chunk: a block mixes, quantizes and reduces its trials this
-# many at a time, in buffers small enough to be cached.  It changes no result.
+# Trials per stage chunk: a block draws its noise, and mixes, quantizes and
+# reduces its trials, this many at a time, so numpy's temporaries stay small
+# enough to be cached.  It changes no result.
 _CHUNK_TRIALS = 64
 # the runs of a detection point, numbered as their streams' first spawn key
 _CALIBRATION, _H0, _H1 = range(3)
@@ -70,19 +70,21 @@ def _sources(scenario: Scenario, T: np.ndarray, theta_t: float | None):
     return A_r, B, np.sqrt(np.asarray(powers) / 2.0)
 
 
-def _draw(Y: np.ndarray, scratch: np.ndarray, noise_scale: float, amp_scale: np.ndarray | None,
+def _draw(Y: np.ndarray, noise_scale: float, amp_scale: np.ndarray | None,
           rng: np.random.Generator):
     """Fill ``Y`` with scaled noise and draw the source amplitudes and Dopplers.
 
     Draw order (noise real block, noise imaginary block, amplitude real and
     imaginary parts, Doppler frequencies) fixes the realization for a seed.
-    The noise is drawn through the contiguous ``scratch`` a few trials at a
-    time, which gives the same numbers as one whole-block draw.
+    The noise is drawn through a contiguous buffer of ``_CHUNK_TRIALS``
+    trials, which gives the same numbers as one whole-block draw.
     """
-    m, c = Y.shape[0], scratch.shape[0]
+    m = Y.shape[0]
+    c = max(1, min(m, _CHUNK_TRIALS))
+    buf = np.empty((c,) + Y.shape[1:])
     for part in (Y.real, Y.imag):
         for a in range(0, m, c):
-            draw = scratch[:min(c, m - a)]
+            draw = buf[:min(c, m - a)]
             rng.standard_normal(out=draw)
             np.multiply(draw, noise_scale, out=part[a:a + draw.shape[0]])
     if amp_scale is None:
@@ -94,13 +96,12 @@ def _draw(Y: np.ndarray, scratch: np.ndarray, noise_scale: float, amp_scale: np.
 
 
 def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
-         A_r: np.ndarray, B: np.ndarray, work: np.ndarray | None = None) -> None:
+         A_r: np.ndarray, B: np.ndarray) -> None:
     """Add the sources' echoes, Doppler-ramped at normalized frequencies ``freq``, to ``Y``.
 
     The ramp of a source over the snapshots l is z**l, z = exp(2j*pi*freq),
     taken as running products of z: one cos and one sin per trial and
-    source, not one per snapshot.  ``work``, a complex array of ``Y``'s
-    shape, takes the echoes when given.
+    source, not one per snapshot.
     """
     src_signals = np.empty(freq.shape + (Y.shape[-1],), dtype=complex)    # Doppler ramps
     src_signals[..., 0] = 1.0
@@ -109,7 +110,7 @@ def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
     # complex products round differently with swapped operands: keep amps first
     np.multiply(amps[:, :, None], src_signals, out=src_signals)
     src_signals *= B
-    Y += np.matmul(A_r, src_signals, out=work)
+    Y += A_r @ src_signals
 
 
 def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
@@ -123,9 +124,8 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
     """
     shape = (trials, scenario.n_rx, scenario.code_len)
     Y = np.empty(shape, dtype=complex)
-    scratch = np.empty((max(1, min(trials, _BLOCK_TRIALS)),) + shape[1:])
     A_r, B, amp_scale = _sources(scenario, T, theta_t)
-    amps, freq = _draw(Y, scratch, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
+    amps, freq = _draw(Y, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
     if A_r is not None:
         _mix(Y, amps, freq, A_r, B)
     return Y
@@ -173,33 +173,14 @@ def _block_rng(seed: int, run: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, block))))
 
 
-class _BlockScratch:
-    """One worker's buffers, allocated once per worker.
-
-    Only ``Y`` holds a whole block, because the block's stream draws every
-    real part of its noise before any imaginary part.  The rest hold one
-    chunk of ``_CHUNK_TRIALS`` trials: the block draws its noise through
-    ``draw`` and then mixes, quantizes and reduces one chunk after another
-    in ``work`` and ``GY``, so these stay small enough to be cached.
-    """
-
-    def __init__(self, n_rx: int, code_len: int, rank: int):
-        chunk = min(_CHUNK_TRIALS, _BLOCK_TRIALS)
-        self.Y = np.empty((_BLOCK_TRIALS, n_rx, code_len), dtype=complex)  # quantized in place
-        self.draw = np.empty((chunk, n_rx, code_len))     # a chunk of one part of the noise
-        # a chunk's mixed echoes, then (as float64) its quantizer's magnitudes
-        self.work = np.empty((chunk, n_rx, code_len), dtype=complex)
-        self.GY = np.empty((chunk, rank, code_len), dtype=complex)
-
-
 class _TrialStatistics:
     """Per-trial LRT statistics of one detection point, as a map over blocks.
 
     Each run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
     trials.  Block b of run r draws its noise, amplitudes and Dopplers from
     its own stream (``_block_rng(seed, r, b)``) on whichever worker of
-    ``pool`` runs it, then mixes, quantizes and reduces its trials chunk by
-    chunk in that worker's scratch and writes its slice of the statistics.
+    ``pool`` runs it into samples of its own, then mixes, quantizes and
+    reduces them chunk by chunk and writes its slice of the statistics.
     So the statistics depend on the seed alone, not on the worker count.
     """
 
@@ -208,37 +189,26 @@ class _TrialStatistics:
                  pool: ThreadPoolExecutor):
         self.scenario, self.T, self.quant, self.form = scenario, T, quant, form
         self.seed, self.trials, self.pool = seed, trials, pool
-        self._local = threading.local()
-
-    def _scratch(self) -> _BlockScratch:
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            sc = self.scenario
-            scratch = self._local.scratch = _BlockScratch(sc.n_rx, sc.code_len,
-                                                          self.form[0].shape[0])
-        return scratch
 
     def run(self, run: int, theta_t: float | None, row_power: float) -> np.ndarray:
         """Statistics of ``trials`` trials of one run (``theta_t=None``: no target)."""
-        sc, trials, blk = self.scenario, self.trials, _BLOCK_TRIALS
+        sc, trials, blk, chunk = self.scenario, self.trials, _BLOCK_TRIALS, _CHUNK_TRIALS
         A_r, B, amp_scale = _sources(sc, self.T, theta_t)
         noise_scale = math.sqrt(sc.noise_power / 2.0)
         G, w, gamma = self.form
         out = np.empty(trials)
 
         def block(b):
-            s = self._scratch()
-            a, m, chunk = b * blk, min(blk, trials - b * blk), s.work.shape[0]
-            Y = s.Y[:m]
-            amps, freq = _draw(Y, s.draw, noise_scale, amp_scale, _block_rng(self.seed, run, b))
-            for c in range(0, m, chunk):
-                part, k = slice(c, min(c + chunk, m)), min(chunk, m - c)
-                Yc, work = Y[part], s.work[:k]
+            a = b * blk
+            Y = np.empty((min(blk, trials - a), sc.n_rx, sc.code_len), dtype=complex)
+            amps, freq = _draw(Y, noise_scale, amp_scale, _block_rng(self.seed, run, b))
+            for c in range(0, Y.shape[0], chunk):
+                part = slice(c, c + chunk)
+                Yc = Y[part]
                 if A_r is not None:
-                    _mix(Yc, amps[part], freq[part], A_r, B, work=work)
-                Yc = quantize_received(Yc, self.quant, row_power, out=Yc,
-                                       work=work.view(np.float64))
-                out[a + c:a + c + k] = lrt_statistics(Yc, G, w, gamma, work=s.GY[:k])
+                    _mix(Yc, amps[part], freq[part], A_r, B)
+                Yc = quantize_received(Yc, self.quant, row_power)
+                out[a + c:a + c + Yc.shape[0]] = lrt_statistics(Yc, G, w, gamma)
 
         for f in [self.pool.submit(block, b) for b in range(-(-trials // blk))]:
             f.result()

@@ -473,8 +473,7 @@ class TestDopplerInvariance:
             # the received_batch draws with every Doppler frequency set to zero
             Y = np.empty((trials, sc.n_rx, sc.code_len), dtype=complex)
             A_r, B, amp_scale = SIM._sources(sc, T, sc.target_mean_angle)
-            amps, freq = SIM._draw(Y, np.empty(Y.shape), math.sqrt(sc.noise_power / 2.0),
-                                   amp_scale, rng)
+            amps, freq = SIM._draw(Y, math.sqrt(sc.noise_power / 2.0), amp_scale, rng)
             SIM._mix(Y, amps, np.zeros_like(freq), A_r, B)
             return Y
 

@@ -72,7 +72,7 @@ class TestCodebook:
         x = rng.standard_normal(10 ** 6)
         for bits in (1, 2, 3):
             q = lloyd_max_codebook(bits)
-            err = np.mean((x - q.quantize(x)) ** 2)
+            err = np.mean((x - _accel.quantize_values(x, q.thresholds, q.levels)) ** 2)
             assert err == pytest.approx(ADC_DISTORTION[bits], rel=0.03)
 
     def test_unsupported_bits(self):
@@ -82,7 +82,7 @@ class TestCodebook:
     def test_quantize_picks_nearest_level(self):
         q = lloyd_max_codebook(2)
         x = np.linspace(-4, 4, 1001)
-        out = q.quantize(x)
+        out = _accel.quantize_values(x, q.thresholds, q.levels)
         nearest = np.min(np.abs(x[:, None] - q.levels[None, :]), axis=1)
         # ties exactly on a threshold may go either way; the error can never
         # beat the nearest level
@@ -118,7 +118,8 @@ class TestQuantizeReceived:
         Y = np.array([[0.1 + 0.2j, -0.3 + 0.05j]])
         q = lloyd_max_codebook(2)
         out = quantize_received(Y, q, row_power=np.array([0.0]))
-        expected = q.quantize(Y.real) + 1j * q.quantize(Y.imag)
+        expected = (_accel.quantize_values(Y.real, q.thresholds, q.levels)
+                    + 1j * _accel.quantize_values(Y.imag, q.thresholds, q.levels))
         np.testing.assert_allclose(out, expected)
 
     def test_measured_distortion_tracks_table(self):
@@ -143,10 +144,8 @@ class TestKernelPaths:
             oracle = q.levels[np.searchsorted(q.thresholds, x)]
             np.testing.assert_array_equal(_accel.quantize_values(x, q.thresholds, q.levels),
                                           oracle)
-            np.testing.assert_array_equal(q.quantize(x), oracle)
 
     def test_quantize_received_matches_per_part_oracle(self):
-        # also into caller buffers, in place included, which must not change a bit
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((7, 5, 6)) + 1j * rng.standard_normal((7, 5, 6))
         power = np.linspace(0.5, 3.0, 5)
@@ -157,13 +156,6 @@ class TestKernelPaths:
             im = q.levels[np.searchsorted(q.thresholds, Y.imag / scale)]
             oracle = (re + 1j * im) * scale
             np.testing.assert_array_equal(quantize_received(Y, q, row_power=power), oracle)
-            out, work = np.empty_like(Y), np.empty(Y.shape[:-1] + (2 * Y.shape[-1],))
-            got = quantize_received(Y, q, row_power=power, out=out, work=work)
-            assert np.shares_memory(got, out)
-            np.testing.assert_array_equal(out, oracle)
-            inplace = Y.copy()
-            quantize_received(inplace, q, row_power=power, out=inplace, work=work)
-            np.testing.assert_array_equal(inplace, oracle)
 
     @staticmethod
     def three_pass_one_bit(Y, q, row_power):
@@ -187,9 +179,6 @@ class TestKernelPaths:
         for power in (2.0, 0.02, 0.0, np.array([0.0, 1e-3, 0.5, 2.0, 7.0, 0.0])):
             expected = self.three_pass_one_bit(Y, q, power).tobytes()
             assert quantize_received(Y, q, row_power=power).tobytes() == expected
-            inplace = Y.copy()
-            quantize_received(inplace, q, row_power=power, out=inplace)
-            assert inplace.tobytes() == expected
 
     def test_asymmetric_codebook_rejected(self):
         with pytest.raises(ModelError):
@@ -207,9 +196,6 @@ class TestKernelPaths:
         G, w, gamma, Mh = self.lrt_form(rng, 8, 3)
         oracle = np.einsum("trl,rs,tsl->t", Y.conj(), Mh, Y).real
         np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-10)
-        work = np.empty((64, 3, 5), dtype=complex)
-        np.testing.assert_array_equal(_accel.lrt_statistics(Y, G, w, gamma, work=work),
-                                      _accel.lrt_statistics(Y, G, w, gamma))
 
     def test_statistic_matches_direct_loop(self):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cebeam import model as M
 from cebeam import simulate as SIM
+from cebeam.pipeline import load_scenario
 from cebeam.quantizer import lloyd_max_codebook, quantize_received
 
 
@@ -157,8 +159,7 @@ def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, t
         m = min(blk, trials - a)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, b))))
         Y = np.empty((m,) + shape, dtype=complex)
-        amps, freq = SIM._draw(Y, np.empty((m,) + shape),
-                               math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
+        amps, freq = SIM._draw(Y, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
         if A_r is not None:
             SIM._mix(Y, amps, freq, A_r, B)
         Y = quantize_received(Y, quant, power)
@@ -175,8 +176,7 @@ class TestPipelinedEngine:
     def test_matches_whole_batch_chain(self, tiny_scenario, trials, block, chunk, workers, bits,
                                        with_target, runs, seed):
         # each run of the engine, for any block size, chunk size and worker
-        # count and with the workers' scratch reused from run to run, equals
-        # the per-block oracle
+        # count, equals the per-block oracle
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(21))
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
@@ -214,16 +214,44 @@ class TestPipelinedEngine:
                 np.testing.assert_allclose(engine.run(run, theta, power), ref,
                                            rtol=1e-13, atol=0.0)
 
-    def test_worker_scratch_is_about_one_block(self, desk_scenario):
-        # only the samples are block-sized; the stage buffers hold one chunk
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_run_holds_about_one_block_per_worker(self, desk_scenario, bits):
+        # a running block holds its samples and one chunk's temporaries, so the
+        # traced peak (numpy's buffers included) stays under two blocks per
+        # worker; whole-run buffers or unchunked stages exceed it
         sc = desk_scenario
-        scratch = SIM._BlockScratch(sc.n_rx, sc.code_len, min(sc.n_clutter + 1, sc.n_rx))
-        assert scratch.Y.shape == (SIM._BLOCK_TRIALS, sc.n_rx, sc.code_len)
-        assert sum(a.nbytes for a in vars(scratch).values()) <= 1.5 * scratch.Y.nbytes
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(30))
+        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+        block_bytes = SIM._BLOCK_TRIALS * sc.n_rx * sc.code_len * np.dtype(complex).itemsize
+        workers = 2
+        with ThreadPoolExecutor(workers) as pool:
+            engine = SIM._TrialStatistics(sc, T, lloyd_max_codebook(bits),
+                                          model.lrt_form(0, sc.code_len), 31, 2048, pool)
+            tracemalloc.start()
+            try:
+                engine.run(SIM._H1, sc.target_mean_angle, model.row1[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= workers * 2 * block_bytes
+
+    # hits and false alarms of 2,048 trials and the threshold of one desk32
+    # point at 10 dB for a seeded random design: a change to the streams, the
+    # draw order or the arithmetic of a block moves them
+    _REALIZATION = {1: (596, 30, 15.24284660122039), 3: (1307, 27, 16.71062682720757)}
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_realization_of_a_seed_is_pinned(self, bits):
+        sc = load_scenario("desk32")
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(0))
+        point = SIM.simulate_detection(T, sc, bits, 10.0, pfa=0.01, trials=2048, seed=0)
+        hits, alarms, threshold = self._REALIZATION[bits]
+        assert (point.pd, point.empirical_pfa) == (hits / 2048, alarms / 2048)
+        assert point.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
 
     def test_worker_count_does_not_change_the_point(self, tiny_scenario, monkeypatch):
         # more workers than cores and frequent thread switches: a block that
-        # wrote the wrong slice or shared a worker's scratch changes the point
+        # wrote the wrong slice changes the point
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(24))
         monkeypatch.setattr(SIM, "_BLOCK_TRIALS", 64)
