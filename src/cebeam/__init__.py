@@ -13,11 +13,10 @@ __version__ = "0.1.0"
 
 from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelError,
                     LowRankCovariances, ModelError, QuantizationModel, Scenario,
-                    UnsupportedResolutionError, averaged_relative_entropy, beampattern_power,
-                    beampattern_powers, hypothesis_covariances, is_unit_modulus,
-                    low_rank_covariances, quantization_model, random_unit_modulus,
-                    relative_entropies, relative_entropy, steering_matrix, steering_vector,
-                    unit_modulus)
+                    UnsupportedResolutionError, averaged_relative_entropy, beampattern_powers,
+                    hypothesis_covariances, is_unit_modulus, low_rank_covariances,
+                    quantization_model, random_unit_modulus, relative_entropies,
+                    relative_entropy, steering_matrix, unit_modulus)
 from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
                           bcd_power_allocation, profile_objective)
 from .ce_design import (CeDesignParams, DesignProblem, Iterate, MinorizerState, MmTrace,
@@ -26,10 +25,9 @@ from .ce_design import (CeDesignParams, DesignProblem, Iterate, MinorizerState, 
                         squarem_accelerated_mm)
 from .onebit import (DegenerateIterateError, EpmPoint, EpmTrace, LineSearchStallError,
                      OneBitParams, box_project, epm_gradient, epm_objective, epm_point,
-                     exhaustive_onebit, nesterov_epm, round_to_signs)
+                     nesterov_epm, round_to_signs)
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 from .simulate import (DetectionCurve, DetectionPoint, detection_curve, lfm_waveforms,
-                       received_batch, sample_h0_covariance_error, simulate_detection,
-                       steering_crosscorr_experiment)
+                       received_batch, simulate_detection, steering_crosscorr_experiment)
 from .pipeline import (DesignReport, ExperimentSpec, load_scenario, projection_baseline,
                        run_ce_design, run_onebit_design, run_pipeline, run_power_allocation)

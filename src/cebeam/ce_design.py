@@ -48,8 +48,8 @@ a measured crossover); below it the dense Q and its eigensolve are cheaper.
 
 The per-design constants (A, conj(A), the levels, lam_max(G), A^T conj(A),
 the side of the crossover, the minorizers' scratch) live in one ``DesignProblem``
-that each design loop builds once; stage 2, the one-bit EPM, the exhaustive
-search and the projection baseline all read them from it.
+that each design loop builds once; stage 2, the one-bit EPM and the
+projection baseline all read them from it.
 
 Every point the loops visit is evaluated once, into an ``Iterate``: its
 pattern terms Z and gaps, the MSE and the orthogonality residual.  The map

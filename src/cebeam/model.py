@@ -58,20 +58,14 @@ def linear_to_db(x: float) -> float:
 # Steering vectors
 # ---------------------------------------------------------------------------
 
-def steering_vector(theta: float, n: int) -> np.ndarray:
-    """Unit-norm response of an n-element half-wavelength ULA toward theta.
+def steering_matrix(thetas: np.ndarray, n: int) -> np.ndarray:
+    """Unit-norm responses of an n-element half-wavelength ULA, one column per angle.
 
-    Element m equals (1/sqrt(n)) * exp(-1j*pi*m*sin(theta)); theta is measured
-    from broadside, in radians.
+    Element m of the column for theta is (1/sqrt(n)) * exp(-1j*pi*m*sin(theta));
+    theta is measured from broadside, in radians.
     """
     if n < 1:
         raise ModelError(f"array needs at least one element, got {n}")
-    m = np.arange(n)
-    return np.exp(-1j * np.pi * m * np.sin(theta)) / np.sqrt(n)
-
-
-def steering_matrix(thetas: np.ndarray, n: int) -> np.ndarray:
-    """Steering vectors for several angles, stacked as columns (n x len(thetas))."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     m = np.arange(n)[:, None]
     return np.exp(-1j * np.pi * m * np.sin(thetas)[None, :]) / np.sqrt(n)
@@ -302,13 +296,6 @@ def is_unit_modulus(T: np.ndarray, n_tx: int, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(np.abs(T) - 1.0 / np.sqrt(n_tx)) <= tol))
 
 
-def beampattern_power(T: np.ndarray, theta: float) -> float:
-    """Transmit power steered toward theta: a^T T T^H a* for the tx steering vector a."""
-    a = steering_vector(theta, T.shape[0])
-    z = a @ T
-    return float(np.real(np.vdot(z, z)))
-
-
 def beampattern_powers(T: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Vectorized beampattern over an angle list."""
     A = steering_matrix(thetas, T.shape[0])
@@ -364,7 +351,7 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
 
     A_c = steering_matrix(scenario.clutter_angles, n_r)
     phi_c = beampattern_powers(T, scenario.clutter_angles)
-    phi_t = beampattern_power(T, theta_t)
+    phi_t = float(beampattern_powers(T, [theta_t])[0])
     row0 = float(clutter_load(scenario, phi_c)) + scenario.noise_power
     rq0 = q.alpha * q.beta * L * row0
     rq1 = q.alpha * q.beta * L * (row0 + scenario.target_power * phi_t / n_r)
@@ -373,7 +360,7 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
     eye = np.eye(n_r)
     r0 = base + (a2L * scenario.noise_power + rq0) * eye
 
-    a_t = steering_vector(theta_t, n_r)
+    a_t = steering_matrix(theta_t, n_r)[:, 0]
     r1 = (base
           + a2L * scenario.target_power * phi_t * np.outer(a_t, a_t.conj())
           + (a2L * scenario.noise_power + rq1) * eye)

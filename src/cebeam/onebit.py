@@ -13,13 +13,12 @@ Vectors use column-major (Fortran) layout: entry (j-1)*N_t + i is T[i, j].
 
 The per-design constants (the profile's steering matrix A and its conjugate,
 the levels) live in the ``ce_design.DesignProblem`` that ``nesterov_epm``
-builds once per run; the exhaustive search takes one too.  Every point the
-solver visits (the extrapolated point, each backtracking candidate) is
-evaluated once against it, into an ``EpmPoint``: the pattern terms, ||t||
-and T^T T - I.  The objective at any penalties and the gradient are both
-assembled from those terms, so a momentum reset or a penalty bump reuses
-them; ``epm_objective`` and ``epm_gradient`` are thin wrappers over the same
-evaluation.
+builds once per run.  Every point the solver visits (the extrapolated point,
+each backtracking candidate) is evaluated once against it, into an
+``EpmPoint``: the pattern terms, ||t|| and T^T T - I.  The objective at any
+penalties and the gradient are both assembled from those terms, so a
+momentum reset or a penalty bump reuses them; ``epm_objective`` and
+``epm_gradient`` are thin wrappers over the same evaluation.
 """
 
 from __future__ import annotations
@@ -253,42 +252,3 @@ def nesterov_epm(t0: np.ndarray, profile: PowerProfile, n_tx: int, n_rf: int,
         converged=converged, momentum_resets=resets, halvings=halvings,
         wall_time_s=time.perf_counter() - started)
     return round_to_signs(x.t, n_tx, n_rf), trace
-
-
-MAX_EXHAUSTIVE_ENTRIES = 20
-
-
-def exhaustive_onebit(problem: DesignProblem, n_tx: int, n_rf: int,
-                      penalty_orth: float) -> tuple[np.ndarray, float]:
-    """Globally optimal one-bit beamformer by sign enumeration.
-
-    Only feasible for n_tx*n_rf <= 20 (2^20 candidates); ties break toward
-    the lexicographically smallest sign pattern, bit b of the pattern index
-    being entry b in column-major order.
-    """
-    n = n_tx * n_rf
-    if n > MAX_EXHAUSTIVE_ENTRIES:
-        raise ModelError(f"{n} one-bit entries means 2^{n} candidates; refusing beyond "
-                         f"2^{MAX_EXHAUSTIVE_ENTRIES}")
-    scale = 1.0 / np.sqrt(n_tx)
-
-    best_val = np.inf
-    best_idx = -1
-    chunk = 1 << 14
-    total = 1 << n
-    bit_id = np.arange(n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        signs = (((idx[:, None] >> bit_id[None, :]) & 1) * 2 - 1).astype(np.float64)
-        Tb = signs.reshape(-1, n_rf, n_tx).transpose(0, 2, 1) * scale   # column-major bits
-        mse = np.sum(pattern_terms(Tb, problem)[1] ** 2, axis=-1)
-        gram = np.einsum("bnr,bns->brs", Tb, Tb) - problem.eye_rf[None]
-        vals = mse + penalty_orth * np.sum(gram ** 2, axis=(1, 2))
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_idx = int(idx[k])
-
-    signs = (((best_idx >> bit_id) & 1) * 2 - 1).astype(np.float64)
-    T = signs.reshape((n_tx, n_rf), order="F") * scale
-    return T, best_val

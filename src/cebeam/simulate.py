@@ -1,6 +1,5 @@
 """End-to-end evaluation: orthogonal waveforms, Monte Carlo detection with a
-true few-bit quantizer in the loop, large-array steering diagnostics, and an
-empirical check of the linearized quantization model.
+true few-bit quantizer in the loop, and large-array steering diagnostics.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ _BLOCK_TRIALS = 512
 _CHUNK_TRIALS = 64
 # the runs of a detection point, numbered as their streams' first spawn key
 _CALIBRATION, _H0, _H1 = range(3)
-# trials per received_batch call when accumulating a sample covariance
-_COVARIANCE_CHUNK = 8192
 # one Monte Carlo worker thread per core this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -121,6 +118,10 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
     carries a random normalized Doppler ramp across the snapshot index, which
     leaves all second-order statistics unchanged but is included for
     fidelity.  ``theta_t=None`` simulates the no-target hypothesis.
+
+    The detection blocks use the same draw and mix code chunk by chunk; this
+    whole batch from one generator is the reference the tests hold them to,
+    and the span that perfbench's traced run times as ``simulate.generate``.
     """
     shape = (trials, scenario.n_rx, scenario.code_len)
     Y = np.empty(shape, dtype=complex)
@@ -267,35 +268,6 @@ def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
         pfa_target=pfa, trials=trials, seed=seed, bits=bits)
 
 
-def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | str,
-                               snapshots: int, seed: int) -> float:
-    """Relative Frobenius gap between quantized sample and model covariance.
-
-    Draws no-target data, quantizes it, accumulates the per-snapshot sample
-    covariance and compares against the per-snapshot model covariance; this
-    is the empirical justification of the linearized quantizer model.
-    """
-    q = quantization_model(bits)
-    quant = None if q.ideal else lloyd_max_codebook(int(bits))
-    L = scenario.code_len
-    trials = max(1, math.ceil(snapshots / L))
-    f = low_rank_covariances(scenario, T, q, scenario.target_mean_angle)
-    rng = np.random.default_rng(seed)
-
-    n_r = scenario.n_rx
-    acc = np.zeros((n_r, n_r), dtype=complex)
-    for done in range(0, trials, _COVARIANCE_CHUNK):
-        m = min(_COVARIANCE_CHUNK, trials - done)
-        Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, f.row0)
-        Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
-        acc += Y @ Y.conj().T
-    sample_cov = acc / (trials * L)
-    # R0 = c0 I + Q (C0 - c0 I) Q^H in the model's steering basis
-    Q, k = f.basis[0], f.basis.shape[2]
-    model_cov = (f.c0 * np.eye(n_r) + Q @ (f.core0[0] - f.c0 * np.eye(k)) @ Q.conj().T) / L
-    return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))
-
-
 def steering_crosscorr_experiment(n_rx_list, n_clutter: int, trials: int,
                                   seed: int) -> np.ndarray:
     """Mean Frobenius gap between the steering Gram matrix and identity.
@@ -312,8 +284,9 @@ def steering_crosscorr_experiment(n_rx_list, n_clutter: int, trials: int,
     eye = np.eye(n_clutter + 1)
     for i, n_r in enumerate(n_rx_list):
         angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(trials, n_clutter + 1))
-        m = np.arange(n_r)[:, None, None]
-        A = np.exp(-1j * np.pi * m * np.sin(angles).T[None, :, :]) / np.sqrt(n_r)
+        # (n_r, n_clutter + 1, trials), strided as the broadcast it replaces, so
+        # that einsum sums in the same order
+        A = steering_matrix(angles.ravel(), n_r).reshape(n_r, trials, -1).transpose(0, 2, 1)
         grams = np.einsum("rpt,rqt->tpq", A.conj(), A)
         out[i] = np.mean(np.linalg.norm(grams - eye[None], axis=(1, 2)))
     return out

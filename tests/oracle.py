@@ -1,0 +1,108 @@
+"""Reference implementations that the tests compare cebeam against.
+
+None of these runs in a design or an evaluation: each is the slow, direct
+form of something the library computes another way (a single-angle steering
+vector and pattern, the sign enumeration that the one-bit solver approximates,
+the sample covariance that the linearized quantizer model predicts).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cebeam.ce_design import DesignProblem, pattern_terms
+from cebeam.model import (ModelError, Scenario, hypothesis_covariances, low_rank_covariances,
+                          quantization_model)
+from cebeam.quantizer import lloyd_max_codebook, quantize_received
+from cebeam.simulate import received_batch
+
+
+def steering_vector(theta: float, n: int) -> np.ndarray:
+    """Unit-norm response of an n-element half-wavelength ULA toward theta.
+
+    Element m equals (1/sqrt(n)) * exp(-1j*pi*m*sin(theta)); theta is measured
+    from broadside, in radians.
+    """
+    if n < 1:
+        raise ModelError(f"array needs at least one element, got {n}")
+    m = np.arange(n)
+    return np.exp(-1j * np.pi * m * np.sin(theta)) / np.sqrt(n)
+
+
+def beampattern_power(T: np.ndarray, theta: float) -> float:
+    """Transmit power steered toward theta: a^T T T^H a* for the tx steering vector a."""
+    a = steering_vector(theta, T.shape[0])
+    z = a @ T
+    return float(np.real(np.vdot(z, z)))
+
+
+MAX_EXHAUSTIVE_ENTRIES = 20
+
+
+def exhaustive_onebit(problem: DesignProblem, n_tx: int, n_rf: int,
+                      penalty_orth: float) -> tuple[np.ndarray, float]:
+    """Globally optimal one-bit beamformer by sign enumeration.
+
+    Only feasible for n_tx*n_rf <= 20 (2^20 candidates); ties break toward
+    the lexicographically smallest sign pattern, bit b of the pattern index
+    being entry b in column-major order.
+    """
+    n = n_tx * n_rf
+    if n > MAX_EXHAUSTIVE_ENTRIES:
+        raise ModelError(f"{n} one-bit entries means 2^{n} candidates; refusing beyond "
+                         f"2^{MAX_EXHAUSTIVE_ENTRIES}")
+    scale = 1.0 / np.sqrt(n_tx)
+
+    best_val = np.inf
+    best_idx = -1
+    chunk = 1 << 14
+    total = 1 << n
+    bit_id = np.arange(n, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        signs = (((idx[:, None] >> bit_id[None, :]) & 1) * 2 - 1).astype(np.float64)
+        Tb = signs.reshape(-1, n_rf, n_tx).transpose(0, 2, 1) * scale   # column-major bits
+        mse = np.sum(pattern_terms(Tb, problem)[1] ** 2, axis=-1)
+        gram = np.einsum("bnr,bns->brs", Tb, Tb) - problem.eye_rf[None]
+        vals = mse + penalty_orth * np.sum(gram ** 2, axis=(1, 2))
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val = float(vals[k])
+            best_idx = int(idx[k])
+
+    signs = (((best_idx >> bit_id) & 1) * 2 - 1).astype(np.float64)
+    T = signs.reshape((n_tx, n_rf), order="F") * scale
+    return T, best_val
+
+
+# trials per received_batch call when accumulating a sample covariance
+_COVARIANCE_CHUNK = 8192
+
+
+def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | str,
+                               snapshots: int, seed: int) -> float:
+    """Relative Frobenius gap between quantized sample and model covariance.
+
+    Draws no-target data, quantizes it, accumulates the per-snapshot sample
+    covariance and compares against the per-snapshot model covariance; this
+    is the empirical justification of the linearized quantizer model.
+    """
+    q = quantization_model(bits)
+    quant = None if q.ideal else lloyd_max_codebook(int(bits))
+    L = scenario.code_len
+    trials = max(1, math.ceil(snapshots / L))
+    row0 = low_rank_covariances(scenario, T, q, scenario.target_mean_angle).row0
+    rng = np.random.default_rng(seed)
+
+    n_r = scenario.n_rx
+    acc = np.zeros((n_r, n_r), dtype=complex)
+    for done in range(0, trials, _COVARIANCE_CHUNK):
+        m = min(_COVARIANCE_CHUNK, trials - done)
+        Y = quantize_received(received_batch(scenario, T, None, m, rng), quant, row0)
+        Y = Y.transpose(1, 0, 2).reshape(n_r, -1)           # (n_rx, trials * L)
+        acc += Y @ Y.conj().T
+    sample_cov = acc / (trials * L)
+    model_cov = hypothesis_covariances(scenario, T, q, scenario.target_mean_angle).r0 / L
+    return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))

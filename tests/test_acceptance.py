@@ -18,6 +18,8 @@ from cebeam.model import ADC_DISTORTION
 from cebeam.power_alloc import PowerProfile, bcd_power_allocation
 from cebeam.quantizer import lloyd_max_codebook
 
+from oracle import exhaustive_onebit, sample_h0_covariance_error
+
 
 def report(name: str, ok: bool, detail: str, elapsed: float, limit: float):
     line = f"{'PASS' if ok else 'FAIL'}: {name} [{elapsed:.1f}s / limit {limit:.0f}s] {detail}"
@@ -129,7 +131,7 @@ def test_onebit_matches_exhaustive_within_ten_percent():
     prof = PowerProfile(np.radians([0.0]), np.array([1.0]),
                         np.radians([-50.0, 55.0]), np.zeros(2))
     penalty = 1.0
-    _, v_opt = OB.exhaustive_onebit(design_problem(prof, n_tx, n_rf), n_tx, n_rf, penalty)
+    _, v_opt = exhaustive_onebit(design_problem(prof, n_tx, n_rf), n_tx, n_rf, penalty)
     gaps = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -183,7 +185,7 @@ def test_quantized_covariance_matches_model():
     T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(11))
     errs = {}
     for bits in (1, 2, 3):
-        errs[bits] = SIM.sample_h0_covariance_error(sc, T, bits, snapshots=100_000, seed=29)
+        errs[bits] = sample_h0_covariance_error(sc, T, bits, snapshots=100_000, seed=29)
     ok = max(errs.values()) < 0.05
     report("quantized sample covariance matches linearized model",
            ok, "rel frob err " + ", ".join(f"B{b}={e:.4f}" for b, e in errs.items()),

@@ -14,6 +14,8 @@ from cebeam import model as M
 from cebeam import onebit as OB
 from cebeam.power_alloc import PowerProfile
 
+from oracle import beampattern_power, exhaustive_onebit
+
 
 def minorizer(T, prof, pen):
     problem = C.design_problem(prof, *T.shape)
@@ -67,7 +69,7 @@ class TestBeampatternMse:
         rng = np.random.default_rng(1)
         T = M.random_unit_modulus(16, 3, rng)
         prof = random_profile(rng)
-        oracle = sum((M.beampattern_power(T, th) - lvl) ** 2
+        oracle = sum((beampattern_power(T, th) - lvl) ** 2
                      for th, lvl in zip(prof.all_angles(), prof.all_levels()))
         assert C.beampattern_mse(T, prof) == pytest.approx(oracle, rel=1e-12)
 
@@ -497,7 +499,7 @@ class TestPatternCore:
 
     @staticmethod
     def oracle_gaps(T, prof):
-        return np.array([M.beampattern_power(T, th) - lvl
+        return np.array([beampattern_power(T, th) - lvl
                          for th, lvl in zip(prof.all_angles(), prof.all_levels())])
 
     @settings(max_examples=60, deadline=None)
@@ -518,7 +520,7 @@ class TestPatternCore:
         assert OB.epm_objective(t, prof, n_tx, n_rf, 0.0, 0.0) == pytest.approx(
             mse_bit, rel=1e-10, abs=1e-13)
         # the exhaustive search scores its argmin as the penalized objective does
-        T_opt, value = OB.exhaustive_onebit(C.design_problem(prof, n_tx, n_rf), n_tx, n_rf,
+        T_opt, value = exhaustive_onebit(C.design_problem(prof, n_tx, n_rf), n_tx, n_rf,
                                             penalty)
         assert value == pytest.approx(C.penalized_objective(T_opt, prof, penalty), rel=1e-12)
 

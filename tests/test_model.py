@@ -7,28 +7,30 @@ from scipy.special import j0 as scipy_j0
 
 from cebeam import model as M
 
+from oracle import beampattern_power, steering_vector
+
 
 class TestSteeringVector:
     def test_broadside_is_uniform(self):
-        np.testing.assert_allclose(M.steering_vector(0.0, 4), np.full(4, 0.5), atol=1e-15)
+        np.testing.assert_allclose(M.steering_matrix(0.0, 4)[:, 0], np.full(4, 0.5), atol=1e-15)
 
     def test_endfire_alternates(self):
-        a = M.steering_vector(math.pi / 2, 2)
+        a = M.steering_matrix(math.pi / 2, 2)[:, 0]
         np.testing.assert_allclose(a, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-12)
 
     def test_unit_norm(self):
-        a = M.steering_vector(0.3, 64)
+        a = M.steering_matrix(0.3, 64)[:, 0]
         assert abs(np.vdot(a, a).real - 1.0) < 1e-12
 
     def test_matrix_matches_vectors(self):
         thetas = np.array([-0.7, 0.1, 1.2])
         A = M.steering_matrix(thetas, 16)
         for i, th in enumerate(thetas):
-            np.testing.assert_allclose(A[:, i], M.steering_vector(th, 16), atol=1e-14)
+            np.testing.assert_allclose(A[:, i], steering_vector(th, 16), atol=1e-14)
 
     def test_empty_array_rejected(self):
         with pytest.raises(M.ModelError):
-            M.steering_vector(0.0, 0)
+            M.steering_matrix(0.0, 0)
 
 
 class TestQuantizationModel:
@@ -58,28 +60,28 @@ class TestQuantizationModel:
 class TestBeampattern:
     def test_orthonormal_columns_give_unit_power_everywhere(self):
         T = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        for theta in np.linspace(-1.5, 1.5, 7):
-            assert M.beampattern_power(T, theta) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(M.beampattern_powers(T, np.linspace(-1.5, 1.5, 7)), 1.0,
+                                   rtol=0, atol=1e-12)
 
     def test_column_sum_oracle(self):
         rng = np.random.default_rng(3)
         T = M.random_unit_modulus(16, 3, rng)
         theta = 0.41
-        a = M.steering_vector(theta, 16)
+        a = steering_vector(theta, 16)
         by_columns = sum(abs(a @ T[:, j]) ** 2 for j in range(3))
-        assert M.beampattern_power(T, theta) == pytest.approx(by_columns, rel=1e-12)
+        assert M.beampattern_powers(T, [theta])[0] == pytest.approx(by_columns, rel=1e-12)
 
     def test_coherent_columns_blow_up(self):
         n_tx, n_rf = 16, 4
         T = np.full((n_tx, n_rf), 1.0 / np.sqrt(n_tx))
-        assert M.beampattern_power(T, 0.0) == pytest.approx(n_rf, rel=1e-12)
+        assert M.beampattern_powers(T, [0.0])[0] == pytest.approx(n_rf, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         T = M.random_unit_modulus(12, 2, rng)
         thetas = np.linspace(-1.0, 1.0, 9)
         vec = M.beampattern_powers(T, thetas)
-        one_by_one = [M.beampattern_power(T, th) for th in thetas]
+        one_by_one = [beampattern_power(T, th) for th in thetas]
         np.testing.assert_allclose(vec, one_by_one, rtol=1e-12)
 
 
@@ -112,21 +114,29 @@ class TestHypothesisCovariances:
         np.testing.assert_array_equal(cov.r0, cov.r1)
 
     def test_ideal_adc_has_no_quantizer_floor(self, tiny_scenario):
-        # without quantization the covariances are the unquantized model: L times
-        # clutter plus noise, and the target outer product under H1
-        sc = tiny_scenario
+        # alpha^2 L times clutter plus noise, and the target outer product under
+        # H1, plus the quantizer floor alpha beta L row * I of each hypothesis,
+        # which the ideal ADC (alpha = 1, beta = 0) does not have; built from the
+        # per-angle oracles, not from the steering matrix the library uses
+        sc, n_r, L = tiny_scenario, tiny_scenario.n_rx, tiny_scenario.code_len
         T = M.random_unit_modulus(8, 2, np.random.default_rng(1))
-        cov = M.hypothesis_covariances(sc, T, M.quantization_model("ideal"), 0.1)
-        A_c = M.steering_matrix(sc.clutter_angles, sc.n_rx)
-        phi_c = [M.beampattern_power(T, th) for th in sc.clutter_angles]
-        r0 = sc.code_len * ((A_c * (sc.clutter_powers * phi_c)) @ A_c.conj().T
-                            + sc.noise_power * np.eye(sc.n_rx))
-        a_t = M.steering_vector(0.1, sc.n_rx)
-        r1 = r0 + sc.code_len * sc.target_power * M.beampattern_power(T, 0.1) * np.outer(
-            a_t, a_t.conj())
-        scale = np.abs(r1).max()
-        np.testing.assert_allclose(cov.r0, r0, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(cov.r1, r1, rtol=0, atol=1e-12 * scale)
+        A_c = np.column_stack([steering_vector(th, n_r) for th in sc.clutter_angles])
+        phi_c = np.array([beampattern_power(T, th) for th in sc.clutter_angles])
+        phi_t = beampattern_power(T, 0.1)
+        a_t = steering_vector(0.1, n_r)
+        row0 = np.sum(sc.clutter_powers * phi_c) / n_r + sc.noise_power
+        row1 = row0 + sc.target_power * phi_t / n_r
+        for bits in ("ideal", 1, 3):
+            q = M.quantization_model(bits)
+            a2L = q.alpha ** 2 * L
+            cov = M.hypothesis_covariances(sc, T, q, 0.1)
+            steered = a2L * (A_c * (sc.clutter_powers * phi_c)) @ A_c.conj().T
+            r0 = steered + (a2L * sc.noise_power + q.alpha * q.beta * L * row0) * np.eye(n_r)
+            r1 = (steered + a2L * sc.target_power * phi_t * np.outer(a_t, a_t.conj())
+                  + (a2L * sc.noise_power + q.alpha * q.beta * L * row1) * np.eye(n_r))
+            scale = np.abs(r1).max()
+            np.testing.assert_allclose(cov.r0, r0, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(cov.r1, r1, rtol=0, atol=1e-12 * scale)
 
     def test_noise_only_closed_form(self):
         sc = M.Scenario(n_tx=8, n_rx=6, n_rf=2, code_len=4, target_mean_angle=0.0,
@@ -446,7 +456,7 @@ class TestLargeArrayOrthogonality:
             acc = 0.0
             for _ in range(400):
                 th = rng.uniform(-np.pi / 2, np.pi / 2, 2)
-                a, b = M.steering_vector(th[0], n_r), M.steering_vector(th[1], n_r)
+                a, b = M.steering_matrix(th, n_r).T
                 acc += abs(np.vdot(a, b)) ** 2
             means.append(acc / 400)
         assert means[0] > means[1] > means[2]

@@ -6,12 +6,14 @@ from cebeam import model as M
 from cebeam import onebit as OB
 from cebeam.power_alloc import PowerProfile
 
+from oracle import exhaustive_onebit, steering_vector
+
 
 def dense_quadratic_forms(angles, n_tx, n_rf):
     """Materialized Re(I (x) a* a^T) matrices, the naive reference."""
     mats = []
     for th in np.atleast_1d(angles):
-        a = M.steering_vector(th, n_tx)
+        a = steering_vector(th, n_tx)
         mats.append(np.real(np.kron(np.eye(n_rf), np.outer(a.conj(), a))))
     return mats
 
@@ -213,14 +215,14 @@ class TestParams:
 class TestExhaustive:
     def test_two_element_single_beam(self):
         prof = PowerProfile(np.array([0.0]), np.array([1.0]), np.zeros(0), np.zeros(0))
-        T, val = OB.exhaustive_onebit(C.design_problem(prof, 2, 1), 2, 1, 1.0)
+        T, val = exhaustive_onebit(C.design_problem(prof, 2, 1), 2, 1, 1.0)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert abs(T[0, 0]) == abs(T[1, 0]) == pytest.approx(1 / np.sqrt(2))
         assert T[0, 0] == T[1, 0]   # coherent pair (either all + or all -)
 
     def test_beats_random_patterns(self):
         prof = three_angle_profile()
-        T, val = OB.exhaustive_onebit(C.design_problem(prof, 4, 2), 4, 2, 1.0)
+        T, val = exhaustive_onebit(C.design_problem(prof, 4, 2), 4, 2, 1.0)
         rng = np.random.default_rng(11)
         for _ in range(1000):
             R = rng.choice([-1.0, 1.0], (4, 2)) / 2.0
@@ -228,12 +230,12 @@ class TestExhaustive:
 
     def test_sign_flip_invariance(self):
         prof = three_angle_profile()
-        T, val = OB.exhaustive_onebit(C.design_problem(prof, 4, 2), 4, 2, 1.0)
+        T, val = exhaustive_onebit(C.design_problem(prof, 4, 2), 4, 2, 1.0)
         assert C.penalized_objective(-T, prof, 1.0) == pytest.approx(val, rel=1e-12)
 
     def test_size_limit_enforced(self):
         with pytest.raises(M.ModelError):
-            OB.exhaustive_onebit(C.design_problem(three_angle_profile(), 8, 4), 8, 4, 1.0)
+            exhaustive_onebit(C.design_problem(three_angle_profile(), 8, 4), 8, 4, 1.0)
 
 
 class TestRounding:

