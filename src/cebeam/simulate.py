@@ -7,7 +7,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -27,6 +29,9 @@ _BLOCK_TRIALS = 512
 # reduces its trials, this many at a time, so numpy's temporaries stay small
 # enough to be cached.  It changes no result.
 _CHUNK_TRIALS = 64
+# Trials per steering build in steering_crosscorr_experiment, which bounds its
+# memory; it changes no result.
+_GRAM_TRIALS = 64
 # the runs of a detection point, numbered as their streams' first spawn key
 _CALIBRATION, _H0, _H1 = range(3)
 # one Monte Carlo worker thread per core this process may run on
@@ -134,12 +139,24 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
 
 @dataclass(frozen=True)
 class DetectionPoint:
+    """Detection probability at one SNR, and the threshold that fixes its false-alarm rate.
+
+    ``empirical_pfa`` is measured on a no-target run disjoint from the
+    calibration (run 1 of the point's streams).  That run is made on the
+    first read, from the design and scenario as they were when the point was
+    computed, and its value is kept.
+    """
+
     snr_db: float
     pd: float
     ci_halfwidth: float
-    empirical_pfa: float
     threshold: float
     trials: int
+    _h0_statistics: partial = field(repr=False, compare=False)   # run 1's statistics
+
+    @cached_property
+    def empirical_pfa(self) -> float:
+        return float(np.mean(self._h0_statistics() > self.threshold))
 
 
 @dataclass
@@ -149,16 +166,20 @@ class DetectionCurve:
     snr_db: np.ndarray
     pd: np.ndarray
     ci_halfwidth: np.ndarray
-    empirical_pfa: np.ndarray
     pfa_target: float
     trials: int
     seed: int
     bits: int | str = "ideal"
+    _points: tuple[DetectionPoint, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.pd < 0.0) or np.any(self.pd > 1.0):
             raise ModelError("detection probabilities must lie in [0, 1]")
         check_detection_settings(self.pfa_target, self.trials)
+
+    @property
+    def empirical_pfa(self) -> np.ndarray:
+        return np.asarray([p.empirical_pfa for p in self._points])
 
 
 def check_detection_settings(pfa: float, trials: int) -> None:
@@ -179,17 +200,16 @@ class _TrialStatistics:
 
     Each run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
     trials.  Block b of run r draws its noise, amplitudes and Dopplers from
-    its own stream (``_block_rng(seed, r, b)``) on whichever worker of
-    ``pool`` runs it into samples of its own, then mixes, quantizes and
+    its own stream (``_block_rng(seed, r, b)``) on whichever worker of the
+    run's own pool runs it into samples of its own, then mixes, quantizes and
     reduces them chunk by chunk and writes its slice of the statistics.
     So the statistics depend on the seed alone, not on the worker count.
     """
 
     def __init__(self, scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | None,
-                 form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int,
-                 pool: ThreadPoolExecutor):
+                 form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int):
         self.scenario, self.T, self.quant, self.form = scenario, T, quant, form
-        self.seed, self.trials, self.pool = seed, trials, pool
+        self.seed, self.trials = seed, trials
 
     def run(self, run: int, theta_t: float | None, row_power: float) -> np.ndarray:
         """Statistics of ``trials`` trials of one run (``theta_t=None``: no target)."""
@@ -211,8 +231,12 @@ class _TrialStatistics:
                 Yc = quantize_received(Yc, self.quant, row_power)
                 out[a + c:a + c + Yc.shape[0]] = lrt_statistics(Yc, G, w, gamma)
 
-        for f in [self.pool.submit(block, b) for b in range(-(-trials // blk))]:
-            f.result()
+        pool = ThreadPoolExecutor(_WORKERS)
+        try:
+            for f in [pool.submit(block, b) for b in range(-(-trials // blk))]:
+                f.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
         return out
 
 
@@ -227,32 +251,28 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
     variances and the statistic's low-rank form come from the model
     covariances at the mean target angle (``LowRankCovariances``).  The
     threshold is the empirical (1 - pfa) quantile of an independent
-    calibration run; the returned false-alarm rate is measured on a second,
-    disjoint run.  Every block of trials draws from its own stream keyed by
-    (``seed``, run, block), so the point depends on ``seed`` alone.
+    calibration run (run 0), and pd is measured on the target run (run 2).
+    The no-target run (run 1) that measures the false-alarm rate is made
+    only when the point's ``empirical_pfa`` is first read, on copies of ``T``
+    and ``scenario`` taken here.  Every block of trials draws from its own
+    stream keyed by (``seed``, run, block), so the point depends on ``seed``
+    alone, whenever each run is made.
     """
     check_detection_settings(pfa, trials)
-    sc = replace(scenario, target_power=scenario.noise_power * db_to_linear(snr_db))
+    sc = replace(deepcopy(scenario), target_power=scenario.noise_power * db_to_linear(snr_db))
+    T = np.array(T)
+    T.flags.writeable = False
     q = quantization_model(bits)
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     theta = sc.target_mean_angle
     model = low_rank_covariances(sc, T, q, theta)
 
-    pool = ThreadPoolExecutor(_WORKERS)
-    try:
-        stats = _TrialStatistics(sc, T, quant, model.lrt_form(0, sc.code_len), seed, trials, pool)
-        cal = stats.run(_CALIBRATION, None, model.row0)
-        h0 = stats.run(_H0, None, model.row0)
-        h1 = stats.run(_H1, theta, model.row1[0])
-    finally:
-        pool.shutdown(cancel_futures=True)
-    threshold = float(np.quantile(cal, 1.0 - pfa))
-
-    pd = float(np.mean(h1 > threshold))
+    stats = _TrialStatistics(sc, T, quant, model.lrt_form(0, sc.code_len), seed, trials)
+    threshold = float(np.quantile(stats.run(_CALIBRATION, None, model.row0), 1.0 - pfa))
+    pd = float(np.mean(stats.run(_H1, theta, model.row1[0]) > threshold))
     ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
-    return DetectionPoint(snr_db=snr_db, pd=pd, ci_halfwidth=ci,
-                          empirical_pfa=float(np.mean(h0 > threshold)),
-                          threshold=threshold, trials=trials)
+    return DetectionPoint(snr_db=snr_db, pd=pd, ci_halfwidth=ci, threshold=threshold,
+                          trials=trials, _h0_statistics=partial(stats.run, _H0, None, model.row0))
 
 
 def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
@@ -264,8 +284,7 @@ def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
         snr_db=np.asarray([p.snr_db for p in points]),
         pd=np.asarray([p.pd for p in points]),
         ci_halfwidth=np.asarray([p.ci_halfwidth for p in points]),
-        empirical_pfa=np.asarray([p.empirical_pfa for p in points]),
-        pfa_target=pfa, trials=trials, seed=seed, bits=bits)
+        pfa_target=pfa, trials=trials, seed=seed, bits=bits, _points=tuple(points))
 
 
 def steering_crosscorr_experiment(n_rx_list, n_clutter: int, trials: int,
@@ -282,11 +301,15 @@ def steering_crosscorr_experiment(n_rx_list, n_clutter: int, trials: int,
     rng = np.random.default_rng(seed)
     out = np.empty(len(n_rx_list))
     eye = np.eye(n_clutter + 1)
+    errors = np.empty(trials)
     for i, n_r in enumerate(n_rx_list):
         angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(trials, n_clutter + 1))
-        # (n_r, n_clutter + 1, trials), strided as the broadcast it replaces, so
-        # that einsum sums in the same order
-        A = steering_matrix(angles.ravel(), n_r).reshape(n_r, trials, -1).transpose(0, 2, 1)
-        grams = np.einsum("rpt,rqt->tpq", A.conj(), A)
-        out[i] = np.mean(np.linalg.norm(grams - eye[None], axis=(1, 2)))
+        for a in range(0, trials, _GRAM_TRIALS):
+            part = angles[a:a + _GRAM_TRIALS]
+            # (n_r, n_clutter + 1, trials), strided as the broadcast it
+            # replaces, so that einsum sums in the same order
+            A = steering_matrix(part.ravel(), n_r).reshape(n_r, len(part), -1).transpose(0, 2, 1)
+            grams = np.einsum("rpt,rqt->tpq", A.conj(), A)
+            errors[a:a + len(part)] = np.linalg.norm(grams - eye[None], axis=(1, 2))
+        out[i] = np.mean(errors)
     return out

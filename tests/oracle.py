@@ -3,7 +3,8 @@
 None of these runs in a design or an evaluation: each is the slow, direct
 form of something the library computes another way (a single-angle steering
 vector and pattern, the sign enumeration that the one-bit solver approximates,
-the sample covariance that the linearized quantizer model predicts).
+the sample covariance that the linearized quantizer model predicts, the
+steering Gram experiment over all trials at once).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from cebeam.ce_design import DesignProblem, pattern_terms
 from cebeam.model import (ModelError, Scenario, hypothesis_covariances, low_rank_covariances,
-                          quantization_model)
+                          quantization_model, steering_matrix)
 from cebeam.quantizer import lloyd_max_codebook, quantize_received
 from cebeam.simulate import received_batch
 
@@ -106,3 +107,20 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
     sample_cov = acc / (trials * L)
     model_cov = hypothesis_covariances(scenario, T, q, scenario.target_mean_angle).r0 / L
     return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))
+
+
+def steering_gram_errors(n_rx_list, n_clutter: int, trials: int, seed: int) -> np.ndarray:
+    """``simulate.steering_crosscorr_experiment`` with every trial's steering built at once.
+
+    Same angle draws and the same einsum layout, so the result is the same
+    to the bit; its memory grows with ``trials``.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty(len(n_rx_list))
+    eye = np.eye(n_clutter + 1)
+    for i, n_r in enumerate(n_rx_list):
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(trials, n_clutter + 1))
+        A = steering_matrix(angles.ravel(), n_r).reshape(n_r, trials, -1).transpose(0, 2, 1)
+        grams = np.einsum("rpt,rqt->tpq", A.conj(), A)
+        out[i] = np.mean(np.linalg.norm(grams - eye[None], axis=(1, 2)))
+    return out

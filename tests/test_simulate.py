@@ -1,8 +1,8 @@
+import copy
 import dataclasses
 import math
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from cebeam import model as M
 from cebeam import simulate as SIM
-from cebeam.pipeline import load_scenario
+from cebeam.pipeline import ExperimentSpec, load_scenario, run_pipeline
 from cebeam.quantizer import lloyd_max_codebook, quantize_received
 
-from oracle import sample_h0_covariance_error
+from oracle import sample_h0_covariance_error, steering_gram_errors
 
 
 class TestLfmWaveforms:
@@ -141,7 +141,6 @@ class TestDetection:
         with pytest.raises(M.ModelError):
             SIM.DetectionCurve(snr_db=np.array([0.0]), pd=np.array([0.5]),
                                ci_halfwidth=np.array([0.01]),
-                               empirical_pfa=np.array([1e-3]),
                                pfa_target=1e-4, trials=1000, seed=0)
 
 
@@ -189,8 +188,8 @@ class TestPipelinedEngine:
 
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
                 mock.patch.object(SIM, "_CHUNK_TRIALS", chunk), \
-                ThreadPoolExecutor(workers) as pool:
-            engine = SIM._TrialStatistics(sc, T, quant, form, seed, trials, pool)
+                mock.patch.object(SIM, "_WORKERS", workers):
+            engine = SIM._TrialStatistics(sc, T, quant, form, seed, trials)
             got = [engine.run(r, theta, power) for r in runs]
             for r, stats in zip(runs, got):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, seed, r, trials)
@@ -208,8 +207,8 @@ class TestPipelinedEngine:
         model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
         form = model.lrt_form(0, sc.code_len)
         assert (form[2] == 0.0) == (bits == "ideal")
-        with ThreadPoolExecutor(2) as pool:
-            engine = SIM._TrialStatistics(sc, T, quant, form, 23, 1100, pool)
+        with mock.patch.object(SIM, "_WORKERS", 2):
+            engine = SIM._TrialStatistics(sc, T, quant, form, 23, 1100)
             for run, theta, power in ((0, None, model.row0),
                                       (2, sc.target_mean_angle, model.row1[0])):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, 23, run, 1100)
@@ -226,9 +225,9 @@ class TestPipelinedEngine:
         model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
         block_bytes = SIM._BLOCK_TRIALS * sc.n_rx * sc.code_len * np.dtype(complex).itemsize
         workers = 2
-        with ThreadPoolExecutor(workers) as pool:
+        with mock.patch.object(SIM, "_WORKERS", workers):
             engine = SIM._TrialStatistics(sc, T, lloyd_max_codebook(bits),
-                                          model.lrt_form(0, sc.code_len), 31, 2048, pool)
+                                          model.lrt_form(0, sc.code_len), 31, 2048)
             tracemalloc.start()
             try:
                 engine.run(SIM._H1, sc.target_mean_angle, model.row1[0])
@@ -257,17 +256,20 @@ class TestPipelinedEngine:
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(24))
         monkeypatch.setattr(SIM, "_BLOCK_TRIALS", 64)
-        points = []
+        points, pfas = [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 4):
                 monkeypatch.setattr(SIM, "_WORKERS", workers)
-                points.append(SIM.simulate_detection(T, sc, 3, snr_db=0.0, pfa=1e-2,
-                                                     trials=2500, seed=25))
+                point = SIM.simulate_detection(T, sc, 3, snr_db=0.0, pfa=1e-2,
+                                               trials=2500, seed=25)
+                points.append(point)
+                pfas.append(point.empirical_pfa)      # the H0 run, on this worker count
         finally:
             sys.setswitchinterval(interval)
         assert points[0] == points[1] == points[2]
+        assert pfas[0] == pfas[1] == pfas[2]
 
     def test_block_task_error_reaches_caller(self, tiny_scenario, monkeypatch):
         def failing_lrt(*args, **kwargs):
@@ -277,6 +279,72 @@ class TestPipelinedEngine:
         T = M.random_unit_modulus(8, 2, np.random.default_rng(26))
         with pytest.raises(RuntimeError, match="block task failed"):
             SIM.simulate_detection(T, tiny_scenario, 1, 0.0, pfa=1e-2, trials=2000, seed=0)
+
+    def test_h0_block_error_reaches_reader(self, tiny_scenario, monkeypatch):
+        # the H0 run is made when empirical_pfa is read, so its error surfaces there
+        block_rng = SIM._block_rng
+
+        def failing_h0_rng(seed, run, block):
+            if run == SIM._H0:
+                raise RuntimeError("H0 block failed")
+            return block_rng(seed, run, block)
+
+        monkeypatch.setattr(SIM, "_block_rng", failing_h0_rng)
+        T = M.random_unit_modulus(8, 2, np.random.default_rng(26))
+        point = SIM.simulate_detection(T, tiny_scenario, 1, 0.0, pfa=1e-2, trials=2000, seed=0)
+        with pytest.raises(RuntimeError, match="H0 block failed"):
+            point.empirical_pfa
+
+    def test_false_alarm_rate_read_later_ignores_changes_to_the_inputs(self, tiny_scenario):
+        # the point measures empirical_pfa on the design and scenario it was
+        # computed for, whatever the caller does to their arrays in between
+        sc = copy.deepcopy(tiny_scenario)
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(32))
+        untouched_sc, untouched_T = copy.deepcopy(sc), T.copy()
+        point = SIM.simulate_detection(T, sc, 1, 0.0, pfa=1e-2, trials=2000, seed=33)
+        T[:] = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(34))
+        sc.clutter_powers *= 100.0
+        ref = SIM.simulate_detection(untouched_T, untouched_sc, 1, 0.0, pfa=1e-2, trials=2000,
+                                     seed=33)
+        assert point.empirical_pfa == ref.empirical_pfa
+
+
+def _record_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the block streams to log the (run, block) of every draw."""
+    drawn, block_rng = [], SIM._block_rng
+
+    def recording_rng(seed, run, block):
+        drawn.append((run, block))
+        return block_rng(seed, run, block)
+
+    monkeypatch.setattr(SIM, "_block_rng", recording_rng)
+    return drawn
+
+
+class TestFalseAlarmRunOnDemand:
+    def test_sweep_snr_draws_no_h0_trial(self, tmp_path, monkeypatch):
+        # detection.csv holds pd alone, so the command makes only the
+        # calibration and target runs
+        drawn = _record_runs(monkeypatch)
+        spec = ExperimentSpec(command="sweep-snr", scenario="desk32", bits=1, max_iters=20,
+                              pfa=1e-2, trials=2048, snr_grid_db=(-5.0, 0.0),
+                              out_dir=str(tmp_path))
+        run_pipeline(spec)
+        blocks = 2048 // SIM._BLOCK_TRIALS
+        assert sorted(drawn) == sorted(2 * [(r, b) for r in (SIM._CALIBRATION, SIM._H1)
+                                            for b in range(blocks)])
+
+    def test_h0_run_made_once_on_first_read(self, tiny_scenario, monkeypatch):
+        sc = tiny_scenario
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(35))
+        drawn = _record_runs(monkeypatch)
+        curve = SIM.detection_curve(T, sc, 1, (-5.0, 0.0), 1e-2, 2000, seed=36)
+        assert all(run != SIM._H0 for run, _ in drawn)
+        del drawn[:]
+        first = curve.empirical_pfa
+        assert np.array_equal(curve.empirical_pfa, first)     # the points keep their values
+        blocks = -(-2000 // SIM._BLOCK_TRIALS)
+        assert sorted(drawn) == sorted(2 * [(SIM._H0, b) for b in range(blocks)])
 
 
 class TestDetectionInputs:
@@ -310,6 +378,26 @@ class TestSteeringExperiment:
     def test_trial_floor_enforced(self):
         with pytest.raises(M.ModelError):
             SIM.steering_crosscorr_experiment((32,), 5, trials=10, seed=0)
+
+    def test_chunks_match_whole_batch_to_the_bit(self):
+        # 1,000 trials make several chunks, the last one short
+        assert 1000 % SIM._GRAM_TRIALS and 1000 // SIM._GRAM_TRIALS > 2
+        args = ((32, 64, 256), 20, 1000, 4)
+        got = SIM.steering_crosscorr_experiment(*args)
+        assert got.tobytes() == steering_gram_errors(*args).tobytes()
+
+    def test_peak_memory_bounded_by_a_chunk(self):
+        # the whole batch holds two (n_r, K + 1, trials) complex arrays, 86 MB
+        # each here; chunks of 64 trials peak near 18 MB
+        n_r, k, trials = 256, 20, 1000
+        whole_bytes = n_r * (k + 1) * trials * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            SIM.steering_crosscorr_experiment((n_r,), k, trials, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= whole_bytes / 3
 
 
 class TestQuantizedCovariance:
