@@ -439,6 +439,8 @@ def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel
 
     # R0's spectrum is the same at every angle, so one of its cores is checked
     for c, core in ((c0, core0[:1]), (c1, core1)):
+        if not np.all(np.isfinite(core)):      # an overflowed power; eigvalsh would fail
+            raise IllConditionedModelError("covariance is not finite: a power overflows")
         s = np.linalg.eigvalsh(core)
         low, top = s[:, 0], s[:, -1]
         if k < n_r:

@@ -173,15 +173,13 @@ def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
 
 def run_onebit_design(scenario: Scenario, bits, seed: int,
                       params: OneBitParams | None = None,
-                      profile: PowerProfile | None = None,
-                      ce_params: CeDesignParams | None = None
+                      profile: PowerProfile | None = None
                       ) -> tuple[np.ndarray, DesignReport, EpmTrace, PowerProfile]:
     """Stage 1, a constant-envelope warm start, then the exact-penalty solver."""
     if profile is None:
         profile = run_power_allocation(scenario, bits).profile
     params = params or OneBitParams()
-    T_ce, ce_report, _, _ = run_ce_design(scenario, bits, seed, "AMM",
-                                          ce_params or CeDesignParams(seed=seed), profile)
+    T_ce, ce_report, _, _ = run_ce_design(scenario, bits, seed, "AMM", profile=profile)
     # one-bit starting point: phases snapped to {0, pi}, column-major vector
     t0 = round_to_signs(np.real(T_ce), scenario.n_tx, scenario.n_rf).reshape(-1, order="F")
     started = time.perf_counter()

@@ -17,7 +17,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._accel import quantize_values
 from .model import ADC_DISTORTION, ModelError
 
 _SQRT2 = np.sqrt(2.0)
@@ -96,6 +95,28 @@ def lloyd_max_codebook(bits: int) -> ScalarQuantizer:
             thresholds = 0.5 * (levels[:-1] + levels[1:])
             return ScalarQuantizer(bits=bits, levels=levels, thresholds=thresholds)
     raise ModelError(f"codebook iteration did not converge in {_LLOYD_MAX_ITERS} sweeps")
+
+
+def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Map each real value to its level of an odd-symmetric codebook.
+
+    ``thresholds`` ascend and, like ``levels``, are odd-symmetric
+    (``levels == -levels[::-1]``), so the middle threshold is 0.  The
+    magnitude is looked up among the positive thresholds and the sign copied
+    from ``x``.  This equals ``levels[np.searchsorted(thresholds, x)]``
+    except at values exactly on a threshold, which occur with probability
+    zero for continuous input.
+    """
+    half = levels.size // 2
+    pos_thresholds, pos_levels = thresholds[half:], levels[half:]
+    mag = np.abs(x)
+    idx = np.zeros(mag.shape, dtype=np.uint8)
+    for t in pos_thresholds:
+        idx += mag > t
+    # the magnitudes' array takes the levels; idx < half, so 'clip' never
+    # clips, and unlike 'raise' it writes to ``mag`` without a copy of it
+    np.take(pos_levels, idx, out=mag, mode="clip")
+    return np.copysign(mag, x, out=mag)
 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,

@@ -9,11 +9,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
-from ._accel import lrt_statistics
 from .model import (ModelError, Scenario, db_to_linear, low_rank_covariances,
                     quantization_model, steering_matrix)
 # the dense oracle, under the name perfbench's tracer wraps in this module
@@ -195,49 +194,66 @@ def _block_rng(seed: int, run: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, block))))
 
 
-class _TrialStatistics:
-    """Per-trial LRT statistics of one detection point, as a map over blocks.
+def lrt_statistics(Y: np.ndarray, G: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
+    """Sum over snapshots of y^H M y for each trial, M = gamma*I + G^H diag(w) G.
 
-    Each run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
-    trials.  Block b of run r draws its noise, amplitudes and Dopplers from
-    its own stream (``_block_rng(seed, r, b)``) on whichever worker of the
-    run's own pool runs it into samples of its own, then mixes, quantizes and
-    reduces them chunk by chunk and writes its slice of the statistics.
-    So the statistics depend on the seed alone, not on the worker count.
+    ``Y`` has shape (trials, n_rx, snapshots) and ``G`` (rank, n_rx), with
+    ``w`` real (``LowRankCovariances.lrt_form``), so each statistic is real:
+    gamma*||Y_t||^2 + sum_k w_k ||(G Y_t)_k||^2, each squared norm a row-wise
+    dot product of float64 views; the first term is skipped when gamma is 0.
     """
+    Y = np.ascontiguousarray(Y, dtype=np.complex128)
+    GY = G @ Y
+    n = Y.shape[0]
+    gy = GY.view(np.float64).reshape(n, G.shape[0], -1)
+    stats = np.einsum("tki,tki->tk", gy, gy) @ w
+    if gamma != 0.0:
+        y = Y.view(np.float64).reshape(n, -1)
+        stats += gamma * np.einsum("ti,ti->t", y, y)
+    return stats
 
-    def __init__(self, scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | None,
-                 form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int):
-        self.scenario, self.T, self.quant, self.form = scenario, T, quant, form
-        self.seed, self.trials = seed, trials
 
-    def run(self, run: int, theta_t: float | None, row_power: float) -> np.ndarray:
-        """Statistics of ``trials`` trials of one run (``theta_t=None``: no target)."""
-        sc, trials, blk, chunk = self.scenario, self.trials, _BLOCK_TRIALS, _CHUNK_TRIALS
-        A_r, B, amp_scale = _sources(sc, self.T, theta_t)
-        noise_scale = math.sqrt(sc.noise_power / 2.0)
-        G, w, gamma = self.form
-        out = np.empty(trials)
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's Monte Carlo worker pool of ``workers`` threads, made on first use."""
+    return ThreadPoolExecutor(workers)
 
-        def block(b):
-            a = b * blk
-            Y = np.empty((min(blk, trials - a), sc.n_rx, sc.code_len), dtype=complex)
-            amps, freq = _draw(Y, noise_scale, amp_scale, _block_rng(self.seed, run, b))
-            for c in range(0, Y.shape[0], chunk):
-                part = slice(c, c + chunk)
-                Yc = Y[part]
-                if A_r is not None:
-                    _mix(Yc, amps[part], freq[part], A_r, B)
-                Yc = quantize_received(Yc, self.quant, row_power)
-                out[a + c:a + c + Yc.shape[0]] = lrt_statistics(Yc, G, w, gamma)
 
-        pool = ThreadPoolExecutor(_WORKERS)
-        try:
-            for f in [pool.submit(block, b) for b in range(-(-trials // blk))]:
-                f.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
-        return out
+def _run_statistics(scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | None,
+                    form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int,
+                    run: int, theta_t: float | None, row_power: float) -> np.ndarray:
+    """LRT statistics of ``trials`` trials of one run (``theta_t=None``: no target).
+
+    The run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
+    trials, mapped over the pool of ``_WORKERS`` threads.  Block b of run r
+    draws its noise, amplitudes and Dopplers from its own stream
+    (``_block_rng(seed, r, b)``) into samples of its own, then mixes,
+    quantizes and reduces them chunk by chunk and writes its slice of the
+    statistics.  So the statistics depend on the seed alone, not on the
+    worker count.
+    """
+    sc, blk, chunk = scenario, _BLOCK_TRIALS, _CHUNK_TRIALS
+    A_r, B, amp_scale = _sources(sc, T, theta_t)
+    noise_scale = math.sqrt(sc.noise_power / 2.0)
+    G, w, gamma = form
+    out = np.empty(trials)
+
+    def block(b):
+        a = b * blk
+        Y = np.empty((min(blk, trials - a), sc.n_rx, sc.code_len), dtype=complex)
+        amps, freq = _draw(Y, noise_scale, amp_scale, _block_rng(seed, run, b))
+        for c in range(0, Y.shape[0], chunk):
+            part = slice(c, c + chunk)
+            Yc = Y[part]
+            if A_r is not None:
+                _mix(Yc, amps[part], freq[part], A_r, B)
+            Yc = quantize_received(Yc, quant, row_power)
+            out[a + c:a + c + Yc.shape[0]] = lrt_statistics(Yc, G, w, gamma)
+
+    # consumed in order: the first block error is raised, and unstarted blocks are cancelled
+    for _ in _pool(_WORKERS).map(block, range(-(-trials // blk))):
+        pass
+    return out
 
 
 def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
@@ -267,12 +283,12 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
     theta = sc.target_mean_angle
     model = low_rank_covariances(sc, T, q, theta)
 
-    stats = _TrialStatistics(sc, T, quant, model.lrt_form(0, sc.code_len), seed, trials)
-    threshold = float(np.quantile(stats.run(_CALIBRATION, None, model.row0), 1.0 - pfa))
-    pd = float(np.mean(stats.run(_H1, theta, model.row1[0]) > threshold))
+    stats = partial(_run_statistics, sc, T, quant, model.lrt_form(0, sc.code_len), seed, trials)
+    threshold = float(np.quantile(stats(_CALIBRATION, None, model.row0), 1.0 - pfa))
+    pd = float(np.mean(stats(_H1, theta, model.row1[0]) > threshold))
     ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
     return DetectionPoint(snr_db=snr_db, pd=pd, ci_halfwidth=ci, threshold=threshold,
-                          trials=trials, _h0_statistics=partial(stats.run, _H0, None, model.row0))
+                          trials=trials, _h0_statistics=partial(stats, _H0, None, model.row0))
 
 
 def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,

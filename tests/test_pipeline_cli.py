@@ -275,6 +275,28 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
+    # 10^308 passes validation, but the steered target covariance overflows;
+    # eigvalsh once raised LinAlgError on its inf/NaN cores
+    @pytest.mark.parametrize("command", ["sweep-snr", "design-ce", "evaluate"])
+    def test_overflowing_target_power_exits_2(self, mini_scenario_file, tmp_path, capsys,
+                                              command):
+        argv = [command, "--max-iters", "3", "--out", str(tmp_path / "o")]
+        if command == "sweep-snr":
+            argv += ["--scenario", mini_scenario_file, "--snr", "3080", "--trials", "1000",
+                     "--pfa", "0.01"]
+        else:
+            with open(mini_scenario_file) as fh:
+                d = json.load(fh)
+            scenario = tmp_path / "hot.json"
+            scenario.write_text(json.dumps({**d, "target_power_db": 3080.0}))
+            argv += ["--scenario", str(scenario)]
+        if command == "evaluate":
+            design = tmp_path / "design.txt"
+            np.savetxt(design, np.random.default_rng(0).uniform(-180.0, 180.0, (16, 4)))
+            argv += ["--design", str(design)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("pfa", ["0", "1.5", "-0.1", "nan"])
     def test_sweep_snr_bad_pfa_exits_2_before_design(self, mini_scenario_file, tmp_path,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cebeam import _accel
 from cebeam.model import ADC_DISTORTION, ModelError
-from cebeam.quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
+from cebeam.quantizer import (ScalarQuantizer, lloyd_max_codebook, quantize_received,
+                              quantize_values)
+from cebeam.simulate import lrt_statistics
 
 
 def _scipy_codebook(bits, tol=1e-10):
@@ -72,7 +73,7 @@ class TestCodebook:
         x = rng.standard_normal(10 ** 6)
         for bits in (1, 2, 3):
             q = lloyd_max_codebook(bits)
-            err = np.mean((x - _accel.quantize_values(x, q.thresholds, q.levels)) ** 2)
+            err = np.mean((x - quantize_values(x, q.thresholds, q.levels)) ** 2)
             assert err == pytest.approx(ADC_DISTORTION[bits], rel=0.03)
 
     def test_unsupported_bits(self):
@@ -82,7 +83,7 @@ class TestCodebook:
     def test_quantize_picks_nearest_level(self):
         q = lloyd_max_codebook(2)
         x = np.linspace(-4, 4, 1001)
-        out = _accel.quantize_values(x, q.thresholds, q.levels)
+        out = quantize_values(x, q.thresholds, q.levels)
         nearest = np.min(np.abs(x[:, None] - q.levels[None, :]), axis=1)
         # ties exactly on a threshold may go either way; the error can never
         # beat the nearest level
@@ -118,8 +119,8 @@ class TestQuantizeReceived:
         Y = np.array([[0.1 + 0.2j, -0.3 + 0.05j]])
         q = lloyd_max_codebook(2)
         out = quantize_received(Y, q, row_power=np.array([0.0]))
-        expected = (_accel.quantize_values(Y.real, q.thresholds, q.levels)
-                    + 1j * _accel.quantize_values(Y.imag, q.thresholds, q.levels))
+        expected = (quantize_values(Y.real, q.thresholds, q.levels)
+                    + 1j * quantize_values(Y.imag, q.thresholds, q.levels))
         np.testing.assert_allclose(out, expected)
 
     def test_measured_distortion_tracks_table(self):
@@ -142,7 +143,7 @@ class TestKernelPaths:
         for bits in (1, 2, 3, 4, 5):
             q = lloyd_max_codebook(bits)
             oracle = q.levels[np.searchsorted(q.thresholds, x)]
-            np.testing.assert_array_equal(_accel.quantize_values(x, q.thresholds, q.levels),
+            np.testing.assert_array_equal(quantize_values(x, q.thresholds, q.levels),
                                           oracle)
 
     def test_quantize_received_matches_per_part_oracle(self):
@@ -195,7 +196,7 @@ class TestKernelPaths:
         Y = rng.standard_normal((64, 8, 5)) + 1j * rng.standard_normal((64, 8, 5))
         G, w, gamma, Mh = self.lrt_form(rng, 8, 3)
         oracle = np.einsum("trl,rs,tsl->t", Y.conj(), Mh, Y).real
-        np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-10)
+        np.testing.assert_allclose(lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-10)
 
     def test_statistic_matches_direct_loop(self):
         rng = np.random.default_rng(8)
@@ -203,11 +204,11 @@ class TestKernelPaths:
         G, w, gamma, Mh = self.lrt_form(rng, 4, 2)
         direct = [sum((Y[t, :, l].conj() @ Mh @ Y[t, :, l]).real for l in range(3))
                   for t in range(5)]
-        np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), direct, rtol=1e-12)
+        np.testing.assert_allclose(lrt_statistics(Y, G, w, gamma), direct, rtol=1e-12)
 
     def test_zero_gamma_drops_the_norm_term(self):
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
         G, w, gamma, Mh = self.lrt_form(rng, 4, 2, gamma=0.0)
         oracle = np.einsum("trl,rs,tsl->t", Y.conj(), Mh, Y).real
-        np.testing.assert_allclose(_accel.lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-12)
+        np.testing.assert_allclose(lrt_statistics(Y, G, w, gamma), oracle, rtol=1e-12)

@@ -1,8 +1,12 @@
 import copy
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -189,8 +193,8 @@ class TestPipelinedEngine:
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
                 mock.patch.object(SIM, "_CHUNK_TRIALS", chunk), \
                 mock.patch.object(SIM, "_WORKERS", workers):
-            engine = SIM._TrialStatistics(sc, T, quant, form, seed, trials)
-            got = [engine.run(r, theta, power) for r in runs]
+            got = [SIM._run_statistics(sc, T, quant, form, seed, trials, r, theta, power)
+                   for r in runs]
             for r, stats in zip(runs, got):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, seed, r, trials)
                 np.testing.assert_allclose(stats, ref, rtol=1e-12, atol=0.0)
@@ -208,12 +212,11 @@ class TestPipelinedEngine:
         form = model.lrt_form(0, sc.code_len)
         assert (form[2] == 0.0) == (bits == "ideal")
         with mock.patch.object(SIM, "_WORKERS", 2):
-            engine = SIM._TrialStatistics(sc, T, quant, form, 23, 1100)
             for run, theta, power in ((0, None, model.row0),
                                       (2, sc.target_mean_angle, model.row1[0])):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, 23, run, 1100)
-                np.testing.assert_allclose(engine.run(run, theta, power), ref,
-                                           rtol=1e-13, atol=0.0)
+                got = SIM._run_statistics(sc, T, quant, form, 23, 1100, run, theta, power)
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("bits", [1, 3])
     def test_run_holds_about_one_block_per_worker(self, desk_scenario, bits):
@@ -226,11 +229,11 @@ class TestPipelinedEngine:
         block_bytes = SIM._BLOCK_TRIALS * sc.n_rx * sc.code_len * np.dtype(complex).itemsize
         workers = 2
         with mock.patch.object(SIM, "_WORKERS", workers):
-            engine = SIM._TrialStatistics(sc, T, lloyd_max_codebook(bits),
-                                          model.lrt_form(0, sc.code_len), 31, 2048)
+            quant, form = lloyd_max_codebook(bits), model.lrt_form(0, sc.code_len)
             tracemalloc.start()
             try:
-                engine.run(SIM._H1, sc.target_mean_angle, model.row1[0])
+                SIM._run_statistics(sc, T, quant, form, 31, 2048, SIM._H1,
+                                    sc.target_mean_angle, model.row1[0])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -345,6 +348,45 @@ class TestFalseAlarmRunOnDemand:
         assert np.array_equal(curve.empirical_pfa, first)     # the points keep their values
         blocks = -(-2000 // SIM._BLOCK_TRIALS)
         assert sorted(drawn) == sorted(2 * [(SIM._H0, b) for b in range(blocks)])
+
+
+# one detection point, its H0 run included, in a process of its own
+_ONE_POINT = """
+import numpy as np
+from cebeam import model as M, simulate as SIM
+from cebeam.pipeline import load_scenario
+sc = load_scenario("desk32")
+T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(0))
+point = SIM.simulate_detection(T, sc, 1, 0.0, pfa=0.01, trials=1000, seed=0)
+print(point.pd, point.empirical_pfa)
+"""
+
+
+class TestWorkerPool:
+    def test_runs_reuse_the_worker_threads(self, tiny_scenario, monkeypatch):
+        # the calibration, target and H0 runs of two points map their blocks
+        # over one pool; a pool per run starts new threads for each
+        threads, block_rng = [], SIM._block_rng
+
+        def recording_rng(seed, run, block):
+            threads.append(threading.current_thread())
+            return block_rng(seed, run, block)
+
+        monkeypatch.setattr(SIM, "_block_rng", recording_rng)
+        monkeypatch.setattr(SIM, "_WORKERS", 2)
+        sc = tiny_scenario
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(40))
+        first = SIM.simulate_detection(T, sc, 1, 0.0, pfa=1e-2, trials=2000, seed=41)
+        SIM.simulate_detection(T, sc, 3, 0.0, pfa=1e-2, trials=2000, seed=42)
+        first.empirical_pfa
+        assert len(threads) == 5 * -(-2000 // SIM._BLOCK_TRIALS)
+        assert len(set(threads)) <= 2
+
+    def test_pool_does_not_hold_the_interpreter_open(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(SIM.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _ONE_POINT], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDetectionInputs:
