@@ -24,9 +24,10 @@ import numpy as np
 ADC_DISTORTION = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
 # Covariances worse conditioned than this are refused rather than silently
-# inverted.  In the orthonormal steering basis of ``LowRankCovariances``,
-# R = c (I - Q Q^H) + Q C Q^H has the eigenvalues of its k x k core C, plus c
-# when k < N_r, so the exact condition number needs no N_r x N_r eigensolve.
+# inverted.  ``low_rank_covariances`` reads R0's eigenvalues from its clutter
+# core, plus c0 outside the clutter span, and R1's from an m x m block per
+# target angle, plus c1 outside it, so the exact condition number needs no
+# N_r x N_r eigensolve.
 MAX_CONDITION = 1e12
 
 
@@ -169,6 +170,11 @@ class Scenario:
         if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(self.clutter_angles))
                 and np.all(np.isfinite(self.clutter_powers))):
             raise ModelError("angles, powers and grid settings must be finite")
+        # bounds each steered gain and white level: alpha <= 1 and phi <= n_rf
+        powers = map(float, (self.target_power, self.noise_power, self.noise_power,
+                             *self.clutter_powers))
+        if not math.isfinite(self.code_len * self.n_rf * sum(powers)):
+            raise ModelError("powers overflow: a steered gain or white level is not finite")
         half_pi = math.pi / 2 + 1e-12
         angles = np.concatenate(([self.target_mean_angle], self.clutter_angles))
         if np.any(np.abs(angles) > half_pi):
@@ -315,26 +321,24 @@ class HypothesisCovariances:
     r1: np.ndarray
 
 
-def clutter_load(scenario: Scenario, phi_c) -> np.ndarray:
-    """Clutter power per receive antenna, sum_k sigma_k phi_k / N_r, over the last axis."""
-    return np.sum(scenario.clutter_powers * phi_c, axis=-1) / scenario.n_rx
-
-
 def white_levels(scenario: Scenario, q: QuantizationModel, phi_c, phi_t):
-    """(row0, row1, c0, c1) of the no-target and target hypotheses.
+    """(row0, row1, c0, c1, delta) of the no-target and target hypotheses.
 
     row is the received variance per antenna and snapshot before
     quantization, the quantizer's gain control, and c = alpha^2 L noise +
     alpha beta L row the white level that each covariance adds to its steered
-    terms.  Broadcasts over the leading axes of ``phi_c`` (clutter last) and
-    ``phi_t``.
+    terms.  delta = c1 - c0 = alpha beta L P_t phi_t / N_r comes from the
+    target's power: the subtraction cancels as the target fades.  Broadcasts
+    over the leading axes of ``phi_c`` (clutter last) and ``phi_t``.
     """
     L = scenario.code_len
-    row0 = clutter_load(scenario, phi_c) + scenario.noise_power
-    row1 = row0 + scenario.target_power * phi_t / scenario.n_rx
+    row0 = np.sum(scenario.clutter_powers * phi_c, axis=-1) / scenario.n_rx + scenario.noise_power
+    target_load = scenario.target_power * phi_t / scenario.n_rx
+    row1 = row0 + target_load
     c0 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row0
     c1 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row1
-    return row0, row1, c0, c1
+    delta = q.alpha * q.beta * L * target_load
+    return row0, row1, c0, c1, delta
 
 
 def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
@@ -345,26 +349,15 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
     diagonal is the constant row power, so each hypothesis adds a scaled
     identity alpha*beta*L*row power.
     """
-    L = scenario.code_len
-    a2L = q.alpha ** 2 * L
-    n_r = scenario.n_rx
-
+    n_r, a2L = scenario.n_rx, q.alpha ** 2 * scenario.code_len
     A_c = steering_matrix(scenario.clutter_angles, n_r)
     phi_c = beampattern_powers(T, scenario.clutter_angles)
     phi_t = float(beampattern_powers(T, [theta_t])[0])
-    row0 = float(clutter_load(scenario, phi_c)) + scenario.noise_power
-    rq0 = q.alpha * q.beta * L * row0
-    rq1 = q.alpha * q.beta * L * (row0 + scenario.target_power * phi_t / n_r)
-
+    _, _, c0, c1, _ = white_levels(scenario, q, phi_c, phi_t)
     base = a2L * (A_c * (scenario.clutter_powers * phi_c)) @ A_c.conj().T
-    eye = np.eye(n_r)
-    r0 = base + (a2L * scenario.noise_power + rq0) * eye
-
     a_t = steering_matrix(theta_t, n_r)[:, 0]
-    r1 = (base
-          + a2L * scenario.target_power * phi_t * np.outer(a_t, a_t.conj())
-          + (a2L * scenario.noise_power + rq1) * eye)
-
+    r0 = base + c0 * np.eye(n_r)
+    r1 = base + a2L * scenario.target_power * phi_t * np.outer(a_t, a_t.conj()) + c1 * np.eye(n_r)
     # enforce exact Hermitian symmetry against accumulated rounding
     r0 = 0.5 * (r0 + r0.conj().T)
     r1 = 0.5 * (r1 + r1.conj().T)
@@ -373,111 +366,116 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
 
 @dataclass(frozen=True)
 class LowRankCovariances:
-    """Both hypothesis covariances in one orthonormal steering basis per target angle.
+    """R0 factored once, and R1 at each target angle as its difference from R0.
 
-    For target angle i the steering U_i = [a_t,i, A_c] = Q_i R_i (thin QR), with
-    k = min(K + 1, N_r) orthonormal columns in Q_i, and
-        R0   = c0 (I - Q_i Q_i^H)    + Q_i C0_i Q_i^H,
-        R1_i = c1[i] (I - Q_i Q_i^H) + Q_i C1_i Q_i^H,
-    with the k x k cores C0_i = c0 I + R_i diag(g0) R_i^H (g0 is 0 in the
-    target's column) and C1_i = c1[i] I + R_i diag(g1_i) R_i^H.  R has the
-    eigenvalues of its core, plus c repeated N_r - k times when k < N_r.
+    A thin QR A_c = Q_c R_c of the clutter steering and the eigenvectors V of
+    c0 I + R_c diag(g_c) R_c^H give R0 = c0 (I - W W^H) + W diag(lam) W^H, W =
+    Q_c V.  R1_i - R0 = delta_i I + g_i a_i a_i^H, so in the orthonormal basis
+    B_i = [W, q_i] (q_i the unit part of a_i outside span(W), absent when W
+    spans the array) R0^-1/2 (R1_i - R0) R0^-1/2 is S_i = delta_i diag(1/levels)
+    + g_i u_i u_i^H with u_i = R0^-1/2 a_i, and delta_i / c0 outside B_i.  S is
+    proportional to the target's power: its eigenvalues keep relative accuracy.
     """
 
-    basis: np.ndarray              # Q_i, (n, N_r, k)
-    core0: np.ndarray              # C0_i, (n, k, k)
-    core1: np.ndarray              # C1_i, (n, k, k)
-    # received variance per antenna and snapshot before quantization, the
-    # quantizer's gain control: without the target, and with it at each angle
-    row0: float
+    clutter_basis: np.ndarray      # W, (N_r, min(K, N_r))
+    levels: np.ndarray             # R0's eigenvalues in B_i: lam, then c0 with q_i, (m,)
+    target_dirs: np.ndarray        # q_i, (n, N_r, 1), or (n, N_r, 0) when W spans
+    change: np.ndarray             # S_i, (n, m, m)
+    row0: float                    # the quantizer's gain control (``white_levels``)
     row1: np.ndarray               # (n,)
     c0: float
     c1: np.ndarray                 # (n,)
+    delta: np.ndarray              # c1 - c0 from the target's power, (n,)
 
     def lrt_form(self, i: int, L: int) -> tuple[np.ndarray, np.ndarray, float]:
         """L*(R0^-1 - R1_i^-1) as gamma*I + G^H diag(w) G, returned as (G, w, gamma).
 
-        In the basis, R^-1 = (I - Q Q^H)/c + Q C^-1 Q^H, so the difference is
-        gamma*I + Q H Q^H with H = L (C0^-1 - C1^-1) - gamma*I = V diag(w) V^H
-        and G = (Q V)^H, k rows: y^H M y = gamma*||y||^2 + sum_k w_k |(G y)_k|^2
-        needs no N_r x N_r matrix.  gamma = L (1/c0 - 1/c1) when k < N_r; when
-        k = N_r the basis spans the array, Q Q^H = I and gamma = 0.
+        R1 = R0^1/2 (I + S) R0^1/2, so the difference is L R0^-1/2 S(I + S)^-1
+        R0^-1/2 = gamma*I + B H B^H, with H = L diag(levels)^-1/2 S(I + S)^-1
+        diag(levels)^-1/2 - gamma*I = V diag(w) V^H and G = (B V)^H, m rows.
+        gamma = L (1/c0 - 1/c1) when m < N_r, and 0 when B spans the array.
         """
-        Q = self.basis[i]
-        n_r, k = Q.shape
-        gamma = float(L * (1.0 / self.c0 - 1.0 / self.c1[i])) if k < n_r else 0.0
-        H = L * (np.linalg.inv(self.core0[i]) - np.linalg.inv(self.core1[i])) - gamma * np.eye(k)
+        B = np.concatenate((self.clutter_basis, self.target_dirs[i]), axis=1)
+        n_r, m = B.shape
+        gamma = float(L * (1.0 / self.c0 - 1.0 / self.c1[i])) if m < n_r else 0.0
+        S, scale = self.change[i], 1.0 / np.sqrt(self.levels)
+        H = L * scale[:, None] * np.linalg.solve(np.eye(m) + S, S) * scale - gamma * np.eye(m)
         w, V = np.linalg.eigh(H)
-        return (Q @ V).conj().T, w, gamma
+        return (B @ V).conj().T, w, gamma
 
 
 def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
                          thetas) -> LowRankCovariances:
     """The two hypothesis covariances of ``hypothesis_covariances`` at each target
-    angle in ``thetas``, as k x k cores in an orthonormal steering basis.
+    angle in ``thetas``, R0 factored once and R1 as its difference.
 
     Raises ``IllConditionedModelError`` where the dense check would, from the
     exact condition number of each covariance (see ``MAX_CONDITION``).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n, K, n_r, L = thetas.size, scenario.n_clutter, scenario.n_rx, scenario.code_len
-    a2L = q.alpha ** 2 * L
+    n_r, a2L = scenario.n_rx, q.alpha ** 2 * scenario.code_len
     phi_c = beampattern_powers(T, scenario.clutter_angles)
     phi_t = beampattern_powers(T, thetas)
-    row0, row1, c0, c1 = white_levels(scenario, q, phi_c, phi_t)
-
-    steering = np.empty((n, n_r, K + 1), dtype=complex)
-    steering[:, :, 0] = steering_matrix(thetas, n_r).T
-    steering[:, :, 1:] = steering_matrix(scenario.clutter_angles, n_r)
-    basis, r = np.linalg.qr(steering)
-    k = basis.shape[2]
-    g0 = np.concatenate(([0.0], a2L * scenario.clutter_powers * phi_c))
-    g1 = np.column_stack((a2L * scenario.target_power * phi_t, np.tile(g0[1:], (n, 1))))
-    r_h = r.conj().transpose(0, 2, 1)
-    core0 = c0 * np.eye(k) + (r * g0) @ r_h
-    core1 = c1[:, None, None] * np.eye(k) + (r * g1[:, None, :]) @ r_h
-
-    # R0's spectrum is the same at every angle, so one of its cores is checked
-    for c, core in ((c0, core0[:1]), (c1, core1)):
-        if not np.all(np.isfinite(core)):      # an overflowed power; eigvalsh would fail
-            raise IllConditionedModelError("covariance is not finite: a power overflows")
-        s = np.linalg.eigvalsh(core)
-        low, top = s[:, 0], s[:, -1]
-        if k < n_r:
-            low, top = np.minimum(low, c), np.maximum(top, c)
+    row0, row1, c0, c1, delta = white_levels(scenario, q, phi_c, phi_t)
+    g_c, g_t = a2L * scenario.clutter_powers * phi_c, a2L * scenario.target_power * phi_t
+    if not np.all(np.isfinite(np.concatenate((g_c, g_t, c1)))):    # eigh would fail
+        raise IllConditionedModelError("covariance is not finite: a power overflows")
+    q_c, r_c = np.linalg.qr(steering_matrix(scenario.clutter_angles, n_r))
+    lam, v = np.linalg.eigh(c0 * np.eye(r_c.shape[0]) + (r_c * g_c) @ r_c.conj().T)
+    W = q_c @ v
+    p, r = 0.0, steering_matrix(thetas, n_r)
+    for _ in range(2):      # twice, so q_i stays orthogonal to W where a_i nearly lies in it
+        step = W.conj().T @ r
+        p, r = p + step, r - W @ step
+    levels, target_dirs = lam, np.zeros((thetas.size, n_r, 0))
+    if W.shape[1] < n_r:
+        rho = np.linalg.norm(r, axis=0)
+        target_dirs = (r / rho).T[:, :, None]
+        p, levels = np.vstack((p, rho)), np.append(lam, c0)
+    m, x = levels.size, p.T                            # x_i: a_i in B_i
+    diff = np.einsum("n,ni,nj->nij", g_t, x, x.conj())
+    diff[:, range(m), range(m)] += delta[:, None]      # R1_i - R0 in B_i
+    # R0's eigenvalues are the levels; R1's those of its block, and c1 outside B_i
+    spectrum1 = np.linalg.eigvalsh(diff + np.diag(levels))
+    if m < n_r:
+        spectrum1 = np.column_stack((spectrum1, c1))
+    for spectrum in (levels[None, :], spectrum1):
+        low, top = spectrum.min(axis=1), spectrum.max(axis=1)
         cond = top / np.maximum(low, 1e-300)
         if np.any((low <= 0.0) | (cond > MAX_CONDITION)):
             raise IllConditionedModelError(
                 f"covariance condition number {np.max(cond):.3e} exceeds {MAX_CONDITION:.0e}")
-    return LowRankCovariances(basis=basis, core0=core0, core1=core1, row0=row0, row1=row1,
-                              c0=c0, c1=c1)
+    return LowRankCovariances(clutter_basis=W, levels=levels, target_dirs=target_dirs,
+                              change=diff / np.sqrt(levels)[:, None] / np.sqrt(levels),
+                              row0=row0, row1=row1, c0=c0, c1=c1, delta=delta)
 
 
-def divergence_terms(x) -> np.ndarray:
-    """x - 1 - log x, one eigenvalue's share of the Gaussian KL divergence.
+def kl_terms(s) -> np.ndarray:
+    """log1p(s) - s/(1 + s), one direction's share of the Gaussian KL divergence
+    where R1 exceeds R0 by the relative change s (x - 1 - log x at x = 1/(1 + s)).
 
-    It is >= 0 as computed: a faithfully rounded log1p(u) never exceeds u, and
-    below x = 1/2 the value exceeds 0.19.  A 0-d ``x`` gives a 0-d result.
+    They cancel to order s^2, so below |s| = 1e-2 it sums the series s^2/2 -
+    2s^3/3 + 3s^4/4 - ... to s^9 (the rest is < 2e-16 of it).  0-d in, 0-d out.
     """
-    u = x - 1.0
-    log_x = np.log(x, out=np.empty_like(u))     # an array, so that out= below takes it
-    np.log1p(u, out=log_x, where=x >= 0.5)      # there u is exact
-    return u - log_x
+    s = np.asarray(s, dtype=float)
+    series = np.full_like(s, -8 / 9)
+    for c in (7 / 8, -6 / 7, 5 / 6, -4 / 5, 3 / 4, -2 / 3, 1 / 2):
+        series *= s
+        series += c
+    return np.where(np.abs(s) < 1e-2, series * (s * s), np.log1p(s) - s / (1.0 + s))
 
 
 def relative_entropies(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
                        thetas) -> np.ndarray:
     """Relative entropy D at each target angle in ``thetas``, without N_r x N_r work.
 
-    D = sum (x - 1 - log x) over the eigenvalues x of R1^-1/2 R0 R1^-1/2: those
-    of C1^-1/2 C0 C1^-1/2 in the basis of ``low_rank_covariances``, plus c0/c1
-    repeated N_r - k times outside it.  Every term is >= 0, so nothing cancels.
+    D = sum kl_terms(s) over the eigenvalues s of S in ``low_rank_covariances``,
+    plus N_r - m copies of kl_terms(delta / c0) outside its basis: terms >= 0
+    that shrink as the target's power squared, with nothing to cancel.
     """
     f = low_rank_covariances(scenario, T, q, thetas)
-    w = np.linalg.inv(np.linalg.cholesky(f.core1))   # C1^-1/2 up to a unitary factor
-    x = np.linalg.eigvalsh(w @ f.core0 @ w.conj().transpose(0, 2, 1))
-    outside = scenario.n_rx - f.basis.shape[2]
-    return np.sum(divergence_terms(x), axis=1) + outside * divergence_terms(f.c0 / f.c1)
+    s = np.linalg.eigvalsh(f.change)
+    return np.sum(kl_terms(s), axis=1) + (scenario.n_rx - s.shape[1]) * kl_terms(f.delta / f.c0)
 
 
 def _logdet_and_eigs(r: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -496,12 +494,11 @@ def relative_entropy(cov: HypothesisCovariances) -> float:
     N_r log-eigenvalues per covariance, so its absolute error is about
     N_r*eps*kappa at condition number kappa: up to 3e-4 near ``MAX_CONDITION``.
     """
-    n_r = cov.r0.shape[0]
     logdet0, _, _ = _logdet_and_eigs(cov.r0)
     logdet1, w1, v1 = _logdet_and_eigs(cov.r1)
     rotated = v1.conj().T @ cov.r0 @ v1
     trace_term = float(np.sum(np.real(np.diag(rotated)) / w1))
-    return logdet1 - logdet0 + trace_term - n_r
+    return logdet1 - logdet0 + trace_term - cov.r0.shape[0]
 
 
 def averaged_relative_entropy(scenario: Scenario, T: np.ndarray, q: QuantizationModel) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, QuantizationModel, Scenario, divergence_terms, white_levels
+from .model import ModelError, QuantizationModel, Scenario, kl_terms, white_levels
 
 
 @dataclass
@@ -58,23 +58,23 @@ def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel)
     """Large-array relative-entropy surrogate for one target-grid power.
 
     Treats the steering directions as orthogonal, which diagonalizes both
-    hypothesis covariances.  With the white levels c0 and c1 of
-    ``white_levels`` and the steered gains g = alpha^2 L P phi, R0 against R1
-    is c0 against c1 + g_t toward the target, c0 + g_k against c1 + g_k toward
-    clutter k, and c0 against c1 in the N_r - K - 1 other directions.  The
-    surrogate is D's own kernel ``divergence_terms`` over those ratios.
-    Broadcasts over leading dimensions of ``phi_t`` / ``phi_c``.
+    hypothesis covariances.  With c0 and delta of ``white_levels`` and the
+    steered gains g = alpha^2 L P phi, R1 exceeds R0 by the relative change
+    s = (delta + g_t)/c0 toward the target, delta/(c0 + g_k) toward clutter k
+    and delta/c0 in the N_r - K - 1 other directions, and the surrogate is D's
+    own kernel ``kl_terms`` over them.  Broadcasts over leading dimensions of
+    ``phi_t`` / ``phi_c``.
     """
     phi_t = np.asarray(phi_t, float)
     phi_c = np.asarray(phi_c, float)
     a2L = q.alpha ** 2 * scenario.code_len
-    _, _, c0, c1 = white_levels(scenario, q, phi_c, phi_t)
+    _, _, c0, _, delta = white_levels(scenario, q, phi_c, phi_t)
     g_t = a2L * scenario.target_power * phi_t
     g_c = a2L * scenario.clutter_powers * phi_c
-    clutter = divergence_terms((c0[..., None] + g_c) / (c1[..., None] + g_c))
+    clutter = kl_terms(delta[..., None] / (c0[..., None] + g_c))
     outside = scenario.n_rx - scenario.n_clutter - 1
-    return (divergence_terms(c0 / (c1 + g_t)) + np.sum(clutter, axis=-1)
-            + outside * divergence_terms(c0 / c1))
+    return (kl_terms((delta + g_t) / c0) + np.sum(clutter, axis=-1)
+            + outside * kl_terms(delta / c0))
 
 
 def profile_objective(target_levels, clutter_levels, scenario: Scenario, q: QuantizationModel):

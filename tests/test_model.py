@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,12 @@ class TestLowRankCovariances:
     # ideal ADCs over a tiny noise floor: past MAX_CONDITION
     @example(_small_case(4, 16, 2, 2, 25, 0, 1.0, [-30, -60], [30, 30], 1e-14, "ideal",
                          False, 2))
+    # a target 1e-9 rad from a clutter angle, nearly inside the clutter span
+    @example(_small_case(6, 16, 2, 3, 30, 0, 1.0, [30 + math.degrees(1e-9), -50], [20, 30],
+                         1.0, 1, False, 5))
+    # no clutter (K = 0), well conditioned; then R1 alone past MAX_CONDITION
+    @example(_small_case(4, 16, 2, 3, 25, 2, 1.0, [], [], 0.1, 3, False, 4))
+    @example(_small_case(4, 16, 2, 2, 25, 0, 10.0, [], [], 1e-13, "ideal", False, 6))
     def test_matches_dense_oracle(self, case):
         sc, T, bits = case
         q = M.quantization_model(bits)
@@ -345,6 +352,10 @@ class TestLowRankCovariances:
     # from order 1/c (it gave 2.9e8 for a true 22.44 here)
     @example(_small_case(1, 4, 1, 1, 30, 0, 1.0, [-10, -30, -50, -70], [30, 30, 30, 30],
                          1e-13, "ideal", False, 3), 4)
+    # a target 1e-9 rad from a clutter angle, and no clutter at all (K = 0)
+    @example(_small_case(6, 16, 2, 3, 30, 0, 1.0, [30 + math.degrees(1e-9), -50], [20, 30],
+                         1.0, 1, False, 5), 3)
+    @example(_small_case(4, 16, 2, 3, 25, 2, 1.0, [], [], 0.1, 3, False, 4), 2)
     def test_lrt_form_matches_dense_inverses(self, case, L):
         # L (R0^-1 - R1^-1) from dense inverses, for any small scenario the
         # low-rank model accepts, at every target angle of the grid
@@ -363,8 +374,12 @@ class TestLowRankCovariances:
             # the dense inverses lose about N_r eps kappa of their own scale
             slack = 64 * sc.n_rx * np.finfo(float).eps * L * kappa * max(np.abs(inv0).max(),
                                                                          np.abs(inv1).max())
-            got = lrt_matrix(*f.lrt_form(i, L))
+            G, w, gamma = f.lrt_form(i, L)
+            got = lrt_matrix(G, w, gamma)
             np.testing.assert_array_less(np.abs(got - dense), 1e-9 * np.abs(dense).max() + slack)
+            # G = (B V)^H has orthonormal rows, also where a_i nearly lies in
+            # the clutter span and q_i is the normalized remainder
+            np.testing.assert_allclose(G @ G.conj().T, np.eye(w.size), atol=1e-12)
 
     def test_mean_angle_entropy_matches_dense(self, flagship_scenario):
         sc = flagship_scenario
@@ -375,13 +390,15 @@ class TestLowRankCovariances:
         assert got.shape == (1,)
         assert got[0] == pytest.approx(dense, rel=1e-8)
 
-    @pytest.mark.parametrize("case", ["n6-k6", "n12-k4", "desk32"])
-    def test_entropy_matches_high_precision(self, case, desk_scenario):
+    @pytest.mark.parametrize("case, fade_db", [
+        pytest.param(case, fade, id=case + (f"-fade{fade:.0f}" if fade else ""))
+        for fade in (0.0, 30.0, 60.0) for case in ("n6-k6", "n12-k4", "desk32")])
+    def test_entropy_matches_high_precision(self, case, fade_db, desk_scenario):
         """D within 1e-13 of a 40-digit reference, at D of order 1e-3 as in the
-        built-in scenarios.  With five clutter directions the basis spans the six
-        antennas (k = N_r); with three it leaves eight directions outside.  Much
-        smaller D loses relative accuracy: each eigenvalue x carries an absolute
-        error near eps, and x - 1 - log x is then of order (x - 1)^2."""
+        built-in scenarios and with the target faded by 30 and 60 dB, where D
+        shrinks as the target power squared.  With five clutter directions the
+        clutter and target span the six antennas (m = N_r); with three they
+        leave eight directions outside."""
         mp = pytest.importorskip("mpmath")
         if case == "desk32":
             sc, seed = desk_scenario, 1
@@ -392,6 +409,7 @@ class TestLowRankCovariances:
                             clutter_angles=np.radians([-40, 35, -65, 60, -10][:n_clutter]),
                             clutter_powers=np.array([5, 8, 300, 1000, 50][:n_clutter]),
                             noise_power=1.0)
+        sc = replace(sc, target_power=sc.target_power / M.db_to_linear(fade_db))
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(seed))
         q = M.quantization_model(1)
         exact = _mp_relative_entropy(mp, sc, T, q, sc.target_mean_angle)
