@@ -175,19 +175,19 @@ class Scenario:
                              *self.clutter_powers))
         if not math.isfinite(self.code_len * self.n_rf * sum(powers)):
             raise ModelError("powers overflow: a steered gain or white level is not finite")
-        half_pi = math.pi / 2 + 1e-12
-        angles = np.concatenate(([self.target_mean_angle], self.clutter_angles))
-        if np.any(np.abs(angles) > half_pi):
-            raise ModelError("angles must lie in [-pi/2, pi/2]")
         if self.target_power < 0:
             raise ModelError("target power must be >= 0")
         if self.noise_power <= 0 or np.any(self.clutter_powers <= 0):
             raise ModelError("noise and clutter powers must be > 0")
         if self.target_uncertainty < 0 or self.target_grid_spacing <= 0:
             raise ModelError("uncertainty must be >= 0 and grid spacing > 0")
-        grid = self.target_grid()
-        if grid.size < 1:
-            raise ModelError("target angle grid is empty")
+        half = self.target_uncertainty / 2.0          # the grid's ends hold its every point
+        angles = np.concatenate(([self.target_mean_angle - half, self.target_mean_angle + half],
+                                 self.clutter_angles))
+        if np.any(np.abs(angles) > math.pi / 2 + 1e-12):
+            raise ModelError("target grid and clutter angles must lie in [-pi/2, pi/2]")
+        if not math.isfinite(self.target_uncertainty / self.target_grid_spacing):
+            raise ModelError("target grid spacing is too fine: the grid's point count overflows")
         all_angles = self.profile_angles()
         if np.unique(np.round(all_angles, 12)).size != all_angles.size:
             raise ModelError("duplicate angles in the target-grid/clutter union")
@@ -322,23 +322,26 @@ class HypothesisCovariances:
 
 
 def white_levels(scenario: Scenario, q: QuantizationModel, phi_c, phi_t):
-    """(row0, row1, c0, c1, delta) of the no-target and target hypotheses.
+    """(row0, row1, c0, c1, delta, g_t, g_c) of the no-target and target hypotheses.
 
     row is the received variance per antenna and snapshot before
     quantization, the quantizer's gain control, and c = alpha^2 L noise +
     alpha beta L row the white level that each covariance adds to its steered
     terms.  delta = c1 - c0 = alpha beta L P_t phi_t / N_r comes from the
-    target's power: the subtraction cancels as the target fades.  Broadcasts
-    over the leading axes of ``phi_c`` (clutter last) and ``phi_t``.
+    target's power: the subtraction cancels as the target fades.  g_t =
+    alpha^2 L P_t phi_t and g_c = alpha^2 L P_c phi_c are the steered gains of
+    the target and of each clutter direction.  Broadcasts over the leading
+    axes of ``phi_c`` (clutter last) and ``phi_t``.
     """
-    L = scenario.code_len
+    L, a2L = scenario.code_len, q.alpha ** 2 * scenario.code_len
     row0 = np.sum(scenario.clutter_powers * phi_c, axis=-1) / scenario.n_rx + scenario.noise_power
     target_load = scenario.target_power * phi_t / scenario.n_rx
     row1 = row0 + target_load
     c0 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row0
     c1 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row1
     delta = q.alpha * q.beta * L * target_load
-    return row0, row1, c0, c1, delta
+    g_t, g_c = a2L * scenario.target_power * phi_t, a2L * scenario.clutter_powers * phi_c
+    return row0, row1, c0, c1, delta, g_t, g_c
 
 
 def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel,
@@ -353,7 +356,7 @@ def hypothesis_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationMod
     A_c = steering_matrix(scenario.clutter_angles, n_r)
     phi_c = beampattern_powers(T, scenario.clutter_angles)
     phi_t = float(beampattern_powers(T, [theta_t])[0])
-    _, _, c0, c1, _ = white_levels(scenario, q, phi_c, phi_t)
+    _, _, c0, c1, *_ = white_levels(scenario, q, phi_c, phi_t)
     base = a2L * (A_c * (scenario.clutter_powers * phi_c)) @ A_c.conj().T
     a_t = steering_matrix(theta_t, n_r)[:, 0]
     r0 = base + c0 * np.eye(n_r)
@@ -413,11 +416,10 @@ def low_rank_covariances(scenario: Scenario, T: np.ndarray, q: QuantizationModel
     exact condition number of each covariance (see ``MAX_CONDITION``).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n_r, a2L = scenario.n_rx, q.alpha ** 2 * scenario.code_len
+    n_r = scenario.n_rx
     phi_c = beampattern_powers(T, scenario.clutter_angles)
     phi_t = beampattern_powers(T, thetas)
-    row0, row1, c0, c1, delta = white_levels(scenario, q, phi_c, phi_t)
-    g_c, g_t = a2L * scenario.clutter_powers * phi_c, a2L * scenario.target_power * phi_t
+    row0, row1, c0, c1, delta, g_t, g_c = white_levels(scenario, q, phi_c, phi_t)
     if not np.all(np.isfinite(np.concatenate((g_c, g_t, c1)))):    # eigh would fail
         raise IllConditionedModelError("covariance is not finite: a power overflows")
     q_c, r_c = np.linalg.qr(steering_matrix(scenario.clutter_angles, n_r))

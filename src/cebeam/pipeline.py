@@ -369,7 +369,7 @@ def _sweep(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
 def _sweep_snr(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
     check_detection_settings(spec.pfa, spec.trials)       # before the design runs
     for snr in spec.snr_grid_db:                          # validates each point's scenario
-        replace(scenario, target_power=scenario.noise_power * db_to_linear(snr))
+        simulate.scenario_at_snr(scenario, snr)
     T, report, _, _ = run_ce_design(scenario, spec.bits, spec.seed, spec.method,
                                     CeDesignParams(seed=spec.seed, **_limits(spec)))
     curve = detection_curve(T, scenario, spec.bits, spec.snr_grid_db,

@@ -58,8 +58,8 @@ def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel)
     """Large-array relative-entropy surrogate for one target-grid power.
 
     Treats the steering directions as orthogonal, which diagonalizes both
-    hypothesis covariances.  With c0 and delta of ``white_levels`` and the
-    steered gains g = alpha^2 L P phi, R1 exceeds R0 by the relative change
+    hypothesis covariances.  With c0, delta and the steered gains g = alpha^2 L
+    P phi of ``white_levels``, R1 exceeds R0 by the relative change
     s = (delta + g_t)/c0 toward the target, delta/(c0 + g_k) toward clutter k
     and delta/c0 in the N_r - K - 1 other directions, and the surrogate is D's
     own kernel ``kl_terms`` over them.  Broadcasts over leading dimensions of
@@ -67,10 +67,7 @@ def asymptotic_objective(phi_t, phi_c, scenario: Scenario, q: QuantizationModel)
     """
     phi_t = np.asarray(phi_t, float)
     phi_c = np.asarray(phi_c, float)
-    a2L = q.alpha ** 2 * scenario.code_len
-    _, _, c0, _, delta = white_levels(scenario, q, phi_c, phi_t)
-    g_t = a2L * scenario.target_power * phi_t
-    g_c = a2L * scenario.clutter_powers * phi_c
+    _, _, c0, _, delta, g_t, g_c = white_levels(scenario, q, phi_c, phi_t)
     clutter = kl_terms(delta[..., None] / (c0[..., None] + g_c))
     outside = scenario.n_rx - scenario.n_clutter - 1
     return (kl_terms((delta + g_t) / c0) + np.sum(clutter, axis=-1)

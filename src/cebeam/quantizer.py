@@ -12,6 +12,7 @@ module needs no special-function library.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -120,28 +121,26 @@ def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray) -
 
 
 def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
-                      row_power: np.ndarray | float) -> np.ndarray:
+                      row_power: float) -> np.ndarray:
     """Quantize real and imaginary parts of a received sample matrix.
 
-    Rows (receive antennas) are scaled to unit variance per real dimension
-    before quantization and rescaled after; ``row_power`` is the complex
-    per-sample variance of each row (scalar for a uniform array), taken from
-    the model covariance diagonal.  ``quantizer=None`` means ideal
-    conversion and returns the input unchanged.  Rows with zero power are
-    passed through unscaled.
+    Every row (receive antenna) has the complex per-sample variance
+    ``row_power``, the model's gain control (``row0`` or ``row1[0]`` of
+    ``low_rank_covariances``): samples are scaled to unit variance per real
+    dimension before quantization and rescaled after.  Any value but one
+    positive, finite number is refused with ``ModelError``.
+    ``quantizer=None`` means ideal conversion and returns the input unchanged.
 
-    ``Y`` may carry leading batch dimensions; the row axis is ``-2``.
+    ``Y`` may carry leading batch dimensions.
     """
+    if not (isinstance(row_power, numbers.Real) and 0.0 < row_power < math.inf):
+        raise ModelError(f"row power must be one positive, finite number, got {row_power!r}")
     if quantizer is None:
         return Y
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
-    # per-row standard deviation of one real dimension; 1 for a row without power
-    scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    if np.ndim(scale) == 1:
-        scale = scale[:, None]
+    scale = math.sqrt(row_power / 2.0)       # standard deviation of one real dimension
     # real and imaginary parts interleave along the last axis of the float64
-    # view, so one pass quantizes both and the row axis is unchanged
+    # view, so one pass quantizes both
     y = Y.view(np.float64)
     if quantizer.levels.size == 2:   # y / scale has y's sign; +-level * scale is exact
         return np.copysign(quantizer.levels[1] * scale, y).view(np.complex128)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 
@@ -53,22 +52,25 @@ def lfm_waveforms(n_rf: int, code_len: int) -> np.ndarray:
 
 
 def _sources(scenario: Scenario, T: np.ndarray, theta_t: float | None):
-    """Receive steering ``A_r``, transmit responses ``B`` and amplitude scales.
+    """What one hypothesis's trials draw from (``theta_t=None``: no target), as new objects.
 
-    The target, when present, is the first source.  All three are ``None``
-    when there is no source at all.
+    The sample shape (n_rx, L), the noise scale per real dimension, the
+    receive steering ``A_r``, the transmit responses ``B`` and the amplitude
+    scales.  The target, when present, is the first source.  The last three
+    are ``None`` when there is no source at all.
     """
+    shape, noise_scale = (scenario.n_rx, scenario.code_len), math.sqrt(scenario.noise_power / 2.0)
     angles = list(scenario.clutter_angles)
     powers = list(scenario.clutter_powers)
     if theta_t is not None:
         angles.insert(0, theta_t)
         powers.insert(0, scenario.target_power)
     if not angles:
-        return None, None, None
+        return shape, noise_scale, None, None, None
     A_r = steering_matrix(np.asarray(angles), scenario.n_rx)
     A_t = steering_matrix(np.asarray(angles), scenario.n_tx)
     B = A_t.T @ (T @ lfm_waveforms(scenario.n_rf, scenario.code_len))   # (n_src, L)
-    return A_r, B, np.sqrt(np.asarray(powers) / 2.0)
+    return shape, noise_scale, A_r, B, np.sqrt(np.asarray(powers) / 2.0)
 
 
 def _draw(Y: np.ndarray, noise_scale: float, amp_scale: np.ndarray | None,
@@ -127,10 +129,9 @@ def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
     whole batch from one generator is the reference the tests hold them to,
     and the span that perfbench's traced run times as ``simulate.generate``.
     """
-    shape = (trials, scenario.n_rx, scenario.code_len)
-    Y = np.empty(shape, dtype=complex)
-    A_r, B, amp_scale = _sources(scenario, T, theta_t)
-    amps, freq = _draw(Y, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
+    shape, noise_scale, A_r, B, amp_scale = _sources(scenario, T, theta_t)
+    Y = np.empty((trials,) + shape, dtype=complex)
+    amps, freq = _draw(Y, noise_scale, amp_scale, rng)
     if A_r is not None:
         _mix(Y, amps, freq, A_r, B)
     return Y
@@ -142,15 +143,14 @@ class DetectionPoint:
 
     ``empirical_pfa`` is measured on a no-target run disjoint from the
     calibration (run 1 of the point's streams).  That run is made on the
-    first read, from the design and scenario as they were when the point was
-    computed, and its value is kept.
+    first read, from the no-target sources the calibration drew from, and
+    its value is kept.
     """
 
     snr_db: float
     pd: float
     ci_halfwidth: float
     threshold: float
-    trials: int
     _h0_statistics: partial = field(repr=False, compare=False)   # run 1's statistics
 
     @cached_property
@@ -167,8 +167,6 @@ class DetectionCurve:
     ci_halfwidth: np.ndarray
     pfa_target: float
     trials: int
-    seed: int
-    bits: int | str = "ideal"
     _points: tuple[DetectionPoint, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
@@ -219,10 +217,10 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers)
 
 
-def _run_statistics(scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | None,
+def _run_statistics(sources: tuple, quant: ScalarQuantizer | None,
                     form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int,
-                    run: int, theta_t: float | None, row_power: float) -> np.ndarray:
-    """LRT statistics of ``trials`` trials of one run (``theta_t=None``: no target).
+                    run: int, row_power: float) -> np.ndarray:
+    """LRT statistics of ``trials`` trials of one run drawn from ``sources`` (``_sources``).
 
     The run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
     trials, mapped over the pool of ``_WORKERS`` threads.  Block b of run r
@@ -232,15 +230,13 @@ def _run_statistics(scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | 
     statistics.  So the statistics depend on the seed alone, not on the
     worker count.
     """
-    sc, blk, chunk = scenario, _BLOCK_TRIALS, _CHUNK_TRIALS
-    A_r, B, amp_scale = _sources(sc, T, theta_t)
-    noise_scale = math.sqrt(sc.noise_power / 2.0)
+    (shape, noise_scale, A_r, B, amp_scale), blk, chunk = sources, _BLOCK_TRIALS, _CHUNK_TRIALS
     G, w, gamma = form
     out = np.empty(trials)
 
     def block(b):
         a = b * blk
-        Y = np.empty((min(blk, trials - a), sc.n_rx, sc.code_len), dtype=complex)
+        Y = np.empty((min(blk, trials - a),) + shape, dtype=complex)
         amps, freq = _draw(Y, noise_scale, amp_scale, _block_rng(seed, run, b))
         for c in range(0, Y.shape[0], chunk):
             part = slice(c, c + chunk)
@@ -256,6 +252,11 @@ def _run_statistics(scenario: Scenario, T: np.ndarray, quant: ScalarQuantizer | 
     return out
 
 
+def scenario_at_snr(scenario: Scenario, snr_db: float) -> Scenario:
+    """``scenario`` with the target power set to snr * noise power, validated."""
+    return replace(scenario, target_power=scenario.noise_power * db_to_linear(snr_db))
+
+
 def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
                        snr_db: float, pfa: float, trials: int, seed: int) -> DetectionPoint:
     """Monte Carlo detection probability at one SNR.
@@ -269,26 +270,26 @@ def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
     threshold is the empirical (1 - pfa) quantile of an independent
     calibration run (run 0), and pd is measured on the target run (run 2).
     The no-target run (run 1) that measures the false-alarm rate is made
-    only when the point's ``empirical_pfa`` is first read, on copies of ``T``
-    and ``scenario`` taken here.  Every block of trials draws from its own
-    stream keyed by (``seed``, run, block), so the point depends on ``seed``
-    alone, whenever each run is made.
+    only when the point's ``empirical_pfa`` is first read, from the
+    no-target sources built here for the calibration.  Every block of trials
+    draws from its own stream keyed by (``seed``, run, block), so the point
+    depends on ``seed`` alone, whenever each run is made.
     """
     check_detection_settings(pfa, trials)
-    sc = replace(deepcopy(scenario), target_power=scenario.noise_power * db_to_linear(snr_db))
-    T = np.array(T)
-    T.flags.writeable = False
+    sc = scenario_at_snr(scenario, snr_db)
     q = quantization_model(bits)
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     theta = sc.target_mean_angle
     model = low_rank_covariances(sc, T, q, theta)
+    h0, h1 = _sources(sc, T, None), _sources(sc, T, theta)
 
-    stats = partial(_run_statistics, sc, T, quant, model.lrt_form(0, sc.code_len), seed, trials)
-    threshold = float(np.quantile(stats(_CALIBRATION, None, model.row0), 1.0 - pfa))
-    pd = float(np.mean(stats(_H1, theta, model.row1[0]) > threshold))
+    stats = partial(_run_statistics, quant=quant, form=model.lrt_form(0, sc.code_len),
+                    seed=seed, trials=trials)
+    threshold = float(np.quantile(stats(h0, run=_CALIBRATION, row_power=model.row0), 1.0 - pfa))
+    pd = float(np.mean(stats(h1, run=_H1, row_power=model.row1[0]) > threshold))
     ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
     return DetectionPoint(snr_db=snr_db, pd=pd, ci_halfwidth=ci, threshold=threshold,
-                          trials=trials, _h0_statistics=partial(stats, _H0, None, model.row0))
+                          _h0_statistics=partial(stats, h0, run=_H0, row_power=model.row0))
 
 
 def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
@@ -300,7 +301,7 @@ def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
         snr_db=np.asarray([p.snr_db for p in points]),
         pd=np.asarray([p.pd for p in points]),
         ci_halfwidth=np.asarray([p.ci_halfwidth for p in points]),
-        pfa_target=pfa, trials=trials, seed=seed, bits=bits, _points=tuple(points))
+        pfa_target=pfa, trials=trials, _points=tuple(points))
 
 
 def steering_crosscorr_experiment(n_rx_list, n_clutter: int, trials: int,

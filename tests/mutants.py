@@ -30,6 +30,9 @@ WORKERS = 2
 
 MODEL_LOW_RANK = "tests/test_model.py::TestLowRankCovariances"
 SURROGATE_PRECISION = "tests/test_power_alloc.py::TestAsymptoticObjective::test_matches_high_precision"
+ENGINE = "tests/test_simulate.py::TestPipelinedEngine"
+REALIZATION = f"{ENGINE}::test_realization_of_a_seed_is_pinned"
+POINT_RUNS = f"{ENGINE}::test_point_runs_match_the_per_block_oracle"
 
 
 @dataclass(frozen=True)
@@ -61,17 +64,64 @@ MUTANTS = (
             f"{MODEL_LOW_RANK}::test_lrt_form_matches_dense_inverses")),
     Mutant("one-gram-schmidt-pass", "model.py",
            "for _ in range(2):", "for _ in range(1):",
-           (f"{MODEL_LOW_RANK}::test_lrt_form_matches_dense_inverses",)),
+           (f"{MODEL_LOW_RANK}::test_lrt_form_matches_dense_inverses",
+            f"{MODEL_LOW_RANK}::test_lrt_form_matches_high_precision[near-clutter-ideal]")),
     Mutant("c1-without-quantizer-floor", "model.py",
            "c1 = q.alpha ** 2 * L * scenario.noise_power + q.alpha * q.beta * L * row1",
            "c1 = q.alpha ** 2 * L * scenario.noise_power",
            (f"{MODEL_LOW_RANK}::test_lrt_matrix_matches_inverses",)),
     Mutant("eager-h0-run", "simulate.py",
-           "_h0_statistics=partial(stats, _H0, None, model.row0)",
-           "_h0_statistics=(lambda h0: lambda: h0)(stats(_H0, None, model.row0))",
+           "_h0_statistics=partial(stats, h0, run=_H0, row_power=model.row0)",
+           "_h0_statistics=(lambda v: lambda: v)(stats(h0, run=_H0, row_power=model.row0))",
            ("tests/test_simulate.py::TestFalseAlarmRunOnDemand::test_sweep_snr_draws_no_h0_trial",
             "tests/test_simulate.py::TestFalseAlarmRunOnDemand::"
             "test_h0_run_made_once_on_first_read")),
+    Mutant("h0-runs-draw-the-target", "simulate.py",
+           "h0, h1 = _sources(sc, T, None), _sources(sc, T, theta)",
+           "h0 = h1 = _sources(sc, T, theta)",
+           (POINT_RUNS, REALIZATION)),
+    Mutant("h0-run-scaled-by-row1", "simulate.py",
+           "_h0_statistics=partial(stats, h0, run=_H0, row_power=model.row0)",
+           "_h0_statistics=partial(stats, h0, run=_H0, row_power=model.row1[0])",
+           (POINT_RUNS, REALIZATION)),
+    # the block size defines the streams: only the pinned realization sees it
+    Mutant("block-trials-256", "simulate.py",
+           "_BLOCK_TRIALS = 512", "_BLOCK_TRIALS = 256",
+           (REALIZATION,)),
+    Mutant("row-power-unchecked", "quantizer.py",
+           "if not (isinstance(row_power, numbers.Real) and 0.0 < row_power < math.inf):",
+           "if False:",
+           ("tests/test_quantizer.py::TestQuantizeReceived::"
+            "test_row_power_other_than_one_positive_number_refused",)),
+    Mutant("one-bit-unscaled", "quantizer.py",
+           "np.copysign(quantizer.levels[1] * scale, y)", "np.copysign(quantizer.levels[1], y)",
+           ("tests/test_quantizer.py::TestKernelPaths::"
+            "test_one_bit_is_the_three_pass_form_bit_for_bit",
+            "tests/test_quantizer.py::TestQuantizeReceived::"
+            "test_measured_distortion_tracks_table")),
+    Mutant("grid-ends-unchecked", "model.py",
+           "[self.target_mean_angle - half, self.target_mean_angle + half]",
+           "[self.target_mean_angle]",
+           ("tests/test_model.py::TestScenario::"
+            "test_target_grid_outside_half_circle_or_uncountable_rejected[past-endfire]",
+            "tests/test_model.py::TestScenario::"
+            "test_target_grid_outside_half_circle_or_uncountable_rejected[past-minus-endfire]",
+            "tests/test_pipeline_cli.py::TestCli::test_bad_target_grid_exits_2[past-endfire]")),
+    Mutant("epm-binary-gradient-sign", "onebit.py",
+           "np.multiply(-penalty_bin * math.sqrt", "np.multiply(penalty_bin * math.sqrt",
+           ("tests/test_onebit.py::TestEpmGradient::test_central_finite_differences",)),
+    Mutant("surrogate-outside-count", "power_alloc.py",
+           "outside = scenario.n_rx - scenario.n_clutter - 1",
+           "outside = scenario.n_rx - scenario.n_clutter",
+           ("tests/test_power_alloc.py::TestAsymptoticObjective::"
+            "test_exact_relative_entropy_recovered_without_clutter", SURROGATE_PRECISION)),
+    Mutant("snr-points-checked-after-design", "pipeline.py",
+           "simulate.scenario_at_snr(scenario, snr)", "pass",
+           ("tests/test_pipeline_cli.py::TestCli::"
+            "test_sweep_snr_bad_snr_exits_2_before_design[3080]",)),
+    Mutant("e-notation-snr-taken-for-a-flag", "cli.py",
+           r"([eE][-+]?\d+)?$", "$",
+           ("tests/test_pipeline_cli.py::TestCliSpec::test_negative_snr_in_e_notation",)),
     # caught only by comparing bits; a change that re-pins this test needs
     # another killer first
     Mutant("optimistic-shift-0.5", "ce_design.py",

@@ -390,6 +390,27 @@ class TestLowRankCovariances:
         assert got.shape == (1,)
         assert got[0] == pytest.approx(dense, rel=1e-8)
 
+    # (case, L, bound).  The bounds are set from the measured errors of the
+    # form: 2.5e-8 at the near-clutter case, whose kappa is 8.5e9 (one
+    # Gram-Schmidt pass gives 1.4e-7 there), and 1.9e-14 and 9.8e-15 at the
+    # ordinary cases, with m < N_r (gamma > 0) and m = N_r (gamma = 0).
+    @pytest.mark.parametrize("case, L, bound", [
+        pytest.param(_small_case(6, 16, 2, 3, 30, 0, 1.0, [30 + math.degrees(1e-9), -50],
+                                 [20, 30], 1e-8, "ideal", False, 5), 3, 5e-8,
+                     id="near-clutter-ideal"),
+        pytest.param(_small_case(12, 8, 2, 4, 6, 0, 2.0, [-40, 35, -65], [7, 9, 25], 1.0, 1,
+                                 False, 1), 4, 1e-13, id="n12-k3"),
+        pytest.param(_small_case(6, 8, 2, 4, 6, 0, 2.0, [-40, 35, -65, 60, -10],
+                                 [7, 9, 25, 30, 17], 1.0, 3, False, 0), 4, 1e-13, id="n6-k5"),
+    ])
+    def test_lrt_form_matches_high_precision(self, case, L, bound):
+        mp = pytest.importorskip("mpmath")
+        sc, T, bits = case
+        q, theta = M.quantization_model(bits), sc.target_mean_angle
+        exact = _mp_lrt_matrix(mp, sc, T, q, theta, L)
+        got = lrt_matrix(*M.low_rank_covariances(sc, T, q, theta).lrt_form(0, L))
+        assert np.abs(got - exact).max() <= bound * np.abs(exact).max()
+
     @pytest.mark.parametrize("case, fade_db", [
         pytest.param(case, fade, id=case + (f"-fade{fade:.0f}" if fade else ""))
         for fade in (0.0, 30.0, 60.0) for case in ("n6-k6", "n12-k4", "desk32")])
@@ -417,6 +438,26 @@ class TestLowRankCovariances:
         assert abs(got - exact) <= 1e-13 * exact
 
 
+def _mp_hypotheses(mp, sc: M.Scenario, q: M.QuantizationModel, clutter, target):
+    """R0 and R1 at the working precision from (P phi, steering) pairs of the
+    clutter directions and of the target."""
+    n_r, L = sc.n_rx, sc.code_len
+    alpha, beta = mp.mpf(q.alpha), mp.mpf(q.beta)
+    a2L, noise = alpha ** 2 * L, mp.mpf(sc.noise_power)
+    row0 = mp.fsum(g for g, _ in clutter) / n_r + noise
+
+    def covariance(spikes, row):
+        r = mp.matrix(n_r, n_r)
+        for i in range(n_r):
+            for j in range(i + 1):
+                r[i, j] = a2L * mp.fsum(g * a[i] * mp.conj(a[j]) for g, a in spikes)
+                r[j, i] = mp.conj(r[i, j])
+            r[i, i] = mp.re(r[i, i]) + a2L * noise + alpha * beta * L * row
+        return r
+
+    return covariance(clutter, row0), covariance(clutter + [target], row0 + target[0] / n_r)
+
+
 def _mp_relative_entropy(mp, sc: M.Scenario, T: np.ndarray, q: M.QuantizationModel,
                          theta: float) -> float:
     """D from R0 and R1 built in mpmath at 40 digits out of the same float inputs.
@@ -425,7 +466,7 @@ def _mp_relative_entropy(mp, sc: M.Scenario, T: np.ndarray, q: M.QuantizationMod
     each log-determinant is twice the sum of log diag(L).
     """
     with mp.workdps(40):
-        n_r, L = sc.n_rx, sc.code_len
+        n_r = sc.n_rx
 
         def steer(th, n):
             s = mp.sin(mp.mpf(float(th)))
@@ -437,24 +478,11 @@ def _mp_relative_entropy(mp, sc: M.Scenario, T: np.ndarray, q: M.QuantizationMod
             a = steer(th, T.shape[0])
             return mp.fsum(abs(mp.fdot(a, col)) ** 2 for col in cols)
 
-        alpha, beta = mp.mpf(q.alpha), mp.mpf(q.beta)
-        a2L, noise = alpha ** 2 * L, mp.mpf(sc.noise_power)
         clutter = [(mp.mpf(float(p)) * power(th), steer(th, n_r))
                    for p, th in zip(sc.clutter_powers, sc.clutter_angles)]
         target = (mp.mpf(sc.target_power) * power(theta), steer(theta, n_r))
-        row0 = mp.fsum(g for g, _ in clutter) / n_r + noise
-
-        def cholesky(spikes, row):
-            r = mp.matrix(n_r, n_r)
-            for i in range(n_r):
-                for j in range(i + 1):
-                    r[i, j] = a2L * mp.fsum(g * a[i] * mp.conj(a[j]) for g, a in spikes)
-                    r[j, i] = mp.conj(r[i, j])
-                r[i, i] = mp.re(r[i, i]) + a2L * noise + alpha * beta * L * row
-            return mp.cholesky(r)
-
-        l0 = cholesky(clutter, row0)
-        l1 = cholesky(clutter + [target], row0 + target[0] / n_r)
+        r0, r1 = _mp_hypotheses(mp, sc, q, clutter, target)
+        l0, l1 = mp.cholesky(r0), mp.cholesky(r1)
         trace = 0
         for j in range(n_r):                    # column j of L1^-1 L0, forward substitution
             x = [0] * n_r
@@ -464,6 +492,25 @@ def _mp_relative_entropy(mp, sc: M.Scenario, T: np.ndarray, q: M.QuantizationMod
         logdets = 2 * mp.fsum(mp.log(mp.re(l1[i, i])) - mp.log(mp.re(l0[i, i]))
                               for i in range(n_r))
         return float(logdets + trace - n_r)
+
+
+def _mp_lrt_matrix(mp, sc: M.Scenario, T: np.ndarray, q: M.QuantizationModel,
+                   theta: float, L: int) -> np.ndarray:
+    """L (R0^-1 - R1^-1) by mpmath inverses at 40 digits.
+
+    R0 and R1 are built from the model's own float steering vectors and
+    beampattern powers, so the reference checks the form and not its inputs:
+    near a clutter angle the matrix is ill-conditioned, and the rounding of
+    the float steering alone moves it by about 1e-7 relative at kappa 8.5e9.
+    """
+    with mp.workdps(40):
+        angles = np.append(sc.clutter_angles, theta)
+        A = M.steering_matrix(angles, sc.n_rx)
+        powers = np.append(sc.clutter_powers, sc.target_power)
+        spikes = [(mp.mpf(float(p)) * mp.mpf(float(phi)), [mp.mpc(complex(v)) for v in a])
+                  for p, phi, a in zip(powers, M.beampattern_powers(T, angles), A.T)]
+        r0, r1 = _mp_hypotheses(mp, sc, q, spikes[:-1], spikes[-1])
+        return np.array((L * (mp.inverse(r0) - mp.inverse(r1))).tolist(), dtype=complex)
 
 
 class TestLargeArrayOrthogonality:
@@ -500,8 +547,8 @@ class TestDopplerInvariance:
         def flat_batch(rng):
             # the received_batch draws with every Doppler frequency set to zero
             Y = np.empty((trials, sc.n_rx, sc.code_len), dtype=complex)
-            A_r, B, amp_scale = SIM._sources(sc, T, sc.target_mean_angle)
-            amps, freq = SIM._draw(Y, math.sqrt(sc.noise_power / 2.0), amp_scale, rng)
+            _, noise_scale, A_r, B, amp_scale = SIM._sources(sc, T, sc.target_mean_angle)
+            amps, freq = SIM._draw(Y, noise_scale, amp_scale, rng)
             SIM._mix(Y, amps, np.zeros_like(freq), A_r, B)
             return Y
 
@@ -547,6 +594,28 @@ class TestScenario:
     def test_angles_outside_half_circle_rejected(self, tiny_scenario):
         with pytest.raises(M.ModelError):
             M.Scenario(**{**_scenario_kwargs(tiny_scenario), "clutter_angles": [2.0]})
+
+    @pytest.mark.parametrize("grid", [
+        # 2 degrees over a subnormal spacing: the point count overflows
+        pytest.param({"target_uncertainty": math.radians(2.0),
+                      "target_grid_spacing": math.radians(1e-320)}, id="subnormal-spacing"),
+        # the mean and clutter lie inside, but the grid reaches 100 degrees
+        pytest.param({"target_mean_angle": math.radians(80.0),
+                      "target_uncertainty": math.radians(40.0),
+                      "target_grid_spacing": math.radians(10.0)}, id="past-endfire"),
+        pytest.param({"target_mean_angle": -1.5, "target_uncertainty": 0.2},
+                     id="past-minus-endfire"),
+    ])
+    def test_target_grid_outside_half_circle_or_uncountable_rejected(self, tiny_scenario, grid):
+        with pytest.raises(M.ModelError, match="target grid"):
+            M.Scenario(**{**_scenario_kwargs(tiny_scenario), **grid})
+
+    def test_target_grid_may_end_at_endfire(self, tiny_scenario):
+        # the ends hold the same 1e-12 slack as the clutter angles
+        sc = M.Scenario(**{**_scenario_kwargs(tiny_scenario),
+                           "target_mean_angle": math.pi / 2 - 0.01, "target_uncertainty": 0.02,
+                           "target_grid_spacing": 0.01})
+        assert sc.target_grid()[-1] == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_duplicate_profile_angles_rejected(self, tiny_scenario):
         kw = _scenario_kwargs(tiny_scenario)

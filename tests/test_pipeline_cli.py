@@ -299,6 +299,23 @@ class TestCli:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert [str(w.message) for w in recwarn] == []
 
+    # a spacing so fine that the grid's point count overflows, and a grid that
+    # runs past 90 degrees around an accepted mean
+    @pytest.mark.parametrize("grid", [
+        pytest.param({"target_grid_spacing_deg": 1e-320, "target_uncertainty_deg": 2.0},
+                     id="subnormal-spacing"),
+        pytest.param({"target_mean_angle_deg": 80.0, "target_uncertainty_deg": 40.0,
+                      "target_grid_spacing_deg": 10.0}, id="past-endfire")])
+    def test_bad_target_grid_exits_2(self, mini_scenario_file, tmp_path, capsys, grid):
+        with open(mini_scenario_file) as fh:
+            d = json.load(fh)
+        scenario = tmp_path / "grid.json"
+        scenario.write_text(json.dumps({**d, **grid}))
+        assert cli.main(["allocate-power", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("pfa", ["0", "1.5", "-0.1", "nan"])
     def test_sweep_snr_bad_pfa_exits_2_before_design(self, mini_scenario_file, tmp_path,
                                                      monkeypatch, pfa):
@@ -310,7 +327,8 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.parametrize("snr", ["nan", "inf", "1e308"])
+    # 3080 dB is a finite power that only the point's scenario refuses
+    @pytest.mark.parametrize("snr", ["nan", "inf", "1e308", "3080"])
     def test_sweep_snr_bad_snr_exits_2_before_design(self, mini_scenario_file, tmp_path,
                                                      monkeypatch, snr):
         def no_design(*args, **kwargs):
@@ -475,7 +493,8 @@ def tiny_scenario_dicts(draw):
     d = {
         "n_tx": draw(st.integers(1, 8)), "n_rx": draw(st.integers(1, 8)),
         "n_rf": draw(st.integers(1, 2)), "code_len": draw(st.integers(2, 8)),
-        "target_mean_angle_deg": draw(st.floats(-90.0, 90.0)),
+        # the grid's ends stay inside [-90, 90] degrees
+        "target_mean_angle_deg": draw(st.floats(-87.0, 87.0)),
         "target_uncertainty_deg": draw(st.floats(0.0, 6.0)),
         "target_grid_spacing_deg": draw(st.floats(0.5, 4.0)),
         "target_power_db": draw(st.floats(-30.0, 30.0)),

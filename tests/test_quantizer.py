@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestQuantizeReceived:
         rng = np.random.default_rng(2)
         Y = rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500))
         q = lloyd_max_codebook(1)
-        Yq = quantize_received(Y, q, row_power=np.full(3, 2.0))
+        Yq = quantize_received(Y, q, row_power=2.0)
         for r in range(3):
             assert np.unique(Yq[r].real).size == 2
             assert np.unique(Yq[r].imag).size == 2
@@ -111,17 +113,19 @@ class TestQuantizeReceived:
         rng = np.random.default_rng(3)
         base = rng.standard_normal((2, 4000)) + 1j * rng.standard_normal((2, 4000))
         q = lloyd_max_codebook(3)
-        ref = quantize_received(base, q, row_power=np.full(2, 2.0))
-        scaled = quantize_received(10.0 * base, q, row_power=np.full(2, 200.0))
+        ref = quantize_received(base, q, row_power=2.0)
+        scaled = quantize_received(10.0 * base, q, row_power=200.0)
         np.testing.assert_allclose(scaled, 10.0 * ref, rtol=1e-12)
 
-    def test_zero_power_row_passes_through_unscaled(self):
-        Y = np.array([[0.1 + 0.2j, -0.3 + 0.05j]])
-        q = lloyd_max_codebook(2)
-        out = quantize_received(Y, q, row_power=np.array([0.0]))
-        expected = (quantize_values(Y.real, q.thresholds, q.levels)
-                    + 1j * quantize_values(Y.imag, q.thresholds, q.levels))
-        np.testing.assert_allclose(out, expected)
+    def test_row_power_other_than_one_positive_number_refused(self):
+        # the model gives every row one positive, finite power; zero, per-row
+        # and non-numeric powers are refused, also for the ideal ADC
+        Y = np.array([[0.1 + 0.2j, -0.3 + 0.05j], [0.4 - 0.1j, 0.2 + 0.3j]])
+        for q in (lloyd_max_codebook(2), None):
+            for row_power in (0.0, -1.0, math.inf, math.nan, np.array([2.0]), np.full(2, 2.0),
+                              "2.0", None):
+                with pytest.raises(ModelError, match="row power"):
+                    quantize_received(Y, q, row_power)
 
     def test_measured_distortion_tracks_table(self):
         rng = np.random.default_rng(4)
@@ -129,7 +133,7 @@ class TestQuantizeReceived:
         Y = (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))) * np.sqrt(3.5 / 2)
         for bits in (1, 2, 3):
             q = lloyd_max_codebook(bits)
-            Yq = quantize_received(Y, q, row_power=np.array([3.5]))
+            Yq = quantize_received(Y, q, row_power=3.5)
             err = np.mean(np.abs(Y - Yq) ** 2) / 3.5
             assert err == pytest.approx(ADC_DISTORTION[bits], rel=0.03)
 
@@ -149,35 +153,32 @@ class TestKernelPaths:
     def test_quantize_received_matches_per_part_oracle(self):
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((7, 5, 6)) + 1j * rng.standard_normal((7, 5, 6))
-        power = np.linspace(0.5, 3.0, 5)
-        scale = np.sqrt(power / 2.0)[:, None]
-        for bits in (1, 3):
-            q = lloyd_max_codebook(bits)
-            re = q.levels[np.searchsorted(q.thresholds, Y.real / scale)]
-            im = q.levels[np.searchsorted(q.thresholds, Y.imag / scale)]
-            oracle = (re + 1j * im) * scale
-            np.testing.assert_array_equal(quantize_received(Y, q, row_power=power), oracle)
+        for power in (0.5, 1.75, 3.0):
+            scale = np.sqrt(power / 2.0)
+            for bits in (1, 3):
+                q = lloyd_max_codebook(bits)
+                re = q.levels[np.searchsorted(q.thresholds, Y.real / scale)]
+                im = q.levels[np.searchsorted(q.thresholds, Y.imag / scale)]
+                oracle = (re + 1j * im) * scale
+                np.testing.assert_array_equal(quantize_received(Y, q, row_power=power), oracle)
 
     @staticmethod
     def three_pass_one_bit(Y, q, row_power):
         """One-bit quantization as divide by the row scale, sign, and rescale."""
-        scale = np.sqrt(np.maximum(np.asarray(row_power, dtype=float), 0.0) / 2.0)
-        scale = np.where(scale > 0.0, scale, 1.0)
-        if np.ndim(scale) == 1:
-            scale = scale[:, None]
+        scale = np.sqrt(row_power / 2.0)
         x = np.divide(np.ascontiguousarray(Y).view(np.float64), scale)
         x = np.copysign(q.levels[1], x, out=x)
         x *= scale
         return x.view(np.complex128)
 
     def test_one_bit_is_the_three_pass_form_bit_for_bit(self):
-        # scalar and per-row power, zero-power rows, +-0, subnormals and extremes
+        # large and small row powers, +-0, subnormals and extremes
         rng = np.random.default_rng(11)
         q = lloyd_max_codebook(1)
         Y = rng.standard_normal((4, 6, 10)) + 1j * rng.standard_normal((4, 6, 10))
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -np.inf])
         Y.real[0, :, :8], Y.imag[0, :, :8] = special, special[::-1]
-        for power in (2.0, 0.02, 0.0, np.array([0.0, 1e-3, 0.5, 2.0, 7.0, 0.0])):
+        for power in (2.0, 0.02, 1e-3, 7.0):
             expected = self.three_pass_one_bit(Y, q, power).tobytes()
             assert quantize_received(Y, q, row_power=power).tobytes() == expected
 

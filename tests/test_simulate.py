@@ -145,7 +145,7 @@ class TestDetection:
         with pytest.raises(M.ModelError):
             SIM.DetectionCurve(snr_db=np.array([0.0]), pd=np.array([0.5]),
                                ci_halfwidth=np.array([0.01]),
-                               pfa_target=1e-4, trials=1000, seed=0)
+                               pfa_target=1e-4, trials=1000)
 
 
 def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, trials):
@@ -157,14 +157,14 @@ def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, t
     """
     G, w, gamma = form
     dense = gamma * np.eye(scenario.n_rx) + (G.conj().T * w) @ G
-    A_r, B, amp_scale = SIM._sources(scenario, T, theta_t)
-    blk, shape = SIM._BLOCK_TRIALS, (scenario.n_rx, scenario.code_len)
+    shape, noise_scale, A_r, B, amp_scale = SIM._sources(scenario, T, theta_t)
+    blk = SIM._BLOCK_TRIALS
     out = []
     for b, a in enumerate(range(0, trials, blk)):
         m = min(blk, trials - a)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, b))))
         Y = np.empty((m,) + shape, dtype=complex)
-        amps, freq = SIM._draw(Y, math.sqrt(scenario.noise_power / 2.0), amp_scale, rng)
+        amps, freq = SIM._draw(Y, noise_scale, amp_scale, rng)
         if A_r is not None:
             SIM._mix(Y, amps, freq, A_r, B)
         Y = quantize_received(Y, quant, power)
@@ -193,7 +193,8 @@ class TestPipelinedEngine:
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
                 mock.patch.object(SIM, "_CHUNK_TRIALS", chunk), \
                 mock.patch.object(SIM, "_WORKERS", workers):
-            got = [SIM._run_statistics(sc, T, quant, form, seed, trials, r, theta, power)
+            sources = SIM._sources(sc, T, theta)
+            got = [SIM._run_statistics(sources, quant, form, seed, trials, r, power)
                    for r in runs]
             for r, stats in zip(runs, got):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, seed, r, trials)
@@ -215,7 +216,8 @@ class TestPipelinedEngine:
             for run, theta, power in ((0, None, model.row0),
                                       (2, sc.target_mean_angle, model.row1[0])):
                 ref = _per_block_statistics(sc, T, quant, form, power, theta, 23, run, 1100)
-                got = SIM._run_statistics(sc, T, quant, form, 23, 1100, run, theta, power)
+                got = SIM._run_statistics(SIM._sources(sc, T, theta), quant, form, 23, 1100,
+                                          run, power)
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("bits", [1, 3])
@@ -232,8 +234,8 @@ class TestPipelinedEngine:
             quant, form = lloyd_max_codebook(bits), model.lrt_form(0, sc.code_len)
             tracemalloc.start()
             try:
-                SIM._run_statistics(sc, T, quant, form, 31, 2048, SIM._H1,
-                                    sc.target_mean_angle, model.row1[0])
+                SIM._run_statistics(SIM._sources(sc, T, sc.target_mean_angle), quant, form,
+                                    31, 2048, SIM._H1, model.row1[0])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -297,6 +299,25 @@ class TestPipelinedEngine:
         point = SIM.simulate_detection(T, tiny_scenario, 1, 0.0, pfa=1e-2, trials=2000, seed=0)
         with pytest.raises(RuntimeError, match="H0 block failed"):
             point.empirical_pfa
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_point_runs_match_the_per_block_oracle(self, tiny_scenario, bits):
+        # the calibration and H0 runs draw no target and scale the rows by
+        # row0; the target run draws the target and scales them by row1[0]
+        sc = SIM.scenario_at_snr(tiny_scenario, 0.0)
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(37))
+        point = SIM.simulate_detection(T, tiny_scenario, bits, 0.0, pfa=1e-2, trials=1500,
+                                       seed=38)
+        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+        quant, form = lloyd_max_codebook(bits), model.lrt_form(0, sc.code_len)
+        calibration, h0, h1 = (
+            _per_block_statistics(sc, T, quant, form, power, theta, 38, run, 1500)
+            for run, theta, power in ((SIM._CALIBRATION, None, model.row0),
+                                      (SIM._H0, None, model.row0),
+                                      (SIM._H1, sc.target_mean_angle, model.row1[0])))
+        assert point.threshold == pytest.approx(np.quantile(calibration, 0.99), rel=1e-12)
+        assert point.pd == np.mean(h1 > point.threshold)
+        assert point.empirical_pfa == np.mean(h0 > point.threshold)
 
     def test_false_alarm_rate_read_later_ignores_changes_to_the_inputs(self, tiny_scenario):
         # the point measures empirical_pfa on the design and scenario it was
