@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .model import (ModelError, Scenario, db_to_linear, low_rank_covariances,
 from .model import hypothesis_covariances  # noqa: F401
 from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 
-# Trials per Monte Carlo block.  Block b of run r of a detection point draws
+# Trials per Monte Carlo block.  Block b of run r of a detection curve draws
 # from its own stream, SeedSequence(seed, spawn_key=(r, b)), so this constant
 # defines the realization of a seed.  There are enough blocks to keep every
 # worker busy.
@@ -30,7 +32,7 @@ _CHUNK_TRIALS = 64
 # Trials per steering build in steering_crosscorr_experiment, which bounds its
 # memory; it changes no result.
 _GRAM_TRIALS = 64
-# the runs of a detection point, numbered as their streams' first spawn key
+# the runs of a detection curve, numbered as their streams' first spawn key
 _CALIBRATION, _H0, _H1 = range(3)
 # one Monte Carlo worker thread per core this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -99,12 +101,12 @@ def _draw(Y: np.ndarray, noise_scale: float, amp_scale: np.ndarray | None,
 
 
 def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
-         A_r: np.ndarray, B: np.ndarray) -> None:
+         A_r: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Add the sources' echoes, Doppler-ramped at normalized frequencies ``freq``, to ``Y``.
 
-    The ramp of a source over the snapshots l is z**l, z = exp(2j*pi*freq),
-    taken as running products of z: one cos and one sin per trial and
-    source, not one per snapshot.
+    Returns ``Y``.  The ramp of a source over the snapshots l is z**l,
+    z = exp(2j*pi*freq), taken as running products of z: one cos and one sin
+    per trial and source, not one per snapshot.
     """
     src_signals = np.empty(freq.shape + (Y.shape[-1],), dtype=complex)    # Doppler ramps
     src_signals[..., 0] = 1.0
@@ -114,6 +116,7 @@ def _mix(Y: np.ndarray, amps: np.ndarray, freq: np.ndarray,
     np.multiply(amps[:, :, None], src_signals, out=src_signals)
     src_signals *= B
     Y += A_r @ src_signals
+    return Y
 
 
 def received_batch(scenario: Scenario, T: np.ndarray, theta_t: float | None,
@@ -142,16 +145,16 @@ class DetectionPoint:
     """Detection probability at one SNR, and the threshold that fixes its false-alarm rate.
 
     ``empirical_pfa`` is measured on a no-target run disjoint from the
-    calibration (run 1 of the point's streams).  That run is made on the
-    first read, from the no-target sources the calibration drew from, and
-    its value is kept.
+    calibration (run 1 of the curve's streams), which every point of the
+    curve shares.  That run is made on the first read of any point's
+    ``empirical_pfa``, once per curve, and each point keeps its value.
     """
 
     snr_db: float
     pd: float
     ci_halfwidth: float
     threshold: float
-    _h0_statistics: partial = field(repr=False, compare=False)   # run 1's statistics
+    _h0_statistics: Callable[[], np.ndarray] = field(repr=False, compare=False)  # its row of run 1
 
     @cached_property
     def empirical_pfa(self) -> float:
@@ -218,21 +221,28 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 def _run_statistics(sources: tuple, quant: ScalarQuantizer | None,
-                    form: tuple[np.ndarray, np.ndarray, float], seed: int, trials: int,
-                    run: int, row_power: float) -> np.ndarray:
-    """LRT statistics of ``trials`` trials of one run drawn from ``sources`` (``_sources``).
+                    forms: list[tuple[np.ndarray, np.ndarray, float]], seed: int, trials: int,
+                    run: int, row_power: float | list[float],
+                    gains: list[float] | None = None) -> np.ndarray:
+    """LRT statistics (points, trials) of one run drawn from ``sources`` (``_sources``).
 
     The run (calibration, H0, H1) is cut into blocks of ``_BLOCK_TRIALS``
     trials, mapped over the pool of ``_WORKERS`` threads.  Block b of run r
     draws its noise, amplitudes and Dopplers from its own stream
     (``_block_rng(seed, r, b)``) into samples of its own, then mixes,
-    quantizes and reduces them chunk by chunk and writes its slice of the
-    statistics.  So the statistics depend on the seed alone, not on the
-    worker count.
+    quantizes and reduces them chunk by chunk and writes its slice of every
+    row.  So the statistics depend on the seed alone, not on the worker
+    count.
+
+    A no-target run (``gains=None``) is quantized once, with the one
+    ``row_power``, and reduced with every point's form.  A target run mixes
+    the clutter once; for point i it adds the target's echo (the first
+    source) scaled by ``gains[i]``, quantizes with ``row_power[i]`` and
+    reduces with ``forms[i]``.
     """
     (shape, noise_scale, A_r, B, amp_scale), blk, chunk = sources, _BLOCK_TRIALS, _CHUNK_TRIALS
-    G, w, gamma = form
-    out = np.empty(trials)
+    echo = 0 if gains is None else 1            # the sources mixed apart, before the clutter
+    out = np.empty((len(forms), trials))
 
     def block(b):
         a = b * blk
@@ -241,10 +251,16 @@ def _run_statistics(sources: tuple, quant: ScalarQuantizer | None,
         for c in range(0, Y.shape[0], chunk):
             part = slice(c, c + chunk)
             Yc = Y[part]
-            if A_r is not None:
-                _mix(Yc, amps[part], freq[part], A_r, B)
-            Yc = quantize_received(Yc, quant, row_power)
-            out[a + c:a + c + Yc.shape[0]] = lrt_statistics(Yc, G, w, gamma)
+            if A_r is not None and A_r.shape[1] > echo:
+                _mix(Yc, amps[part, echo:], freq[part, echo:], A_r[:, echo:], B[echo:])
+            if gains is None:
+                samples = repeat(quantize_received(Yc, quant, row_power))
+            else:   # point i adds the target's echo, scaled by gains[i], to a copy
+                samples = (quantize_received(_mix(Yc.copy(), g * amps[part, :1], freq[part, :1],
+                                                  A_r[:, :1], B[:1]), quant, p)
+                           for g, p in zip(gains, row_power))
+            for i, form in enumerate(forms):     # no name keeps a point's samples past it
+                out[i, a + c:a + c + Yc.shape[0]] = lrt_statistics(next(samples), *form)
 
     # consumed in order: the first block error is raised, and unstarted blocks are cancelled
     for _ in _pool(_WORKERS).map(block, range(-(-trials // blk))):
@@ -259,44 +275,58 @@ def scenario_at_snr(scenario: Scenario, snr_db: float) -> Scenario:
 
 def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
                        snr_db: float, pfa: float, trials: int, seed: int) -> DetectionPoint:
-    """Monte Carlo detection probability at one SNR.
-
-    The target power is set to snr * noise power; data are synthesized per
-    hypothesis, passed through the true quantizer (gain-controlled by the
-    model row variance of its own hypothesis), and reduced by the Gaussian
-    likelihood-ratio statistic sum_l y^H (R0^-1 - R1^-1) y.  Both the row
-    variances and the statistic's low-rank form come from the model
-    covariances at the mean target angle (``LowRankCovariances``).  The
-    threshold is the empirical (1 - pfa) quantile of an independent
-    calibration run (run 0), and pd is measured on the target run (run 2).
-    The no-target run (run 1) that measures the false-alarm rate is made
-    only when the point's ``empirical_pfa`` is first read, from the
-    no-target sources built here for the calibration.  Every block of trials
-    draws from its own stream keyed by (``seed``, run, block), so the point
-    depends on ``seed`` alone, whenever each run is made.
-    """
-    check_detection_settings(pfa, trials)
-    sc = scenario_at_snr(scenario, snr_db)
-    q = quantization_model(bits)
-    quant = None if q.ideal else lloyd_max_codebook(int(bits))
-    theta = sc.target_mean_angle
-    model = low_rank_covariances(sc, T, q, theta)
-    h0, h1 = _sources(sc, T, None), _sources(sc, T, theta)
-
-    stats = partial(_run_statistics, quant=quant, form=model.lrt_form(0, sc.code_len),
-                    seed=seed, trials=trials)
-    threshold = float(np.quantile(stats(h0, run=_CALIBRATION, row_power=model.row0), 1.0 - pfa))
-    pd = float(np.mean(stats(h1, run=_H1, row_power=model.row1[0]) > threshold))
-    ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
-    return DetectionPoint(snr_db=snr_db, pd=pd, ci_halfwidth=ci, threshold=threshold,
-                          _h0_statistics=partial(stats, h0, run=_H0, row_power=model.row0))
+    """Monte Carlo detection probability at one SNR: the one-point ``detection_curve``."""
+    return detection_curve(T, scenario, bits, (snr_db,), pfa, trials, seed)._points[0]
 
 
 def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
                     snr_grid_db, pfa: float, trials: int, seed: int) -> DetectionCurve:
-    """Sweep ``simulate_detection`` over an SNR grid; point i takes seed + 1000*i."""
-    points = [simulate_detection(T, scenario, bits, s, pfa, trials, seed + 1000 * i)
-              for i, s in enumerate(snr_grid_db)]
+    """Monte Carlo detection probability over an SNR grid, from one realization.
+
+    Point i sets the target power P_i to snr_i * noise power.  Data pass
+    through the true quantizer (gain-controlled by the model row variance of
+    their hypothesis) and are reduced by the Gaussian likelihood-ratio
+    statistic sum_l y^H (R0^-1 - R1^-1) y; the row variances and each
+    point's low-rank form of it come from the model covariances at the mean
+    target angle (``LowRankCovariances``).
+
+    The curve makes three runs, whatever its length.  The no-target data do
+    not depend on the SNR: the calibration run (run 0) is drawn and
+    quantized once, and point i's threshold is the (1 - pfa) quantile of its
+    statistics on it.  The target run (run 2) draws the target at P_0, and
+    point i measures pd on it with the echo scaled by sqrt(P_i / P_0):
+    common random numbers, so the points are correlated, each with its own
+    law.  The no-target run that measures the false-alarm rates (run 1) is
+    made only on the first read of a point's ``empirical_pfa``, from the
+    calibration's sources.  Every block of trials draws from its own stream
+    keyed by (``seed``, run, block), so the curve depends on ``seed`` alone,
+    whenever each run is made; its point 0 is ``simulate_detection``'s.
+    """
+    check_detection_settings(pfa, trials)
+    snrs = list(snr_grid_db)
+    scs = [scenario_at_snr(scenario, s) for s in snrs]
+    if not scs:
+        raise ModelError("a detection curve needs at least one SNR point")
+    q = quantization_model(bits)
+    quant = None if q.ideal else lloyd_max_codebook(int(bits))
+    models = [low_rank_covariances(sc, T, q, scenario.target_mean_angle) for sc in scs]
+    # the target is drawn at point 0's power; a zero power draws it at unit power, scaled by 0
+    ref = scs[0] if scs[0].target_power > 0 else replace(scs[0], target_power=1.0)
+    h0, row0 = _sources(ref, T, None), models[0].row0
+    stats = partial(_run_statistics, quant=quant, seed=seed, trials=trials,
+                    forms=[m.lrt_form(0, scenario.code_len) for m in models])
+    calibration = stats(h0, run=_CALIBRATION, row_power=row0)
+    thresholds = [float(np.quantile(c, 1.0 - pfa)) for c in calibration]
+    h1 = stats(_sources(ref, T, scenario.target_mean_angle), run=_H1,
+               row_power=[m.row1[0] for m in models],
+               gains=[math.sqrt(sc.target_power / ref.target_power) for sc in scs])
+    h0_run = cache(partial(stats, h0, run=_H0, row_power=row0))
+    points = []
+    for i, (snr, threshold) in enumerate(zip(snrs, thresholds)):
+        pd = float(np.mean(h1[i] > threshold))
+        ci = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1.0 / trials) / trials)
+        points.append(DetectionPoint(snr_db=snr, pd=pd, ci_halfwidth=ci,
+                                     threshold=threshold, _h0_statistics=lambda i=i: h0_run()[i]))
     return DetectionCurve(
         snr_db=np.asarray([p.snr_db for p in points]),
         pd=np.asarray([p.pd for p in points]),

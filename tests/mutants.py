@@ -33,6 +33,8 @@ SURROGATE_PRECISION = "tests/test_power_alloc.py::TestAsymptoticObjective::test_
 ENGINE = "tests/test_simulate.py::TestPipelinedEngine"
 REALIZATION = f"{ENGINE}::test_realization_of_a_seed_is_pinned"
 POINT_RUNS = f"{ENGINE}::test_point_runs_match_the_per_block_oracle"
+CURVE_POINTS = f"{ENGINE}::test_curve_points_match_the_per_block_oracle"
+EXACT_LAW = "tests/test_exact_detection.py::test_ideal_adc_detection_matches_exact_law"
 
 
 @dataclass(frozen=True)
@@ -71,23 +73,37 @@ MUTANTS = (
            "c1 = q.alpha ** 2 * L * scenario.noise_power",
            (f"{MODEL_LOW_RANK}::test_lrt_matrix_matches_inverses",)),
     Mutant("eager-h0-run", "simulate.py",
-           "_h0_statistics=partial(stats, h0, run=_H0, row_power=model.row0)",
-           "_h0_statistics=(lambda v: lambda: v)(stats(h0, run=_H0, row_power=model.row0))",
+           "h0_run = cache(partial(stats, h0, run=_H0, row_power=row0))",
+           "h0_run = (lambda v: lambda: v)(stats(h0, run=_H0, row_power=row0))",
            ("tests/test_simulate.py::TestFalseAlarmRunOnDemand::test_sweep_snr_draws_no_h0_trial",
             "tests/test_simulate.py::TestFalseAlarmRunOnDemand::"
             "test_h0_run_made_once_on_first_read")),
     Mutant("h0-runs-draw-the-target", "simulate.py",
-           "h0, h1 = _sources(sc, T, None), _sources(sc, T, theta)",
-           "h0 = h1 = _sources(sc, T, theta)",
-           (POINT_RUNS, REALIZATION)),
+           "h0, row0 = _sources(ref, T, None), models[0].row0",
+           "h0, row0 = _sources(ref, T, scenario.target_mean_angle), models[0].row0",
+           (POINT_RUNS, CURVE_POINTS, REALIZATION)),
     Mutant("h0-run-scaled-by-row1", "simulate.py",
-           "_h0_statistics=partial(stats, h0, run=_H0, row_power=model.row0)",
-           "_h0_statistics=partial(stats, h0, run=_H0, row_power=model.row1[0])",
-           (POINT_RUNS, REALIZATION)),
+           "h0_run = cache(partial(stats, h0, run=_H0, row_power=row0))",
+           "h0_run = cache(partial(stats, h0, run=_H0, row_power=models[0].row1[0]))",
+           (POINT_RUNS, CURVE_POINTS, REALIZATION)),
     # the block size defines the streams: only the pinned realization sees it
     Mutant("block-trials-256", "simulate.py",
            "_BLOCK_TRIALS = 512", "_BLOCK_TRIALS = 256",
            (REALIZATION,)),
+    # an oracle that took its gains from the engine would share this slip:
+    # the exact law sees the echo's absolute scale
+    Mutant("echo-scaled-by-power-ratio", "simulate.py",
+           "gains=[math.sqrt(sc.target_power / ref.target_power) for sc in scs]",
+           "gains=[sc.target_power / ref.target_power for sc in scs]",
+           (CURVE_POINTS, EXACT_LAW)),
+    Mutant("later-points-quantized-with-point-0-row1", "simulate.py",
+           "row_power=[m.row1[0] for m in models]",
+           "row_power=[models[0].row1[0] for m in models]",
+           (CURVE_POINTS,)),
+    Mutant("thresholds-with-point-0-form", "simulate.py",
+           "thresholds = [float(np.quantile(c, 1.0 - pfa)) for c in calibration]",
+           "thresholds = [float(np.quantile(calibration[0], 1.0 - pfa)) for c in calibration]",
+           (CURVE_POINTS,)),
     Mutant("row-power-unchecked", "quantizer.py",
            "if not (isinstance(row_power, numbers.Real) and 0.0 < row_power < math.inf):",
            "if False:",

@@ -242,8 +242,10 @@ def test_detection_trends():
         curves[bits] = SIM.detection_curve(T, sc, bits, snrs, pfa, trials, seed=17)
 
     # pooled false-alarm calibration per bit depth (threshold estimation and
-    # measurement each contribute binomial noise)
-    pool_bound = 1.96 * math.sqrt(2.0 * pfa * (1 - pfa) / (trials * len(snrs)))
+    # measurement each contribute binomial noise).  The points of a curve
+    # share one calibration run and one H0 run, so their rates do not average
+    # down: a mean's variance is at most its largest term's, one point's
+    pool_bound = 1.96 * math.sqrt(2.0 * pfa * (1 - pfa) / trials)
     pfa_ok = all(abs(np.mean(curves[b].empirical_pfa) - pfa) <= pool_bound for b in (1, 3))
 
     def ci_monotone(c):

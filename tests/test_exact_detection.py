@@ -98,24 +98,26 @@ def test_ideal_adc_detection_matches_exact_law(tiny_scenario):
     false-alarm rate at the exact threshold is pfa.  The exact values average
     64 Doppler draws; sigma adds their standard error to the binomial one.
     Only the exact law sees the statistic's absolute scale, the noise scale
-    and the steering, so it catches errors in any of them.
+    and the steering, so it catches errors in any of them.  The curve's
+    second point measures its pd on the first point's target draws with the
+    echo rescaled, so its check is the one that sees the rescaling's scale.
     """
     sc = tiny_scenario
     T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(30))
-    snr_db, pfa, trials = 8.0, 0.05, 20_000
-    pt = SIM.simulate_detection(T, sc, "ideal", snr_db, pfa, trials, seed=31)
-
-    sc_snr = replace(sc, target_power=sc.noise_power * 10.0 ** (snr_db / 10.0))
-    cov = M.hypothesis_covariances(sc_snr, T, M.quantization_model("ideal"),
-                                   sc.target_mean_angle)
-    lrt = sc.code_len * (np.linalg.inv(cov.r0) - np.linalg.inv(cov.r1))
+    pfa, trials = 0.05, 20_000
+    curve = SIM.detection_curve(T, sc, "ideal", (8.0, 3.0), pfa, trials, seed=31)
     dopplers = np.random.default_rng(32).uniform(0.0, 1.0, (64, sc.n_clutter + 1))
-    p0, se0 = exact_exceedance(sc_snr, T, None, lrt, pt.threshold, dopplers)
-    p1, se1 = exact_exceedance(sc_snr, T, sc.target_mean_angle, lrt, pt.threshold, dopplers)
 
     def sigma(p, se):
         return math.sqrt(p * (1.0 - p) / trials + se ** 2)
 
-    assert abs(pt.pd - p1) <= 4.0 * sigma(p1, se1), (pt.pd, p1, se1)
-    assert abs(pt.empirical_pfa - p0) <= 4.0 * sigma(p0, se0), (pt.empirical_pfa, p0, se0)
-    assert abs(p0 - pfa) <= 4.0 * sigma(pfa, se0), (p0, pfa, se0)
+    for snr_db, pt in zip((8.0, 3.0), curve._points):
+        sc_snr = replace(sc, target_power=sc.noise_power * 10.0 ** (snr_db / 10.0))
+        cov = M.hypothesis_covariances(sc_snr, T, M.quantization_model("ideal"),
+                                       sc.target_mean_angle)
+        lrt = sc.code_len * (np.linalg.inv(cov.r0) - np.linalg.inv(cov.r1))
+        p0, se0 = exact_exceedance(sc_snr, T, None, lrt, pt.threshold, dopplers)
+        p1, se1 = exact_exceedance(sc_snr, T, sc.target_mean_angle, lrt, pt.threshold, dopplers)
+        assert abs(pt.pd - p1) <= 4.0 * sigma(p1, se1), (snr_db, pt.pd, p1, se1)
+        assert abs(pt.empirical_pfa - p0) <= 4.0 * sigma(p0, se0), (snr_db, pt.empirical_pfa, p0)
+        assert abs(p0 - pfa) <= 4.0 * sigma(pfa, se0), (snr_db, p0, pfa, se0)

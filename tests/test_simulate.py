@@ -148,12 +148,15 @@ class TestDetection:
                                pfa_target=1e-4, trials=1000)
 
 
-def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, trials):
+def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, trials,
+                          gain=1.0):
     """Statistics of one run rebuilt block by block from the documented streams.
 
     Block b of run r draws from SeedSequence(seed, spawn_key=(r, b)) through
     ``_draw`` and ``_mix``, is quantized by ``quantize_received`` and reduced
-    with the dense gamma*I + G^H diag(w) G.
+    with the dense gamma*I + G^H diag(w) G.  ``scenario`` is the curve's
+    point 0; the target samples of a point i carry point 0's draw with the
+    target amplitude scaled by ``gain`` = sqrt(P_i / P_0).
     """
     G, w, gamma = form
     dense = gamma * np.eye(scenario.n_rx) + (G.conj().T * w) @ G
@@ -165,6 +168,8 @@ def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, t
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run, b))))
         Y = np.empty((m,) + shape, dtype=complex)
         amps, freq = SIM._draw(Y, noise_scale, amp_scale, rng)
+        if theta_t is not None:
+            amps[:, 0] *= gain
         if A_r is not None:
             SIM._mix(Y, amps, freq, A_r, B)
         Y = quantize_received(Y, quant, power)
@@ -172,33 +177,47 @@ def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, t
     return np.concatenate(out)
 
 
+def _curve_models(scenario, T, bits, snrs):
+    """Point 0's scenario, and each point's model, form and target-amplitude gain."""
+    scs = [SIM.scenario_at_snr(scenario, s) for s in snrs]
+    models = [M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+              for sc in scs]
+    forms = [m.lrt_form(0, scenario.code_len) for m in models]
+    gains = [math.sqrt(sc.target_power / scs[0].target_power) for sc in scs]
+    return scs[0], models, forms, gains
+
+
 class TestPipelinedEngine:
     @settings(max_examples=40, deadline=None)
     @given(trials=st.integers(1, 300), block=st.integers(1, 50), chunk=st.integers(1, 20),
            workers=st.integers(1, 3), bits=st.sampled_from([1, 3, "ideal"]),
            with_target=st.booleans(), runs=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           snrs=st.lists(st.sampled_from([-4.0, 0.0, 3.0, 7.0]), min_size=1, max_size=3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_whole_batch_chain(self, tiny_scenario, trials, block, chunk, workers, bits,
-                                       with_target, runs, seed):
-        # each run of the engine, for any block size, chunk size and worker
-        # count, equals the per-block oracle
+                                       with_target, runs, snrs, seed):
+        # each run of the curve engine, for any block size, chunk size,
+        # worker count and SNR grid, equals the per-block oracle point by point
         sc = tiny_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(21))
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
         theta = sc.target_mean_angle if with_target else None
-        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
-        form = model.lrt_form(0, sc.code_len)
-        power = model.row0 if theta is None else model.row1[0]
+        sc0, models, forms, gains = _curve_models(sc, T, bits, snrs)
+        powers = [m.row1[0] for m in models] if with_target else [models[0].row0] * len(snrs)
 
         with mock.patch.object(SIM, "_BLOCK_TRIALS", block), \
                 mock.patch.object(SIM, "_CHUNK_TRIALS", chunk), \
                 mock.patch.object(SIM, "_WORKERS", workers):
-            sources = SIM._sources(sc, T, theta)
-            got = [SIM._run_statistics(sources, quant, form, seed, trials, r, power)
+            sources = SIM._sources(sc0, T, theta)
+            got = [SIM._run_statistics(sources, quant, forms, seed, trials, r, powers, gains)
+                   if with_target else
+                   SIM._run_statistics(sources, quant, forms, seed, trials, r, powers[0])
                    for r in runs]
             for r, stats in zip(runs, got):
-                ref = _per_block_statistics(sc, T, quant, form, power, theta, seed, r, trials)
-                np.testing.assert_allclose(stats, ref, rtol=1e-12, atol=0.0)
+                for i in range(len(snrs)):
+                    ref = _per_block_statistics(sc0, T, quant, forms[i], powers[i], theta, seed,
+                                                r, trials, gains[i])
+                    np.testing.assert_allclose(stats[i], ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("bits", [1, 3, "ideal"])
     def test_full_blocks_match_dense_oracle(self, desk_scenario, bits):
@@ -209,16 +228,19 @@ class TestPipelinedEngine:
         sc = desk_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(22))
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
-        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
-        form = model.lrt_form(0, sc.code_len)
-        assert (form[2] == 0.0) == (bits == "ideal")
+        sc0, models, forms, gains = _curve_models(sc, T, bits, (0.0, 5.0))
+        assert all((form[2] == 0.0) == (bits == "ideal") for form in forms)
         with mock.patch.object(SIM, "_WORKERS", 2):
-            for run, theta, power in ((0, None, model.row0),
-                                      (2, sc.target_mean_angle, model.row1[0])):
-                ref = _per_block_statistics(sc, T, quant, form, power, theta, 23, run, 1100)
-                got = SIM._run_statistics(SIM._sources(sc, T, theta), quant, form, 23, 1100,
-                                          run, power)
-                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+            calibration = SIM._run_statistics(SIM._sources(sc0, T, None), quant, forms, 23,
+                                              1100, 0, models[0].row0)
+            target = SIM._run_statistics(SIM._sources(sc0, T, sc.target_mean_angle), quant,
+                                         forms, 23, 1100, 2, [m.row1[0] for m in models], gains)
+        for i, (form, model, gain) in enumerate(zip(forms, models, gains)):
+            ref = _per_block_statistics(sc0, T, quant, form, model.row0, None, 23, 0, 1100)
+            np.testing.assert_allclose(calibration[i], ref, rtol=1e-13, atol=0.0)
+            ref = _per_block_statistics(sc0, T, quant, form, model.row1[0],
+                                        sc.target_mean_angle, 23, 2, 1100, gain)
+            np.testing.assert_allclose(target[i], ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("bits", [1, 3])
     def test_run_holds_about_one_block_per_worker(self, desk_scenario, bits):
@@ -227,15 +249,15 @@ class TestPipelinedEngine:
         # worker; whole-run buffers or unchunked stages exceed it
         sc = desk_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(30))
-        model = M.low_rank_covariances(sc, T, M.quantization_model(bits), sc.target_mean_angle)
+        sc0, models, forms, gains = _curve_models(sc, T, bits, (10.0, 0.0, 5.0))
         block_bytes = SIM._BLOCK_TRIALS * sc.n_rx * sc.code_len * np.dtype(complex).itemsize
         workers = 2
         with mock.patch.object(SIM, "_WORKERS", workers):
-            quant, form = lloyd_max_codebook(bits), model.lrt_form(0, sc.code_len)
+            quant = lloyd_max_codebook(bits)
             tracemalloc.start()
             try:
-                SIM._run_statistics(SIM._sources(sc, T, sc.target_mean_angle), quant, form,
-                                    31, 2048, SIM._H1, model.row1[0])
+                SIM._run_statistics(SIM._sources(sc0, T, sc.target_mean_angle), quant, forms,
+                                    31, 2048, SIM._H1, [m.row1[0] for m in models], gains)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -319,6 +341,45 @@ class TestPipelinedEngine:
         assert point.pd == np.mean(h1 > point.threshold)
         assert point.empirical_pfa == np.mean(h0 > point.threshold)
 
+    @pytest.mark.parametrize("bits", [1, 3, "ideal"])
+    def test_curve_points_match_the_per_block_oracle(self, tiny_scenario, monkeypatch, bits):
+        # every point of a curve reads the one calibration, H0 and target
+        # runs: its own form, its own row1 and its target amplitude scaled
+        # by sqrt(P_i / P_0); no worker count changes a point
+        snrs, pfa, trials, seed = (2.0, -3.0, 6.0), 2e-2, 1500, 39
+        sc = tiny_scenario
+        T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(40))
+        quant = None if bits == "ideal" else lloyd_max_codebook(bits)
+        sc0, models, forms, gains = _curve_models(sc, T, bits, snrs)
+        monkeypatch.setattr(SIM, "_BLOCK_TRIALS", 256)
+        runs = {name: SIM._run_statistics(SIM._sources(sc0, T, theta), quant, forms, seed,
+                                          trials, run, *args)
+                for name, run, theta, args in (
+                    ("calibration", SIM._CALIBRATION, None, (models[0].row0,)),
+                    ("h0", SIM._H0, None, (models[0].row0,)),
+                    ("h1", SIM._H1, sc.target_mean_angle, ([m.row1[0] for m in models], gains)))}
+        expected = []
+        for i, (form, model, gain) in enumerate(zip(forms, models, gains)):
+            oracle = {name: _per_block_statistics(sc0, T, quant, form, power, theta, seed, run,
+                                                  trials, gain)
+                      for name, run, theta, power in (
+                          ("calibration", SIM._CALIBRATION, None, model.row0),
+                          ("h0", SIM._H0, None, model.row0),
+                          ("h1", SIM._H1, sc.target_mean_angle, model.row1[0]))}
+            for name in oracle:
+                np.testing.assert_allclose(runs[name][i], oracle[name], rtol=1e-12, atol=0.0)
+            threshold = float(np.quantile(runs["calibration"][i], 1.0 - pfa))
+            assert threshold == pytest.approx(np.quantile(oracle["calibration"], 1.0 - pfa),
+                                              rel=1e-12)
+            expected.append((threshold, np.mean(oracle["h1"] > threshold),
+                             np.mean(oracle["h0"] > threshold)))
+        assert len({t for t, _, _ in expected}) == len(snrs)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(SIM, "_WORKERS", workers)
+            curve = SIM.detection_curve(T, sc, bits, snrs, pfa, trials, seed)
+            got = [(p.threshold, p.pd, p.empirical_pfa) for p in curve._points]
+            assert got == expected
+
     def test_false_alarm_rate_read_later_ignores_changes_to_the_inputs(self, tiny_scenario):
         # the point measures empirical_pfa on the design and scenario it was
         # computed for, whatever the caller does to their arrays in between
@@ -348,15 +409,15 @@ def _record_runs(monkeypatch) -> list[tuple[int, int]]:
 class TestFalseAlarmRunOnDemand:
     def test_sweep_snr_draws_no_h0_trial(self, tmp_path, monkeypatch):
         # detection.csv holds pd alone, so the command makes only the
-        # calibration and target runs
+        # calibration and target runs, each drawn once for both SNR points
         drawn = _record_runs(monkeypatch)
         spec = ExperimentSpec(command="sweep-snr", scenario="desk32", bits=1, max_iters=20,
                               pfa=1e-2, trials=2048, snr_grid_db=(-5.0, 0.0),
                               out_dir=str(tmp_path))
         run_pipeline(spec)
         blocks = 2048 // SIM._BLOCK_TRIALS
-        assert sorted(drawn) == sorted(2 * [(r, b) for r in (SIM._CALIBRATION, SIM._H1)
-                                            for b in range(blocks)])
+        assert sorted(drawn) == sorted([(r, b) for r in (SIM._CALIBRATION, SIM._H1)
+                                        for b in range(blocks)])
 
     def test_h0_run_made_once_on_first_read(self, tiny_scenario, monkeypatch):
         sc = tiny_scenario
@@ -367,8 +428,8 @@ class TestFalseAlarmRunOnDemand:
         del drawn[:]
         first = curve.empirical_pfa
         assert np.array_equal(curve.empirical_pfa, first)     # the points keep their values
-        blocks = -(-2000 // SIM._BLOCK_TRIALS)
-        assert sorted(drawn) == sorted(2 * [(SIM._H0, b) for b in range(blocks)])
+        blocks = -(-2000 // SIM._BLOCK_TRIALS)         # one H0 run for the whole curve
+        assert sorted(drawn) == sorted([(SIM._H0, b) for b in range(blocks)])
 
 
 # one detection point, its H0 run included, in a process of its own

@@ -15,7 +15,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cebeam"
 
 # The paper's comparison method (METHOD_TAGS' "projection-baseline"): the
 # acceptance ordering check designs with it, and no CLI command does yet.
-ALLOWED = {"projection_baseline"}
+# simulate_detection is the public one-point detection_curve: every command
+# sweeps a curve, and the tests and README measure single points with it.
+ALLOWED = {"projection_baseline", "simulate_detection"}
 
 
 def _parse(path: Path) -> ast.Module:
