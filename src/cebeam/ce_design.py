@@ -36,7 +36,7 @@ at hand: A^T conj(A) is fixed per profile, Z = A^T X comes from the pattern
 evaluation and X^H X from the orthogonality residual.  With its Cholesky
 factor B^H B = L L^H,
 
-    lam_max(Q) = lam_max(L^H diag(d) L)                    (max with 0 if r < N_t),
+    lam_max(Q) = lam_max(L^H diag(d) L),
     smax(X)    = sqrt(lam_max(X^H X)),
     (shift * I - Q) X = shift * X - conj(A) ((phi - level) * Z) - pen * X (X^H X).
 
@@ -111,11 +111,11 @@ class MinorizerState:
     has rank at most r = P + N_rf.  When ``takes_low_rank(n_tx, r)``
     (n_tx >= 32 and 2 r <= n_tx), Q is never formed: ``lambda_max`` is the
     top eigenvalue of L^H diag(d) L for the Cholesky factor B^H B = L L^H of
-    the r x r Gram (at least 0 when r < n_tx), with the thin QR B = U R and
-    R diag(d) R^H as the fallback that ``gram_fallback`` marks;
-    ``sigma_max`` is sqrt(lambda_max(T_m^H T_m)), ``q_matrix`` is None, and
-    ``q_times_t`` holds Q T_m = conj(A) (gaps * Z) + penalty * T_m (T_m^H T_m),
-    with Z = A^T T_m.  Otherwise ``q_matrix`` holds the dense Q,
+    the r x r Gram, with the thin QR B = U R and R diag(d) R^H as the
+    fallback that ``gram_fallback`` marks; ``sigma_max`` is
+    sqrt(lambda_max(T_m^H T_m)), ``q_matrix`` is None, and ``q_times_t``
+    holds Q T_m = conj(A) (gaps * Z) + penalty * T_m (T_m^H T_m), with
+    Z = A^T T_m.  Otherwise ``q_matrix`` holds the dense Q,
     ``sigma_max`` comes from an SVD and ``q_times_t`` is None.
     """
 
@@ -304,8 +304,10 @@ def minorizer_matrix(x: Iterate, problem: DesignProblem, penalty: float) -> Mino
     from the record ``x`` and are not evaluated again.  On the problem's
     low-rank side only lambda_max and Q T_m are computed, from the r x r
     Gram of B = [conj(A), T_m]; see ``MinorizerState``.  On the dense side Q
-    is built in the problem's scratch.
+    is built in the problem's scratch.  A negative penalty is refused.
     """
+    if penalty < 0:
+        raise ModelError("penalty must be >= 0")
     T_m = x.T
     if problem.low_rank:
         lam, q_t, sigma_max, fell_back = _low_rank_minorizer(x, problem, penalty)
@@ -356,12 +358,14 @@ def _low_rank_minorizer(x: Iterate, problem: DesignProblem,
     is filled from the problem's A^T conj(A) and the record's
     Z = A^T T_m and T_m^H T_m.  When the Gram route cannot be trusted
     (``_gram_eigenvalues``), the thin QR B = U R gives R diag(d) R^H
-    instead.  Q is singular when r < n_tx, so its top eigenvalue is then at
-    least 0, while the gaps may all be negative.  Returns lambda_max, Q T_m,
-    sigma_max and whether the thin QR was taken.
+    instead.  That r x r matrix's top eigenvalue is itself lambda_max(Q) >= 0,
+    to rounding, though the gaps may all be negative: a direction x of
+    range(B) orthogonal to conj(A) has x^H Q x = penalty * |T_m^H x|^2 >= 0,
+    and without one B is rank-deficient, so the r x r matrix has zero
+    eigenvalues.  Returns lambda_max, Q T_m, sigma_max and whether the thin
+    QR was taken.
     """
     T_m, Z, gaps, gram = x.T, x.Z, x.gaps, x.gram
-    n_tx = T_m.shape[0]
     P = gaps.size
     G, d = problem.gram_work, problem.d_work
     G[:P, P:] = Z
@@ -375,7 +379,6 @@ def _low_rank_minorizer(x: Iterate, problem: DesignProblem,
         R = np.linalg.qr(np.concatenate((problem.A_conj, T_m), axis=1), mode="r")
         eigs = _lapack_values(eigvalsh_lo, (R * d) @ R.conj().T)
     lam = float(eigs[-1])                          # eigvalsh sorts ascending
-    lam = max(lam, 0.0) if d.size < n_tx else lam
     sigma_max = math.sqrt(max(float(_lapack_values(eigvalsh_lo, gram)[-1]), 0.0))
     q_t = problem.A_conj @ (gaps[:, None] * Z)
     q_t += np.multiply(penalty, T_m @ gram)

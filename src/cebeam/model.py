@@ -30,6 +30,11 @@ ADC_DISTORTION = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 # N_r x N_r eigensolve.
 MAX_CONDITION = 1e12
 
+# Most points a target grid may have; the built-in grids have 9 and 17.  Each
+# point is a profile angle, so the design's P x P steering Gram and every
+# stage-1 sweep (P coordinates, each scored over P points) grow with the count.
+MAX_TARGET_GRID_POINTS = 1000
+
 
 class ModelError(ValueError):
     """Invalid model construction or evaluation."""
@@ -186,8 +191,9 @@ class Scenario:
                                  self.clutter_angles))
         if np.any(np.abs(angles) > math.pi / 2 + 1e-12):
             raise ModelError("target grid and clutter angles must lie in [-pi/2, pi/2]")
-        if not math.isfinite(self.target_uncertainty / self.target_grid_spacing):
-            raise ModelError("target grid spacing is too fine: the grid's point count overflows")
+        # target_grid's count is round(uncertainty / spacing) + 1; the ratio is inf on overflow
+        if not self.target_uncertainty / self.target_grid_spacing < MAX_TARGET_GRID_POINTS - 0.5:
+            raise ModelError(f"target grid spacing too fine: over {MAX_TARGET_GRID_POINTS} points")
         all_angles = self.profile_angles()
         if np.unique(np.round(all_angles, 12)).size != all_angles.size:
             raise ModelError("duplicate angles in the target-grid/clutter union")

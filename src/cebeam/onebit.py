@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class EpmPoint:
     pattern terms, ``norm`` = ||t||, ``gram`` = T^T T - I, and ``mse``,
     ``binary_gap`` = N_rf - sqrt(N_rf) ||t|| and ``orth`` = ||gram||_F^2 the
     three cost terms.  The objective and the gradient at any penalties come
-    from these and conj(A); the last gradient is kept for its penalty pair.
+    from these and conj(A).
     """
 
     t: np.ndarray
@@ -103,7 +103,6 @@ class EpmPoint:
     mse: float
     binary_gap: float
     orth: float
-    _grad: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def objective(self, penalty_orth: float, penalty_bin: float) -> float:
         """Pattern-matching cost + binary-gap penalty + orthogonality penalty."""
@@ -112,15 +111,13 @@ class EpmPoint:
     def gradient(self, problem: DesignProblem, penalty_orth: float,
                  penalty_bin: float) -> np.ndarray:
         """Exact gradient of ``objective`` (column-major layout)."""
-        if self._grad[:2] != (penalty_orth, penalty_bin):
-            if self.norm == 0.0:
-                raise DegenerateIterateError("gradient undefined at t = 0")
-            # (g_pattern + g_bin) + g_orth, bit for bit: g_bin's array takes both sums
-            g = np.multiply(-penalty_bin * math.sqrt(self.T.shape[1]) / self.norm, self.T)
-            g += (problem.A_conj @ ((4.0 * self.gaps)[:, None] * self.Z)).real
-            g += np.multiply(4.0 * penalty_orth, self.T) @ self.gram
-            self._grad = (penalty_orth, penalty_bin, g.reshape(-1, order="F"))
-        return self._grad[2]
+        if self.norm == 0.0:
+            raise DegenerateIterateError("gradient undefined at t = 0")
+        # (g_pattern + g_bin) + g_orth, bit for bit: g_bin's array takes both sums
+        g = np.multiply(-penalty_bin * math.sqrt(self.T.shape[1]) / self.norm, self.T)
+        g += (problem.A_conj @ ((4.0 * self.gaps)[:, None] * self.Z)).real
+        g += np.multiply(4.0 * penalty_orth, self.T) @ self.gram
+        return g.reshape(-1, order="F")
 
 
 def epm_point(t: np.ndarray, problem: DesignProblem, n_tx: int, n_rf: int) -> EpmPoint:

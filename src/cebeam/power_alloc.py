@@ -110,7 +110,8 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     power, and ``tie_breaks`` counts the updates where that rule chose a level
     other than the exact argmax.  The objective trace is non-decreasing by
     construction; the sweep stops when one full pass improves the objective
-    by less than ``tol``.
+    by less than ``tol`` times its value, or not at all.  Both rules are
+    relative, since the objective shrinks as the target power squared.
     """
     if not (0.0 < grid_step <= 0.5):
         raise ModelError(f"grid step must lie in (0, 0.5], got {grid_step}")
@@ -138,7 +139,7 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
         v_cur = vals[cur_idx]
         # smallest level within a hair of the maximum wins plateaus, but never
         # accept a value below the incumbent
-        floor = max(vals.max() - 1e-9 * (1.0 + abs(vals.max())), v_cur)
+        floor = max(vals.max() - 1e-9 * abs(vals.max()), v_cur)
         best = int(np.argmax(vals >= floor))
         tie_breaks += best != int(np.argmax(vals))
         levels[idx] = candidates[best]
@@ -156,7 +157,7 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
         for k in range(K):
             current = update_coordinate(c_lvl, k, False)
             trace.append(current)
-        if current - before < tol:
+        if current - before <= tol * abs(current):     # 0 <= 0 at zero target power
             converged = True
             break
 

@@ -172,11 +172,6 @@ class DetectionCurve:
     trials: int
     _points: tuple[DetectionPoint, ...] = field(default=(), repr=False, compare=False)
 
-    def __post_init__(self):
-        if np.any(self.pd < 0.0) or np.any(self.pd > 1.0):
-            raise ModelError("detection probabilities must lie in [0, 1]")
-        check_detection_settings(self.pfa_target, self.trials)
-
     @property
     def empirical_pfa(self) -> np.ndarray:
         return np.asarray([p.empirical_pfa for p in self._points])
@@ -201,16 +196,15 @@ def lrt_statistics(Y: np.ndarray, G: np.ndarray, w: np.ndarray, gamma: float) ->
     ``Y`` has shape (trials, n_rx, snapshots) and ``G`` (rank, n_rx), with
     ``w`` real (``LowRankCovariances.lrt_form``), so each statistic is real:
     gamma*||Y_t||^2 + sum_k w_k ||(G Y_t)_k||^2, each squared norm a row-wise
-    dot product of float64 views; the first term is skipped when gamma is 0.
+    dot product of float64 views.
     """
     Y = np.ascontiguousarray(Y, dtype=np.complex128)
     GY = G @ Y
     n = Y.shape[0]
     gy = GY.view(np.float64).reshape(n, G.shape[0], -1)
     stats = np.einsum("tki,tki->tk", gy, gy) @ w
-    if gamma != 0.0:
-        y = Y.view(np.float64).reshape(n, -1)
-        stats += gamma * np.einsum("ti,ti->t", y, y)
+    y = Y.view(np.float64).reshape(n, -1)
+    stats += gamma * np.einsum("ti,ti->t", y, y)
     return stats
 
 
@@ -269,8 +263,15 @@ def _run_statistics(sources: tuple, quant: ScalarQuantizer | None,
 
 
 def scenario_at_snr(scenario: Scenario, snr_db: float) -> Scenario:
-    """``scenario`` with the target power set to snr * noise power, validated."""
-    return replace(scenario, target_power=scenario.noise_power * db_to_linear(snr_db))
+    """``scenario`` with the target power set to snr * noise power, validated.
+
+    A power that is not positive (-inf dB, or an underflow such as -4000 dB)
+    is refused: it would make the LRT form, and so every statistic, 0.
+    """
+    power = scenario.noise_power * db_to_linear(snr_db)
+    if not power > 0.0:
+        raise ModelError(f"SNR {snr_db!r} dB gives the target no power")
+    return replace(scenario, target_power=power)
 
 
 def simulate_detection(T: np.ndarray, scenario: Scenario, bits: int | str,
@@ -310,8 +311,7 @@ def detection_curve(T: np.ndarray, scenario: Scenario, bits: int | str,
     q = quantization_model(bits)
     quant = None if q.ideal else lloyd_max_codebook(int(bits))
     models = [low_rank_covariances(sc, T, q, scenario.target_mean_angle) for sc in scs]
-    # the target is drawn at point 0's power; a zero power draws it at unit power, scaled by 0
-    ref = scs[0] if scs[0].target_power > 0 else replace(scs[0], target_power=1.0)
+    ref = scs[0]                    # the target is drawn at point 0's power
     h0, row0 = _sources(ref, T, None), models[0].row0
     stats = partial(_run_statistics, quant=quant, seed=seed, trials=trials,
                     forms=[m.lrt_form(0, scenario.code_len) for m in models])

@@ -35,6 +35,8 @@ REALIZATION = f"{ENGINE}::test_realization_of_a_seed_is_pinned"
 POINT_RUNS = f"{ENGINE}::test_point_runs_match_the_per_block_oracle"
 CURVE_POINTS = f"{ENGINE}::test_curve_points_match_the_per_block_oracle"
 EXACT_LAW = "tests/test_exact_detection.py::test_ideal_adc_detection_matches_exact_law"
+LOW_POWER_PROFILE = ("tests/test_power_alloc.py::TestBcd::"
+                     "test_profile_is_the_same_at_every_low_target_power")
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,25 @@ MUTANTS = (
            "outside = scenario.n_rx - scenario.n_clutter",
            ("tests/test_power_alloc.py::TestAsymptoticObjective::"
             "test_exact_relative_entropy_recovered_without_clutter", SURROGATE_PRECISION)),
+    Mutant("snr-without-target-power-accepted", "simulate.py",
+           "if not power > 0.0:", "if False:",
+           ("tests/test_simulate.py::TestDetectionInputs::test_snr_without_target_power_refused",
+            "tests/test_pipeline_cli.py::TestCli::"
+            "test_sweep_snr_bad_snr_exits_2_before_design[-4000]")),
+    Mutant("target-grid-points-uncapped", "model.py",
+           "< MAX_TARGET_GRID_POINTS - 0.5:", "< math.inf:",
+           ("tests/test_model.py::TestScenario::"
+            "test_target_grid_outside_half_circle_or_uncountable_rejected[2e6-points]",
+            "tests/test_model.py::TestScenario::test_target_grid_may_hold_the_capped_point_count")),
+    Mutant("bcd-stop-absolute", "power_alloc.py",
+           "<= tol * abs(current):", "<= tol:",
+           (LOW_POWER_PROFILE,)),
+    Mutant("bcd-margin-absolute", "power_alloc.py",
+           "1e-9 * abs(vals.max())", "1e-9 * (1.0 + abs(vals.max()))",
+           (LOW_POWER_PROFILE,)),
+    Mutant("bcd-zero-gain-runs-on", "power_alloc.py",
+           "current - before <= tol", "current - before < tol",
+           ("tests/test_power_alloc.py::TestBcd::test_zero_target_power_stops",)),
     Mutant("snr-points-checked-after-design", "pipeline.py",
            "simulate.scenario_at_snr(scenario, snr)", "pass",
            ("tests/test_pipeline_cli.py::TestCli::"
@@ -138,11 +159,11 @@ MUTANTS = (
     Mutant("e-notation-snr-taken-for-a-flag", "cli.py",
            r"([eE][-+]?\d+)?$", "$",
            ("tests/test_pipeline_cli.py::TestCliSpec::test_negative_snr_in_e_notation",)),
-    # caught only by comparing bits; a change that re-pins this test needs
-    # another killer first
+    # the bit pin, and the descent bound that the optimistic shift must meet
     Mutant("optimistic-shift-0.5", "ce_design.py",
            "(state.sigma_max + 1.05) ** 2", "(state.sigma_max + 0.5) ** 2",
-           ("tests/test_ce_design.py::test_dense_map_is_bit_identical_below_crossover",)),
+           ("tests/test_ce_design.py::test_dense_map_is_bit_identical_below_crossover",
+            "tests/test_ce_design.py::test_optimistic_shift_covers_each_step_it_takes")),
 )
 
 

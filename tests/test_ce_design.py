@@ -621,10 +621,18 @@ class TestLowRankMinorizer:
         assert sigma == pytest.approx(np.linalg.norm(T, 2), rel=1e-14)
 
     def test_all_negative_gaps_clamp_to_zero(self):
-        # Q has null directions when r < n_tx, so lambda_max(Q) = 0 exactly
+        # Q has null directions when r < n_tx, so lambda_max(Q) = 0; at penalty
+        # 0 the r x r matrix has exact-zero rows for T_m's columns, so its top
+        # eigenvalue is 0 exactly
         T = M.random_unit_modulus(20, 2, np.random.default_rng(0))
         _, (lam, _, _, _) = _low_rank(T, [-0.4, 0.3], np.array([-0.3, -0.6]), 0.0)
         assert lam == 0.0
+
+    @pytest.mark.parametrize("n_tx", [12, 40])
+    def test_negative_penalty_refused(self, n_tx):
+        T = M.random_unit_modulus(n_tx, 2, np.random.default_rng(4))
+        with pytest.raises(M.ModelError, match="penalty"):
+            minorizer(T, random_profile(np.random.default_rng(5)), -1e-3)
 
     def test_sides_of_the_crossover(self):
         # default128 goes matrix-free; desk32 keeps the dense path bit for bit
@@ -663,6 +671,43 @@ class TestLowRankMinorizer:
             before = C.penalized_objective(T, prof, 0.05)
             after = C.penalized_objective(map_T(T, prof, 0.05), prof, 0.05)
             assert after <= before + 1e-9
+
+
+@pytest.mark.parametrize("name", ["desk32", "default128"])
+def test_optimistic_shift_covers_each_step_it_takes(monkeypatch, name):
+    # the descent proof needs shift >= lambda_max(Q) + (smax(X) + smax(T'))^2
+    # lam_P / 2 for the step X -> T' the shift makes; the optimistic shift
+    # assumes smax(T') <= 1.05, so it must meet that bound whenever its own
+    # step was accepted with smax(T') <= 1.05.  The bound is taken from a
+    # dense Q and an inline lam_P, not from the map's own values.
+    from cebeam.pipeline import load_scenario, run_power_allocation
+    sc = load_scenario(name)
+    prof = run_power_allocation(sc, 1).profile
+    A, gram_lambda = steering_and_lambda(prof, sc.n_tx)
+    shifts, checked = [], []
+    direction, mm_map = C.MinorizerState.direction, C.mm_map
+
+    def recorded_direction(state, problem, T_m, shift):
+        shifts.append(shift)
+        return direction(state, problem, T_m, shift)
+
+    def checked_map(x, problem, penalty, counts=None):
+        shifts.clear()
+        out = mm_map(x, problem, penalty, counts)
+        sigma_new = np.linalg.norm(out.T, 2)
+        if out is not x and not out.fallback and sigma_new <= 1.05:
+            Q = (A.conj() * gaps_of(x.T, prof, A)) @ A.T + penalty * (x.T @ x.T.conj().T)
+            lam = np.linalg.eigvalsh(0.5 * (Q + Q.conj().T))[-1]
+            bound = lam + 0.5 * (np.linalg.norm(x.T, 2) + sigma_new) ** 2 * (gram_lambda + penalty)
+            assert shifts[0] >= bound - 1e-9 * abs(bound)
+            checked.append(penalty)
+        return out
+
+    monkeypatch.setattr(C.MinorizerState, "direction", recorded_direction)
+    monkeypatch.setattr(C, "mm_map", checked_map)
+    T0 = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(31))
+    _, trace = C.squarem_accelerated_mm(T0, prof, C.CeDesignParams())
+    assert len(checked) > trace.map_evals // 4 and max(checked) > C.PENALTY_INIT
 
 
 def _parent_objective(T, profile, penalty):

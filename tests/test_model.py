@@ -599,6 +599,9 @@ class TestScenario:
         # 2 degrees over a subnormal spacing: the point count overflows
         pytest.param({"target_uncertainty": math.radians(2.0),
                       "target_grid_spacing": math.radians(1e-320)}, id="subnormal-spacing"),
+        # 2e6 points, past the cap on the count
+        pytest.param({"target_uncertainty": math.radians(2.0),
+                      "target_grid_spacing": math.radians(1e-6)}, id="2e6-points"),
         # the mean and clutter lie inside, but the grid reaches 100 degrees
         pytest.param({"target_mean_angle": math.radians(80.0),
                       "target_uncertainty": math.radians(40.0),
@@ -609,6 +612,14 @@ class TestScenario:
     def test_target_grid_outside_half_circle_or_uncountable_rejected(self, tiny_scenario, grid):
         with pytest.raises(M.ModelError, match="target grid"):
             M.Scenario(**{**_scenario_kwargs(tiny_scenario), **grid})
+
+    def test_target_grid_may_hold_the_capped_point_count(self, tiny_scenario):
+        kw = {**_scenario_kwargs(tiny_scenario), "target_uncertainty": math.radians(2.0)}
+        cap = M.MAX_TARGET_GRID_POINTS
+        sc = M.Scenario(**{**kw, "target_grid_spacing": math.radians(2.0) / (cap - 1)})
+        assert sc.target_grid().size == cap
+        with pytest.raises(M.ModelError, match="target grid"):
+            M.Scenario(**{**kw, "target_grid_spacing": math.radians(2.0) / cap})
 
     def test_target_grid_may_end_at_endfire(self, tiny_scenario):
         # the ends hold the same 1e-12 slack as the clutter angles

@@ -388,24 +388,3 @@ class TestLeanLoopIsTheParent:
         assert (trace.momentum_resets, trace.halvings) == (counts["momentum_resets"],
                                                            counts["halvings"])
         assert trace.iterations > OB.PENALTY_PERIOD and trace.momentum_resets > 0
-
-    def test_each_gradient_computed_once_per_penalty_pair(self, monkeypatch):
-        # the reset path and the convergence norm ask again for gradients the
-        # loop already has; each point answers with the array it computed
-        calls = []
-        gradient = OB.EpmPoint.gradient
-
-        def recorded(point, problem, penalty_orth, penalty_bin):
-            g = gradient(point, problem, penalty_orth, penalty_bin)
-            calls.append((point, penalty_orth, penalty_bin, g))
-            return g
-
-        monkeypatch.setattr(OB.EpmPoint, "gradient", recorded)
-        rng = np.random.default_rng(12)
-        t0 = rng.choice([-1.0, 1.0], 16 * 2) * 0.9 / 4.0
-        _, trace = OB.nesterov_epm(t0, three_angle_profile(), 16, 2,
-                                   OB.OneBitParams(max_iters=300))
-        first = {}
-        for point, po, pb, g in calls:
-            assert first.setdefault((id(point), po, pb), g) is g
-        assert trace.momentum_resets > 0 and len(first) < len(calls)

@@ -99,18 +99,20 @@ class TestScenarioLoading:
 
 
 class TestDesignReport:
-    def test_unknown_method_tag_rejected(self):
-        with pytest.raises(M.ModelError):
-            PL.DesignReport(method="magic", iterations=1, wall_time_s=0.0,
-                            final_mse=0.0, orthogonality_residual=0.0)
+    def test_unknown_method_tag_rejected(self, mini_scenario_file, monkeypatch):
+        # run_ce_design refuses a method other than AMM or MM before it designs
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a design stage ran before the method was checked")
+
+        for name in ("bcd_power_allocation", "plain_mm", "squarem_accelerated_mm"):
+            monkeypatch.setattr(PL, name, no_stage)
+        with pytest.raises(M.ModelError, match="magic"):
+            PL.run_ce_design(PL.load_scenario(mini_scenario_file), 1, 0, method="magic")
 
     def test_non_finite_field_rejected(self):
         with pytest.raises(M.ModelError):
             PL.DesignReport(method="AMM", iterations=1, wall_time_s=0.0,
                             final_mse=float("nan"), orthogonality_residual=0.0)
-
-    def test_tag_vocabulary_is_complete(self):
-        assert set(PL.METHOD_TAGS) == {"AMM", "MM", "projection-baseline", "Nesterov-EPM"}
 
 
 class TestProjectionBaseline:
@@ -299,11 +301,16 @@ class TestCli:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert [str(w.message) for w in recwarn] == []
 
-    # a spacing so fine that the grid's point count overflows, and a grid that
-    # runs past 90 degrees around an accepted mean
+    # a spacing so fine that the grid's point count overflows or passes the
+    # cap (2e6 points, and 2e11, which would not fit in memory), and a grid
+    # that runs past 90 degrees around an accepted mean
     @pytest.mark.parametrize("grid", [
         pytest.param({"target_grid_spacing_deg": 1e-320, "target_uncertainty_deg": 2.0},
                      id="subnormal-spacing"),
+        pytest.param({"target_grid_spacing_deg": 1e-6, "target_uncertainty_deg": 2.0},
+                     id="2e6-points"),
+        pytest.param({"target_grid_spacing_deg": 1e-11, "target_uncertainty_deg": 2.0},
+                     id="2e11-points"),
         pytest.param({"target_mean_angle_deg": 80.0, "target_uncertainty_deg": 40.0,
                       "target_grid_spacing_deg": 10.0}, id="past-endfire")])
     def test_bad_target_grid_exits_2(self, mini_scenario_file, tmp_path, capsys, grid):
@@ -327,10 +334,11 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
-    # 3080 dB is a finite power that only the point's scenario refuses
-    @pytest.mark.parametrize("snr", ["nan", "inf", "1e308", "3080"])
+    # 3080 dB is a finite power that only the point's scenario refuses, and
+    # -4000 dB underflows to no target power
+    @pytest.mark.parametrize("snr", ["nan", "inf", "1e308", "3080", "-4000"])
     def test_sweep_snr_bad_snr_exits_2_before_design(self, mini_scenario_file, tmp_path,
-                                                     monkeypatch, snr):
+                                                     monkeypatch, capsys, snr):
         def no_design(*args, **kwargs):
             raise AssertionError("the design ran before the SNR was checked")
 
@@ -338,6 +346,8 @@ class TestCli:
         code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--snr", "0", snr,
                          "--out", str(tmp_path / "o")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_negative_seed_exits_2_before_stage_1(self, mini_scenario_file, tmp_path,
                                                   monkeypatch):

@@ -190,14 +190,14 @@ class TestBcd:
             for k in reversed(range(desk_scenario.n_clutter)):
                 cand = np.tile(c_lvl, (101, 1)); cand[:, k] = cands
                 vals = P.profile_objective(np.tile(t_lvl, (101, 1)), cand, desk_scenario, q)
-                k_best = int(np.argmax(vals >= vals.max() - 1e-9 * (1 + abs(vals.max()))))
+                k_best = int(np.argmax(vals >= vals.max() - 1e-9 * abs(vals.max())))
                 c_lvl[k] = cands[k_best]; current = float(vals[k_best])
             for i in reversed(range(grid.size)):
                 cand = np.tile(t_lvl, (101, 1)); cand[:, i] = cands
                 vals = P.profile_objective(cand, np.tile(c_lvl, (101, 1)), desk_scenario, q)
-                i_best = int(np.argmax(vals >= vals.max() - 1e-9 * (1 + abs(vals.max()))))
+                i_best = int(np.argmax(vals >= vals.max() - 1e-9 * abs(vals.max())))
                 t_lvl[i] = cands[i_best]; current = float(vals[i_best])
-            if current - before < 1e-4:
+            if current - before <= 1e-4 * abs(current):
                 break
         assert current == pytest.approx(forward.objective, rel=1e-6)
 
@@ -210,19 +210,20 @@ class TestBcd:
                                                                   monkeypatch):
         # the plateau rule picks the first level within a hair of the maximum,
         # so a chosen level scores below max(vals) exactly when it is not
-        # argmax(vals); at -30 dB and one bit the target levels, updated while the
-        # clutter levels still sit at 0.5, have genuine near-ties
+        # argmax(vals).  An ideal ADC leaves every clutter coordinate exactly
+        # flat; a rise of 1e-12 of the value per candidate, far inside the
+        # 1e-9 margin, turns those plateaus into near-ties
         maxima = []
         objective = P.profile_objective
 
         def recorded(*args):
             vals = objective(*args)
+            vals = vals + 1e-12 * np.abs(vals) * np.arange(vals.size)
             maxima.append(vals.max())
             return vals
 
         monkeypatch.setattr(P, "profile_objective", recorded)
-        sc = replace(flagship_scenario, target_power=M.db_to_linear(-30.0))
-        res = P.bcd_power_allocation(sc, M.quantization_model(1))
+        res = P.bcd_power_allocation(flagship_scenario, M.quantization_model("ideal"))
         maxima = np.array(maxima[1:])          # the first call scores the start point
         assert maxima.size == res.trace.size
         assert res.tie_breaks == int(np.sum(res.trace < maxima)) > 0
@@ -233,6 +234,27 @@ class TestBcd:
         # target power, so no clutter update sees a near-tie
         sc = replace(flagship_scenario, target_power=M.db_to_linear(power_db))
         assert P.bcd_power_allocation(sc, M.quantization_model("ideal")).tie_breaks == 0
+
+    @pytest.mark.parametrize("bits", [1, 3, "ideal"])
+    @pytest.mark.parametrize("name", ["default128", "desk32"])
+    def test_profile_is_the_same_at_every_low_target_power(self, name, bits):
+        # in the small-signal limit the surrogate is P_t^2 times a function of
+        # the levels, and the stopping rule and the plateau margin are both
+        # relative, so nothing depends on how small the target power is
+        sc, q = load_scenario(name), M.quantization_model(bits)
+        results = [P.bcd_power_allocation(replace(sc, target_power=M.db_to_linear(db)), q)
+                   for db in (-40.0, -60.0, -80.0)]
+        for res in results:
+            np.testing.assert_array_equal(res.profile.target_levels, 1.0)
+            np.testing.assert_array_equal(res.profile.clutter_levels, 0.0)
+            assert (res.sweeps, res.tie_breaks, res.converged) == (2, 0, True)
+
+    def test_zero_target_power_stops(self, desk_scenario):
+        # the surrogate is exactly 0 for every profile: the first sweep gains
+        # nothing, and a sweep that gains nothing stops
+        res = P.bcd_power_allocation(replace(desk_scenario, target_power=0.0),
+                                     M.quantization_model(1))
+        assert (res.sweeps, res.converged, res.objective) == (1, True, 0.0)
 
     def test_bad_grid_step_rejected(self, desk_scenario):
         with pytest.raises(M.ModelError):

@@ -141,12 +141,6 @@ class TestDetection:
         assert curve.pd.shape == (2,)
         assert np.all(curve.pd >= 0) and np.all(curve.pd <= 1)
 
-    def test_curve_validation(self):
-        with pytest.raises(M.ModelError):
-            SIM.DetectionCurve(snr_db=np.array([0.0]), pd=np.array([0.5]),
-                               ci_halfwidth=np.array([0.01]),
-                               pfa_target=1e-4, trials=1000)
-
 
 def _per_block_statistics(scenario, T, quant, form, power, theta_t, seed, run, trials,
                           gain=1.0):
@@ -224,7 +218,7 @@ class TestPipelinedEngine:
         # 512-trial blocks in 64-trial chunks, the last of each cut short; at
         # one bit the engine adds the constant gamma*||y||^2 instead of
         # reducing it.  The ideal ADC's scaled-identity parts are equal, so
-        # its gamma is 0 and the norm term is skipped.
+        # its gamma is 0 and the norm term adds 0.
         sc = desk_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(22))
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
@@ -482,6 +476,20 @@ class TestDetectionInputs:
         T = M.random_unit_modulus(8, 2, np.random.default_rng(29))
         with pytest.raises(M.ModelError):
             SIM.simulate_detection(T, tiny_scenario, 1, math.nan, pfa=1e-2, trials=2000, seed=0)
+
+    # -4000 dB underflows to a power of 0: with no target power every
+    # statistic would be 0, and pd would read 0 instead of about pfa
+    @pytest.mark.parametrize("snr_db", [-math.inf, -4000.0])
+    def test_snr_without_target_power_refused(self, tiny_scenario, snr_db):
+        with pytest.raises(M.ModelError, match="no power"):
+            SIM.scenario_at_snr(tiny_scenario, snr_db)
+        T = M.random_unit_modulus(8, 2, np.random.default_rng(29))
+        with pytest.raises(M.ModelError, match="no power"):
+            SIM.detection_curve(T, tiny_scenario, 1, (snr_db, 0.0), 1e-2, 2000, seed=0)
+
+    def test_smallest_positive_target_power_accepted(self, tiny_scenario):
+        # -3230 dB is a subnormal power, above 0
+        assert 0.0 < SIM.scenario_at_snr(tiny_scenario, -3230.0).target_power < 1e-300
 
 
 class TestSteeringExperiment:

@@ -13,7 +13,7 @@ from test_perfbench_names import PERFBENCH, _load
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cebeam"
 
-# The paper's comparison method (METHOD_TAGS' "projection-baseline"): the
+# The paper's comparison method (the report tag "projection-baseline"): the
 # acceptance ordering check designs with it, and no CLI command does yet.
 # simulate_detection is the public one-point detection_curve: every command
 # sweeps a curve, and the tests and README measure single points with it.
