@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int)
         p.add_argument("--tol", type=float)
         if name == "design-ce":
-            p.add_argument("--method", choices=("AMM", "MM"))
+            p.add_argument("--method", help="stage-2 scheme: AMM or MM")
         if name == "evaluate":
             p.add_argument("--design", dest="design_path",
                            help="phase matrix (degrees) or +-1 sign grid, text")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
 from pathlib import Path
@@ -18,7 +19,7 @@ from .ce_design import (CeDesignParams, DesignProblem, MmTrace, beampattern_mse,
                         evaluate_iterate, orthogonality_residual, plain_mm,
                         squarem_accelerated_mm)
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
-                    beampattern_powers, db_to_linear, quantization_model, random_unit_modulus,
+                    beampattern_powers, quantization_model, random_unit_modulus,
                     relative_entropies, unit_modulus)
 # the dense oracle, under the names perfbench's tracer wraps in this module
 from .model import hypothesis_covariances, relative_entropy  # noqa: F401
@@ -49,14 +50,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ModelError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
-        if str(self.method).upper() not in ("AMM", "MM"):
-            raise ModelError(f"unknown design method {self.method!r}; expected AMM or MM")
         if self.seed < 0:
             raise ModelError(f"seed must be >= 0, got {self.seed}")
-        self.snr_grid_db = tuple(self.snr_grid_db)
-        for snr in self.snr_grid_db:
-            if not math.isfinite(db_to_linear(snr)):
-                raise ModelError(f"SNR {snr!r} dB has no finite linear power")
+        self.snr_grid_db = tuple(self.snr_grid_db)     # each point is checked by scenario_at_snr
 
 
 @dataclass
@@ -107,9 +103,15 @@ def provenance(scenario: Scenario, spec: ExperimentSpec, params: dict) -> dict:
     }
 
 
+def _artifact(path: Path) -> Path:
+    """``path``, its directory made: a run's first artifact makes its output directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_csv(path: Path, header: list[str], rows, prov: dict) -> None:
     """CSV with '#'-prefixed provenance lines before the column header."""
-    with open(path, "w") as fh:
+    with open(_artifact(path), "w") as fh:
         for key, val in prov.items():
             fh.write(f"# {key}: {json.dumps(val, sort_keys=True, default=str)}\n")
         fh.write(",".join(header) + "\n")
@@ -124,8 +126,7 @@ def write_json(path: Path, payload: dict, prov: dict) -> None:
                           allow_nan=False)
     except ValueError as exc:
         raise ModelError(f"{path.name} would hold a non-finite number ({exc})") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _artifact(path).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def _design_ce(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
     T, report, trace, profile = run_ce_design(
         scenario, spec.bits, spec.seed, spec.method, params, monitor=monitor)
     prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
-    np.savetxt(out / "phases_deg.txt", np.degrees(np.angle(T)), fmt="%.10f")
+    np.savetxt(_artifact(out / "phases_deg.txt"), np.degrees(np.angle(T)), fmt="%.10f")
     rows = [(i + 1, trace.mse[i], trace.orth_residual[i], entropy_marks.get(i + 1))
             for i in range(trace.iterations)]
     write_csv(out / "design_trace.csv",
@@ -316,7 +317,7 @@ def _design_onebit(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
     params = OneBitParams(**_limits(spec))
     T, report, trace, profile = run_onebit_design(scenario, spec.bits, spec.seed, params)
     prov = provenance(scenario, spec, {"bits": spec.bits, **asdict(params)})
-    np.savetxt(out / "signs.txt", np.sign(T).astype(int), fmt="%+d")
+    np.savetxt(_artifact(out / "signs.txt"), np.sign(T).astype(int), fmt="%+d")
     rows = [(i + 1, trace.objective[i], trace.grad_norm[i], trace.binary_gap[i])
             for i in range(trace.iterations)]
     write_csv(out / "onebit_trace.csv",
@@ -402,21 +403,21 @@ def run_pipeline(spec: ExperimentSpec) -> int:
     """Execute one command, write its artifacts, return the exit status.
 
     Status 0 means every stage converged within its tolerance; outputs are
-    written in any case.
+    written in any case, the first of them making the output directory.
     """
     scenario = load_scenario(spec.scenario)
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return 0 if HANDLERS[spec.command](spec, scenario, out) else 1
+    return 0 if HANDLERS[spec.command](spec, scenario, Path(spec.out_dir)) else 1
 
 
 def _load_design(path: str, scenario: Scenario) -> np.ndarray:
     """Read a design file: phases in degrees, or a +-1 sign grid."""
     try:
-        raw = np.loadtxt(path, ndmin=2)      # one column (n_rf = 1) stays n_tx x 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)    # an empty file's "no data"
+            raw = np.loadtxt(path, ndmin=2)      # one column (n_rf = 1) stays n_tx x 1
     except OSError as exc:
         raise ModelError(f"cannot read design file {path!r}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, UserWarning) as exc:
         raise ModelError(f"design file {path!r} is not a numeric matrix: {exc}") from exc
     if raw.shape != (scenario.n_tx, scenario.n_rf):
         raise ModelError(f"design shape {raw.shape} does not match "

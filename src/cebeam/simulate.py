@@ -32,6 +32,10 @@ _CHUNK_TRIALS = 64
 # Trials per steering build in steering_crosscorr_experiment, which bounds its
 # memory; it changes no result.
 _GRAM_TRIALS = 64
+# Most trials a detection run may have.  A run keeps a float64 statistic per
+# trial and SNR point, 80 MB a point at the cap; far past it, memory runs out,
+# and only after the design.
+MAX_TRIALS = 10_000_000
 # the runs of a detection curve, numbered as their streams' first spawn key
 _CALIBRATION, _H0, _H1 = range(3)
 # one Monte Carlo worker thread per core this process may run on
@@ -181,9 +185,9 @@ def check_detection_settings(pfa: float, trials: int) -> None:
     """Refuse a false-alarm rate or trial count detection cannot use."""
     if not 0.0 < pfa < 1.0:          # also refuses NaN and infinities
         raise ModelError(f"pfa must be finite and in (0, 1), got {pfa!r}")
-    if trials < 10.0 / pfa:
-        raise ModelError(
-            f"need at least {int(10.0 / pfa)} trials to calibrate pfa={pfa:g}, got {trials}")
+    if not 10.0 / pfa <= trials <= MAX_TRIALS:
+        raise ModelError(f"trials must be at least {math.ceil(10.0 / pfa)} to calibrate "
+                         f"pfa={pfa:g} and at most {MAX_TRIALS}, got {trials}")
 
 
 def _block_rng(seed: int, run: int, block: int) -> np.random.Generator:
@@ -265,12 +269,12 @@ def _run_statistics(sources: tuple, quant: ScalarQuantizer | None,
 def scenario_at_snr(scenario: Scenario, snr_db: float) -> Scenario:
     """``scenario`` with the target power set to snr * noise power, validated.
 
-    A power that is not positive (-inf dB, or an underflow such as -4000 dB)
-    is refused: it would make the LRT form, and so every statistic, 0.
+    The one SNR check: it refuses a power that is not finite and positive (nan, +-inf
+    or 1e308 dB, or -4000 dB, which underflows to 0 and would make every statistic 0).
     """
     power = scenario.noise_power * db_to_linear(snr_db)
-    if not power > 0.0:
-        raise ModelError(f"SNR {snr_db!r} dB gives the target no power")
+    if not 0.0 < power < math.inf:
+        raise ModelError(f"SNR {snr_db!r} dB gives no finite, positive target power")
     return replace(scenario, target_power=power)
 
 

@@ -35,6 +35,10 @@ REALIZATION = f"{ENGINE}::test_realization_of_a_seed_is_pinned"
 POINT_RUNS = f"{ENGINE}::test_point_runs_match_the_per_block_oracle"
 CURVE_POINTS = f"{ENGINE}::test_curve_points_match_the_per_block_oracle"
 EXACT_LAW = "tests/test_exact_detection.py::test_ideal_adc_detection_matches_exact_law"
+ARCSINE_LAW = "tests/test_simulate.py::TestOneBitArcsineLaw::test_engine_samples_follow_the_law"
+REFUSALS = "tests/test_pipeline_cli.py::TestCliRefusals::test_refused_command_writes_nothing"
+TRIAL_CAP = ("tests/test_pipeline_cli.py::TestCli::"
+             "test_sweep_snr_trials_past_the_cap_exit_2_before_design")
 LOW_POWER_PROFILE = ("tests/test_power_alloc.py::TestBcd::"
                      "test_profile_is_the_same_at_every_low_target_power")
 
@@ -83,11 +87,11 @@ MUTANTS = (
     Mutant("h0-runs-draw-the-target", "simulate.py",
            "h0, row0 = _sources(ref, T, None), models[0].row0",
            "h0, row0 = _sources(ref, T, scenario.target_mean_angle), models[0].row0",
-           (POINT_RUNS, CURVE_POINTS, REALIZATION)),
+           (POINT_RUNS, CURVE_POINTS, REALIZATION, ARCSINE_LAW)),
     Mutant("h0-run-scaled-by-row1", "simulate.py",
            "h0_run = cache(partial(stats, h0, run=_H0, row_power=row0))",
            "h0_run = cache(partial(stats, h0, run=_H0, row_power=models[0].row1[0]))",
-           (POINT_RUNS, CURVE_POINTS, REALIZATION)),
+           (POINT_RUNS, CURVE_POINTS, REALIZATION, ARCSINE_LAW)),
     # the block size defines the streams: only the pinned realization sees it
     Mutant("block-trials-256", "simulate.py",
            "_BLOCK_TRIALS = 512", "_BLOCK_TRIALS = 256",
@@ -97,11 +101,11 @@ MUTANTS = (
     Mutant("echo-scaled-by-power-ratio", "simulate.py",
            "gains=[math.sqrt(sc.target_power / ref.target_power) for sc in scs]",
            "gains=[sc.target_power / ref.target_power for sc in scs]",
-           (CURVE_POINTS, EXACT_LAW)),
+           (CURVE_POINTS, EXACT_LAW, ARCSINE_LAW)),
     Mutant("later-points-quantized-with-point-0-row1", "simulate.py",
            "row_power=[m.row1[0] for m in models]",
            "row_power=[models[0].row1[0] for m in models]",
-           (CURVE_POINTS,)),
+           (CURVE_POINTS, ARCSINE_LAW)),
     Mutant("thresholds-with-point-0-form", "simulate.py",
            "thresholds = [float(np.quantile(c, 1.0 - pfa)) for c in calibration]",
            "thresholds = [float(np.quantile(calibration[0], 1.0 - pfa)) for c in calibration]",
@@ -116,7 +120,7 @@ MUTANTS = (
            ("tests/test_quantizer.py::TestKernelPaths::"
             "test_one_bit_is_the_three_pass_form_bit_for_bit",
             "tests/test_quantizer.py::TestQuantizeReceived::"
-            "test_measured_distortion_tracks_table")),
+            "test_measured_distortion_tracks_table", ARCSINE_LAW)),
     Mutant("grid-ends-unchecked", "model.py",
            "[self.target_mean_angle - half, self.target_mean_angle + half]",
            "[self.target_mean_angle]",
@@ -134,8 +138,10 @@ MUTANTS = (
            ("tests/test_power_alloc.py::TestAsymptoticObjective::"
             "test_exact_relative_entropy_recovered_without_clutter", SURROGATE_PRECISION)),
     Mutant("snr-without-target-power-accepted", "simulate.py",
-           "if not power > 0.0:", "if False:",
+           "if not 0.0 < power < math.inf:", "if False:",
            ("tests/test_simulate.py::TestDetectionInputs::test_snr_without_target_power_refused",
+            "tests/test_simulate.py::TestDetectionInputs::"
+            "test_snr_without_finite_target_power_refused",
             "tests/test_pipeline_cli.py::TestCli::"
             "test_sweep_snr_bad_snr_exits_2_before_design[-4000]")),
     Mutant("target-grid-points-uncapped", "model.py",
@@ -159,6 +165,15 @@ MUTANTS = (
     Mutant("e-notation-snr-taken-for-a-flag", "cli.py",
            r"([eE][-+]?\d+)?$", "$",
            ("tests/test_pipeline_cli.py::TestCliSpec::test_negative_snr_in_e_notation",)),
+    # the output directory made before the handler's input checks run
+    Mutant("eager-mkdir", "pipeline.py",
+           "    return 0 if HANDLERS[spec.command](spec, scenario, Path(spec.out_dir)) else 1",
+           "    Path(spec.out_dir).mkdir(parents=True, exist_ok=True)\n"
+           "    return 0 if HANDLERS[spec.command](spec, scenario, Path(spec.out_dir)) else 1",
+           (REFUSALS, TRIAL_CAP)),
+    Mutant("trials-uncapped", "simulate.py",
+           "<= trials <= MAX_TRIALS:", "<= trials:",
+           (REFUSALS, TRIAL_CAP)),
     # the bit pin, and the descent bound that the optimistic shift must meet
     Mutant("optimistic-shift-0.5", "ce_design.py",
            "(state.sigma_max + 1.05) ** 2", "(state.sigma_max + 0.5) ** 2",

@@ -3,8 +3,9 @@
 None of these runs in a design or an evaluation: each is the slow, direct
 form of something the library computes another way (a single-angle steering
 vector and pattern, the sign enumeration that the one-bit solver approximates,
-the sample covariance that the linearized quantizer model predicts, the
-steering Gram experiment over all trials at once).
+the sample covariance that the linearized quantizer model predicts, the exact
+law of one-bit samples that it linearizes, the steering Gram experiment over
+all trials at once).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from cebeam.ce_design import DesignProblem, pattern_terms
 from cebeam.model import (ModelError, Scenario, hypothesis_covariances, low_rank_covariances,
                           quantization_model, steering_matrix)
 from cebeam.quantizer import lloyd_max_codebook, quantize_received
-from cebeam.simulate import received_batch
+from cebeam.simulate import lfm_waveforms, received_batch
 
 
 def steering_vector(theta: float, n: int) -> np.ndarray:
@@ -107,6 +108,40 @@ def sample_h0_covariance_error(scenario: Scenario, T: np.ndarray, bits: int | st
     sample_cov = acc / (trials * L)
     model_cov = hypothesis_covariances(scenario, T, q, scenario.target_mean_angle).r0 / L
     return float(np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov))
+
+
+def one_bit_covariance(scenario: Scenario, T: np.ndarray, theta_t: float | None) -> np.ndarray:
+    """Exact E[y y^H] of one-bit samples, averaged over the L snapshots (arcsine law).
+
+    Snapshot l of the unquantized data is circular Gaussian with covariance
+    R_l = noise I + sum_k p_k |b_kl|^2 a_k a_k^H: source k (the target first,
+    when ``theta_t`` is given) has power p_k, receive steering a_k and
+    transmit response b_k = (a_t,k^T T S)_l.  Each real part is quantized to
+    c*sign, c^2 = row/pi, with row the row power averaged over the snapshots
+    (the model's gain control).  For unit-variance Gaussians
+    E[sign(u) sign(v)] = (2/pi) arcsin(corr(u, v)), so with rho_l the
+    correlation coefficients of R_l
+    E[y_i y_j*] = (4 row/pi^2) mean_l (arcsin Re rho_l,ij + j arcsin Im rho_l,ij),
+    and E|y_i|^2 = 2 row/pi.  The linearized model's alpha^2 R + alpha beta
+    diag(R) is the first-order term of this series.
+    """
+    angles = list(scenario.clutter_angles)
+    powers = list(scenario.clutter_powers)
+    if theta_t is not None:
+        angles.insert(0, theta_t)
+        powers.insert(0, scenario.target_power)
+    S = lfm_waveforms(scenario.n_rf, scenario.code_len)
+    n_r = scenario.n_rx
+    R = np.zeros((scenario.code_len, n_r, n_r), dtype=complex) + scenario.noise_power * np.eye(n_r)
+    for theta, p in zip(angles, powers):
+        a = steering_vector(theta, n_r)
+        b = steering_vector(theta, scenario.n_tx) @ T @ S            # (L,)
+        R += p * np.abs(b)[:, None, None] ** 2 * np.outer(a, a.conj())
+    d = np.sqrt(np.real(np.einsum("lii->li", R)))
+    rho = R / (d[:, :, None] * d[:, None, :])
+    row = float(np.mean(d ** 2))
+    arcsin = np.arcsin(np.clip(rho.real, -1.0, 1.0)) + 1j * np.arcsin(np.clip(rho.imag, -1.0, 1.0))
+    return 4.0 * row / math.pi ** 2 * arcsin.mean(axis=0)
 
 
 def steering_gram_errors(n_rx_list, n_clutter: int, trials: int, seed: int) -> np.ndarray:

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cebeam import cli
 from cebeam import model as M
@@ -20,17 +21,19 @@ from cebeam.ce_design import design_problem
 from cebeam.power_alloc import PowerProfile, bcd_power_allocation
 
 
+_MINI_SCENARIO = {
+    "n_tx": 16, "n_rx": 12, "n_rf": 4, "code_len": 8,
+    "target_mean_angle_deg": 0.0, "target_uncertainty_deg": 4.0,
+    "target_grid_spacing_deg": 2.0, "target_power_db": 0.0,
+    "clutter_angles_deg": [-40.0, 30.0], "clutter_powers_db": 15.0,
+    "noise_power_db": 0.0,
+}
+
+
 @pytest.fixture()
 def mini_scenario_file(tmp_path):
-    d = {
-        "n_tx": 16, "n_rx": 12, "n_rf": 4, "code_len": 8,
-        "target_mean_angle_deg": 0.0, "target_uncertainty_deg": 4.0,
-        "target_grid_spacing_deg": 2.0, "target_power_db": 0.0,
-        "clutter_angles_deg": [-40.0, 30.0], "clutter_powers_db": 15.0,
-        "noise_power_db": 0.0,
-    }
     p = tmp_path / "mini.json"
-    p.write_text(json.dumps(d))
+    p.write_text(json.dumps(_MINI_SCENARIO))
     return str(p)
 
 
@@ -210,9 +213,17 @@ class TestPipelineCommands:
         with pytest.raises(M.ModelError):
             PL.ExperimentSpec(command="explode")
 
-    def test_unknown_method_rejected_up_front(self):
-        with pytest.raises(M.ModelError):
-            PL.ExperimentSpec(command="design-ce", method="foo")
+    def test_unknown_method_rejected_up_front(self, mini_scenario_file, tmp_path, monkeypatch):
+        # run_ce_design's check comes before stage 1 and the first artifact
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("stage 1 ran before the method was checked")
+
+        monkeypatch.setattr(PL, "bcd_power_allocation", no_allocation)
+        spec = PL.ExperimentSpec(command="design-ce", scenario=mini_scenario_file, method="foo",
+                                 out_dir=str(tmp_path / "o"))
+        with pytest.raises(M.ModelError, match="foo"):
+            PL.run_pipeline(spec)
+        assert not (tmp_path / "o").exists()
 
 
 class TestCli:
@@ -333,6 +344,27 @@ class TestCli:
         code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--pfa", pfa,
                          "--out", str(tmp_path / "o")])
         assert code == 2
+
+    # 10^13 trials once ran the design and then failed for memory with a traceback
+    @pytest.mark.parametrize("trials", [SIM.MAX_TRIALS + 1, 10 ** 13], ids=["cap+1", "1e13"])
+    def test_sweep_snr_trials_past_the_cap_exit_2_before_design(self, mini_scenario_file,
+                                                                 tmp_path, monkeypatch, capsys,
+                                                                 trials):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design ran before the trial count was checked")
+
+        monkeypatch.setattr(PL, "run_ce_design", no_design)
+        code = cli.main(["sweep-snr", "--scenario", mini_scenario_file, "--trials", str(trials),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_trial_cap_accepts_the_documented_counts(self):
+        # the default, detect-desk32's count, the README's, and the cap itself
+        for pfa, trials in ((1e-3, 100_000), (1e-2, 15_360), (1e-6, SIM.MAX_TRIALS)):
+            SIM.check_detection_settings(pfa, trials)
 
     # 3080 dB is a finite power that only the point's scenario refuses, and
     # -4000 dB underflows to no target power
@@ -602,3 +634,103 @@ class TestCliFuzz:
             np.testing.assert_array_equal(getattr(back, name), getattr(sc, name), err_msg=name)
         assert back.to_dict() == sc.to_dict()
         assert back.content_hash() == sc.content_hash()
+
+
+# -- refusals: a refused command exits 2 with one line and writes nothing -----
+
+# design files, by name, next to a valid 16 x 4 phase matrix ("design.txt")
+_BAD_DESIGNS = {"text.txt": "not numbers\n", "nan.txt": "nan nan nan nan\n" * 16,
+                "inf.txt": "inf 0 0 0\n" * 16, "empty.txt": "", "blank.txt": "\n\n",
+                "transposed.txt": ("0 " * 15 + "0\n") * 4, "ragged.txt": "0 0 0 0\n0 0\n" * 8}
+# scenario files, by name: the mini scenario with one key broken, or not a scenario
+_BAD_SCENARIOS = {**{f"bad-{key}.json": json.dumps({**_MINI_SCENARIO, key: value})
+                     for key, value in _BROKEN.items()},
+                  "2e11-points.json": json.dumps({**_MINI_SCENARIO,
+                                                  "target_grid_spacing_deg": 1e-11}),
+                  "not-json.json": "{not json", "list.json": "[16, 12, 4, 8]"}
+
+_SOLVING = ("allocate-power", "design-ce", "design-onebit", "sweep-bits", "sweep-rf",
+            "sweep-antennas", "sweep-snr")
+# each class of bad input: the commands that read it, and flags holding a bad
+# value whatever the other flags; "{tmp}" is the test's directory
+_BAD_INPUTS = (
+    (PL.COMMANDS, [["--seed", v] for v in ("-1", "-7")]),
+    (PL.COMMANDS, [["--scenario", "{tmp}/" + name] for name in _BAD_SCENARIOS]
+     + [["--scenario", "no-such-scenario"]]),
+    (tuple(c for c in PL.COMMANDS if c not in ("sweep-bits", "fig2")),
+     [["--bits", v] for v in ("0", "6", "7", "-1", "64")]),
+    (_SOLVING, [["--max-iters", v] for v in ("0", "-2")]),
+    (_SOLVING, [["--tol", v] for v in ("0", "-1", "nan", "-1e-9")]),
+    (("design-ce",), [["--method", v] for v in ("foo", "", "SQUAREM")]),
+    (("sweep-snr",), [["--pfa", v] for v in ("0", "1", "1.5", "-0.1", "nan", "inf")]
+     + [["--trials", v] for v in ("0", "-5", "10", "10000001", "10000000000000")]
+     + [["--pfa", "0.5", "--trials", "5"]]),
+    (("sweep-snr",), [["--snr", "0", v] for v in ("nan", "inf", "1e308", "3080", "-4000")]
+     + [["--snr", "-4000"]]),
+    (("evaluate",), [["--design", "{tmp}/" + name] for name in _BAD_DESIGNS]
+     + [["--design", "{tmp}/nonexistent"], ["--design", "{tmp}"]]),
+)
+# accepted values, given before the bad one so that the bad one is what counts
+_GOOD_FLAGS = {"--seed": ("0", "3"), "--bits": ("1", "3", "ideal"), "--max-iters": ("5",),
+               "--tol": ("0.5",), "--pfa": ("0.05",), "--trials": ("2000",)}
+
+
+@st.composite
+def refused_calls(draw):
+    """A command, some accepted flags, then one bad input of a class the command reads."""
+    commands, bad = draw(st.sampled_from(_BAD_INPUTS))
+    command = draw(st.sampled_from(commands))
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(_GOOD_FLAGS)), max_size=3, unique=True)):
+        if flag in ("--pfa", "--trials") and command != "sweep-snr":
+            continue
+        flags += [flag, draw(st.sampled_from(_GOOD_FLAGS[flag]))]
+    if command == "evaluate":
+        flags += ["--design", "{tmp}/design.txt"]
+    return command, tuple(flags + draw(st.sampled_from(bad)))
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("a design or Monte Carlo runner ran for a refused command")
+
+
+class TestCliRefusals:
+    # the Motivation's seven commands, the 10^13-trial sweep, and the bad
+    # inputs named by CHANGES.md's FOUND lines
+    @example(("sweep-snr", ("--snr", "0", "-4000")))
+    @example(("sweep-snr", ("--pfa", "0.5", "--trials", "5")))
+    @example(("design-ce", ("--bits", "7")))
+    @example(("evaluate", ()))
+    @example(("evaluate", ("--design", "{tmp}/nonexistent")))
+    @example(("allocate-power", ("--max-iters", "0")))
+    @example(("design-onebit", ("--tol", "-1")))
+    @example(("sweep-snr", ("--max-iters", "2", "--trials", "10000000000000")))
+    @example(("design-ce", ("--seed", "-1")))
+    @example(("design-ce", ("--tol", "nan")))
+    @example(("allocate-power", ("--scenario", "{tmp}/2e11-points.json")))
+    @example(("evaluate", ("--design", "{tmp}/empty.txt")))
+    @settings(max_examples=60, deadline=None)
+    @given(refused_calls())
+    def test_refused_command_writes_nothing(self, call):
+        command, flags = call
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp = Path(tmp)
+            (tmp / "sc.json").write_text(json.dumps(_MINI_SCENARIO))
+            np.savetxt(tmp / "design.txt", np.linspace(-180.0, 180.0, 64).reshape(16, 4))
+            for name, text in {**_BAD_DESIGNS, **_BAD_SCENARIOS}.items():
+                (tmp / name).write_text(text)
+            for name in ("squarem_accelerated_mm", "plain_mm", "nesterov_epm",
+                         "detection_curve", "fig2_rows"):
+                mp.setattr(PL, name, _fail)
+            argv = [command, "--scenario", str(tmp / "sc.json"), "--out", str(tmp / "out"),
+                    *(flag.replace("{tmp}", str(tmp)) for flag in flags)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert code == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert "Traceback" not in err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            assert not (tmp / "out").exists()

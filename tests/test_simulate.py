@@ -18,7 +18,7 @@ from cebeam import simulate as SIM
 from cebeam.pipeline import ExperimentSpec, load_scenario, run_pipeline
 from cebeam.quantizer import lloyd_max_codebook, quantize_received
 
-from oracle import sample_h0_covariance_error, steering_gram_errors
+from oracle import one_bit_covariance, sample_h0_covariance_error, steering_gram_errors
 
 
 class TestLfmWaveforms:
@@ -215,10 +215,10 @@ class TestPipelinedEngine:
 
     @pytest.mark.parametrize("bits", [1, 3, "ideal"])
     def test_full_blocks_match_dense_oracle(self, desk_scenario, bits):
-        # 512-trial blocks in 64-trial chunks, the last of each cut short; at
-        # one bit the engine adds the constant gamma*||y||^2 instead of
-        # reducing it.  The ideal ADC's scaled-identity parts are equal, so
-        # its gamma is 0 and the norm term adds 0.
+        # 512-trial blocks in 64-trial chunks, the last of each cut short; the
+        # engine reduces gamma*||y||^2 at every resolution.  The ideal ADC's
+        # scaled-identity parts are equal, so its gamma is 0 and the norm
+        # term adds 0.
         sc = desk_scenario
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(22))
         quant = None if bits == "ideal" else lloyd_max_codebook(bits)
@@ -481,11 +481,17 @@ class TestDetectionInputs:
     # statistic would be 0, and pd would read 0 instead of about pfa
     @pytest.mark.parametrize("snr_db", [-math.inf, -4000.0])
     def test_snr_without_target_power_refused(self, tiny_scenario, snr_db):
-        with pytest.raises(M.ModelError, match="no power"):
+        with pytest.raises(M.ModelError, match="no finite, positive target power"):
             SIM.scenario_at_snr(tiny_scenario, snr_db)
         T = M.random_unit_modulus(8, 2, np.random.default_rng(29))
-        with pytest.raises(M.ModelError, match="no power"):
+        with pytest.raises(M.ModelError, match="no finite, positive target power"):
             SIM.detection_curve(T, tiny_scenario, 1, (snr_db, 0.0), 1e-2, 2000, seed=0)
+
+    # the one SNR check gives one message, which does not call these "no power"
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, 1e308])
+    def test_snr_without_finite_target_power_refused(self, tiny_scenario, snr_db):
+        with pytest.raises(M.ModelError, match="no finite, positive target power"):
+            SIM.scenario_at_snr(tiny_scenario, snr_db)
 
     def test_smallest_positive_target_power_accepted(self, tiny_scenario):
         # -3230 dB is a subnormal power, above 0
@@ -538,3 +544,85 @@ class TestQuantizedCovariance:
         T = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(3))
         err = sample_h0_covariance_error(sc, T, 2, snapshots=40_000, seed=12)
         assert err < 0.08
+
+
+def _engine_covariances(monkeypatch, scenario, T, snrs, trials, seed):
+    """The 1-bit samples a detection curve reduces, as one covariance per run and point.
+
+    Returns {(run, point): (mean, variance)}: the mean over trials of each
+    trial's snapshot-averaged y y^H, and the sampling variance of each entry
+    of that mean, from the spread of the trials.  A no-target run quantizes
+    one set of samples for every point, kept as point 0's.  The statistics
+    are not computed; the empirical pfa is read, so the H0 run is made.
+    """
+    sums, lock, engine = {}, threading.Lock(), SIM._run_statistics
+
+    def tagged(sources, quant, forms, seed, trials, run, row_power, gains=None):
+        # the recorder below takes each form's last entry for its (run, point)
+        forms = [(G, w, (run, i)) for i, (G, w, _) in enumerate(forms)]
+        return engine(sources, quant, forms, seed, trials, run, row_power, gains)
+
+    def record(Y, G, w, tag):
+        if tag[0] == SIM._H1 or tag[1] == 0:
+            Z = Y @ Y.conj().swapaxes(1, 2) / Y.shape[-1]
+            with lock:
+                n, total, power = sums.get(tag, (0, 0.0, 0.0))
+                sums[tag] = (n + len(Z), total + Z.sum(0), power + (np.abs(Z) ** 2).sum(0))
+        return np.zeros(len(Y))
+
+    monkeypatch.setattr(SIM, "_run_statistics", tagged)
+    monkeypatch.setattr(SIM, "lrt_statistics", record)
+    SIM.detection_curve(T, scenario, 1, snrs, 1e-2, trials, seed).empirical_pfa
+    return {tag: (total / n, (power / n - np.abs(total / n) ** 2) / n)
+            for tag, (n, total, power) in sums.items()}
+
+
+class TestOneBitArcsineLaw:
+    """The engine's 1-bit samples against their exact covariance (``one_bit_covariance``).
+
+    On desk32 with a random design (seed 11), at 20 and 10 dB: the strong
+    target lets a wrong echo gain show.  The diagonal of a 1-bit covariance
+    is 2 row/pi in every sample, so it is held to the Lloyd-Max level's
+    distance from sqrt(2/pi), a few 1e-9; the off-diagonal gap is held to
+    its own sampling SD.
+    """
+
+    SNRS = (20.0, 10.0)
+    # the off-diagonal Frobenius gap over its sampling SD: about 1.0 +- 0.07
+    # over seeds on correct code
+    Z_BOUND = 1.5
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        sc = load_scenario("desk32")
+        return sc, M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(11))
+
+    def test_engine_samples_follow_the_law(self, setting, monkeypatch):
+        sc, T = setting
+        got = _engine_covariances(monkeypatch, sc, T, self.SNRS, 20_480, seed=0)
+        # calibration and H0 runs without a target, the target run at each point
+        assert sorted(got) == [(SIM._CALIBRATION, 0), (SIM._H0, 0), (SIM._H1, 0), (SIM._H1, 1)]
+        off, q = ~np.eye(sc.n_rx, dtype=bool), M.quantization_model(1)
+        for (run, i), (mean, var) in got.items():
+            sc_i = SIM.scenario_at_snr(sc, self.SNRS[i])
+            theta = sc.target_mean_angle if run == SIM._H1 else None
+            exact = one_bit_covariance(sc_i, T, theta)
+            np.testing.assert_allclose(np.diag(mean), np.diag(exact), rtol=1e-8, atol=0.0)
+            sd = math.sqrt(var[off].sum())
+            z = np.linalg.norm((mean - exact)[off]) / sd
+            assert z < self.Z_BOUND, (run, i, z)
+            # the bound is tight enough to refuse the linearized model (2.7 to 4.0 SD)
+            model = M.hypothesis_covariances(sc_i, T, q, sc.target_mean_angle)
+            linear = (model.r0 if theta is None else model.r1) / sc.code_len
+            assert np.linalg.norm((mean - linear)[off]) / sd > 2.5, (run, i)
+
+    def test_linearized_model_bias(self, setting):
+        # the model's relative Frobenius gap from the law at 20 dB, without
+        # and with the target
+        sc, T = setting
+        sc20, q = SIM.scenario_at_snr(sc, self.SNRS[0]), M.quantization_model(1)
+        model = M.hypothesis_covariances(sc20, T, q, sc.target_mean_angle)
+        for r, theta, bias in ((model.r0, None, 0.0227), (model.r1, sc.target_mean_angle, 0.0296)):
+            exact = one_bit_covariance(sc20, T, theta)
+            gap = np.linalg.norm(r / sc.code_len - exact) / np.linalg.norm(exact)
+            assert gap == pytest.approx(bias, abs=2e-4)
