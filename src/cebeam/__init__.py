@@ -18,7 +18,7 @@ from .model import (ADC_DISTORTION, HypothesisCovariances, IllConditionedModelEr
                     quantization_model, random_unit_modulus, relative_entropies,
                     relative_entropy, steering_matrix, unit_modulus)
 from .power_alloc import (PowerAllocationResult, PowerProfile, asymptotic_objective,
-                          bcd_power_allocation, profile_objective)
+                          bcd_power_allocation, power_profile, profile_objective)
 from .ce_design import (CeDesignParams, DesignProblem, Iterate, MinorizerState, MmTrace,
                         beampattern_mse, design_problem, evaluate_iterate, minorizer_matrix,
                         mm_map, orthogonality_residual, penalized_objective, plain_mm,
@@ -30,4 +30,4 @@ from .quantizer import ScalarQuantizer, lloyd_max_codebook, quantize_received
 from .simulate import (DetectionCurve, DetectionPoint, detection_curve, lfm_waveforms,
                        received_batch, simulate_detection, steering_crosscorr_experiment)
 from .pipeline import (DesignReport, ExperimentSpec, load_scenario, projection_baseline,
-                       run_ce_design, run_onebit_design, run_pipeline, run_power_allocation)
+                       run_ce_design, run_onebit_design, run_pipeline)

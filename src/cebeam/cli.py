@@ -15,10 +15,8 @@ from .model import ModelError
 from .pipeline import COMMANDS, ExperimentSpec, run_pipeline
 
 
-def _parse_bits(value: str):
-    if value == "ideal":
-        return "ideal"
-    return int(value)
+def bits(value: str):
+    return value if value == "ideal" else int(value)
 
 
 # argparse reads an argument that starts with "-" as an option unless it
@@ -28,13 +26,20 @@ def _parse_bits(value: str):
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with a ``ModelError``, as its subparsers do."""
+
+    def error(self, message):
+        raise ModelError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Subcommands whose flags are stored under ``ExperimentSpec`` field names.
 
     Flags left out are absent from the parsed namespace, so every default
-    comes from ``ExperimentSpec``.
+    comes from ``ExperimentSpec``.  A command takes only the flags it reads.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cebeam",
         description="Constant-envelope / one-bit transmit beamformer design "
                     "and evaluation for few-bit-receiver MIMO radar")
@@ -45,10 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario",
                        help="scenario JSON path or built-in name (default128, desk32)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--bits", type=_parse_bits, help="ADC resolution: 1..5 or 'ideal'")
+        if name not in ("sweep-bits", "fig2"):          # they fix it, or have none
+            p.add_argument("--bits", type=bits, help="ADC resolution: 1..5 or 'ideal'")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--max-iters", type=int)
-        p.add_argument("--tol", type=float)
+        if name not in ("allocate-power", "evaluate", "fig2"):    # no iterative solver
+            p.add_argument("--max-iters", type=int)
+            p.add_argument("--tol", type=float)
         if name == "design-ce":
             p.add_argument("--method", help="stage-2 scheme: AMM or MM")
         if name == "evaluate":
@@ -62,9 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run_pipeline(ExperimentSpec(**vars(args)))
+        return run_pipeline(ExperimentSpec(**vars(build_parser().parse_args(argv))))
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,10 @@
-"""Experiment pipelines: stage-1 power allocation, stage-2 design, evaluation
+"""Experiment pipelines: stage-1 power profile, stage-2 design, evaluation
 sweeps and machine-readable artifacts with full provenance.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 import warnings
 from dataclasses import dataclass, field, asdict, replace
@@ -21,10 +20,11 @@ from .ce_design import (CeDesignParams, DesignProblem, MmTrace, beampattern_mse,
 from .model import (ADC_DISTORTION, ModelError, Scenario, averaged_relative_entropy,
                     beampattern_powers, quantization_model, random_unit_modulus,
                     relative_entropies, unit_modulus)
-# the dense oracle, under the names perfbench's tracer wraps in this module
+# the oracles of D and of stage 1, under the names perfbench's tracer wraps in this module
 from .model import hypothesis_covariances, relative_entropy  # noqa: F401
+from .power_alloc import bcd_power_allocation  # noqa: F401
 from .onebit import EpmTrace, OneBitParams, nesterov_epm, round_to_signs
-from .power_alloc import PowerAllocationResult, PowerProfile, bcd_power_allocation
+from .power_alloc import PowerProfile, power_profile, profile_objective
 from .quantizer import lloyd_max_codebook
 from . import simulate
 from .simulate import check_detection_settings, detection_curve, steering_crosscorr_experiment
@@ -71,10 +71,8 @@ class DesignReport:
     trace_path: str | None = None
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name in ("wall_time_s", "final_mse", "orthogonality_residual"):
-            if not math.isfinite(getattr(self, name)):
-                raise ModelError(f"report field {name} is not finite")
+    def __post_init__(self):        # write_json's check, before a design's first artifact
+        _strict_json(asdict(self), "the design report")
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +117,17 @@ def write_csv(path: Path, header: list[str], rows, prov: dict) -> None:
             fh.write(",".join("" if v is None else f"{v}" for v in row) + "\n")
 
 
+def _strict_json(payload: dict, what: str) -> str:
+    """JSON text of ``payload``; a NaN or infinity in it is refused."""
+    try:
+        return json.dumps(payload, indent=2, default=str, allow_nan=False)
+    except ValueError as exc:
+        raise ModelError(f"{what} would hold a non-finite number ({exc})") from exc
+
+
 def write_json(path: Path, payload: dict, prov: dict) -> None:
     """Strict JSON: a NaN or infinity is refused before the file is written."""
-    try:
-        text = json.dumps({"provenance": prov, **payload}, indent=2, default=str,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise ModelError(f"{path.name} would hold a non-finite number ({exc})") from exc
-    _artifact(path).write_text(text + "\n")
+    _artifact(path).write_text(_strict_json({"provenance": prov, **payload}, path.name) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +142,6 @@ def evaluate_entropies(scenario: Scenario, T: np.ndarray, bits) -> tuple[float, 
     return avg, single
 
 
-def run_power_allocation(scenario: Scenario, bits, **options) -> PowerAllocationResult:
-    """Stage 1 at the given ADC resolution; ``options`` go to ``bcd_power_allocation``."""
-    return bcd_power_allocation(scenario, quantization_model(bits), **options)
-
-
 def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
                   params: CeDesignParams | None = None,
                   profile: PowerProfile | None = None, monitor=None
@@ -153,8 +149,8 @@ def run_ce_design(scenario: Scenario, bits, seed: int, method: str = "AMM",
     """Stage 1 + stage 2 with the requested fixed-point scheme, "AMM" or "MM"."""
     if str(method).upper() not in ("AMM", "MM"):
         raise ModelError(f"unknown design method {method!r}; expected AMM or MM")
-    if profile is None:
-        profile = run_power_allocation(scenario, bits).profile
+    quantization_model(bits)                 # refuses a bad resolution before the design
+    profile = profile or power_profile(scenario)
     params = params or CeDesignParams(seed=seed)
     rng = np.random.default_rng(seed)
     T0 = random_unit_modulus(scenario.n_tx, scenario.n_rf, rng)
@@ -175,8 +171,7 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
                       profile: PowerProfile | None = None
                       ) -> tuple[np.ndarray, DesignReport, EpmTrace, PowerProfile]:
     """Stage 1, a constant-envelope warm start, then the exact-penalty solver."""
-    if profile is None:
-        profile = run_power_allocation(scenario, bits).profile
+    profile = profile or power_profile(scenario)
     params = params or OneBitParams()
     T_ce, ce_report, _, _ = run_ce_design(scenario, bits, seed, "AMM", profile=profile)
     # one-bit starting point: phases snapped to {0, pi}, column-major vector
@@ -270,23 +265,20 @@ def fig2_rows(n_rx_list=(32, 64, 128, 256), clutter_counts=(5, 10, 20),
 # CLI pipeline
 # ---------------------------------------------------------------------------
 
-def _limits(spec: ExperimentSpec, iters_name: str = "max_iters") -> dict:
+def _limits(spec: ExperimentSpec) -> dict:
     """The --max-iters/--tol values given, keyed as the solver names them."""
-    given = {iters_name: spec.max_iters, "tol": spec.tol}
+    given = {"max_iters": spec.max_iters, "tol": spec.tol}
     return {name: value for name, value in given.items() if value is not None}
 
 
 def _allocate_power(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:
-    alloc = run_power_allocation(scenario, spec.bits, **_limits(spec, "max_sweeps"))
-    prov = provenance(scenario, spec, {"bits": spec.bits, "grid_step": alloc.grid_step})
-    write_json(out / "power_profile.json", {"profile": alloc.profile.to_dict(),
-                                            "objective": alloc.objective,
-                                            "sweeps": alloc.sweeps,
-                                            "tie_breaks": alloc.tie_breaks,
-                                            "converged": alloc.converged}, prov)
-    write_csv(out / "power_trace.csv", ["iteration", "objective"],
-              list(enumerate(alloc.trace, start=1)), prov)
-    return alloc.converged
+    profile = power_profile(scenario)
+    objective = profile_objective(profile.target_levels, profile.clutter_levels, scenario,
+                                  quantization_model(spec.bits))
+    write_json(out / "power_profile.json",
+               {"profile": profile.to_dict(), "objective": float(objective)},
+               provenance(scenario, spec, {"bits": spec.bits}))
+    return True
 
 
 def _design_ce(spec: ExperimentSpec, scenario: Scenario, out: Path) -> bool:

@@ -1,6 +1,7 @@
-"""Stage 1: choose transmit power levels toward the target grid and each
-clutter direction by maximizing a large-array surrogate of the relative
-entropy, one coordinate at a time with an exhaustive grid search.
+"""Stage 1: transmit power levels toward the target grid and each clutter
+direction, in closed form (``power_profile``).  ``bcd_power_allocation``, an
+exhaustive coordinate search of a large-array surrogate of the relative
+entropy, is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ def profile_objective(target_levels, clutter_levels, scenario: Scenario, q: Quan
     return np.sum(per_point, axis=-1)
 
 
+def power_profile(scenario: Scenario) -> PowerProfile:
+    """Every target-grid level at 1 and every clutter level at 0: a maximum of D.
+
+    A target level raises R1 - R0 = delta I + g a_t a_t^H and leaves R0; a
+    clutter level raises R0 and leaves R1 - R0 (Loewner order).  D sums
+    f(s) = log1p(s) - s/(1 + s), rising on s >= 0, over the eigenvalues s of
+    R0^-1/2 (R1 - R0) R0^-1/2, or of (R1 - R0)^1/2 R0^-1 (R1 - R0)^1/2, so by
+    Weyl each s rises with a target level and falls with a clutter level, at
+    every resolution; ``asymptotic_objective`` sums f over the same changes.
+    """
+    grid = scenario.target_grid()
+    return PowerProfile(grid, np.ones(grid.size), scenario.clutter_angles,
+                        np.zeros(scenario.n_clutter))
+
+
 @dataclass
 class PowerAllocationResult:
     profile: PowerProfile
@@ -96,7 +112,6 @@ class PowerAllocationResult:
     sweeps: int
     converged: bool
     grid_step: float
-    tie_breaks: int = 0         # updates whose chosen level is not argmax(vals)
 
 
 def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
@@ -107,41 +122,29 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     Every level starts at 0.5.  Coordinate order is target grid points
     ascending, then clutter indices ascending; ties in the per-coordinate
     argmax break toward the smallest level so plateaus do not inflate clutter
-    power, and ``tie_breaks`` counts the updates where that rule chose a level
-    other than the exact argmax.  The objective trace is non-decreasing by
-    construction; the sweep stops when one full pass improves the objective
-    by less than ``tol`` times its value, or not at all.  Both rules are
-    relative, since the objective shrinks as the target power squared.
+    power.  The objective trace is non-decreasing by construction; the sweep
+    stops when one full pass improves the objective by less than ``tol`` times
+    its value, or not at all.  Both rules are relative, since the objective
+    shrinks as the target power squared.
     """
     if not (0.0 < grid_step <= 0.5):
         raise ModelError(f"grid step must lie in (0, 0.5], got {grid_step}")
     if max_sweeps < 1 or not tol > 0:
         raise ModelError(f"max_sweeps >= 1 and tol > 0 required, got {max_sweeps} and {tol}")
-    n_steps = int(round(1.0 / grid_step))
-    candidates = np.linspace(0.0, 1.0, n_steps + 1)
-
+    candidates = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
     grid = scenario.target_grid()
-    n_t, K = grid.size, scenario.n_clutter
-    t_lvl = np.full(n_t, 0.5)
-    c_lvl = np.full(K, 0.5)
-    tie_breaks = 0
+    t_lvl, c_lvl = np.full(grid.size, 0.5), np.full(scenario.n_clutter, 0.5)
 
-    def update_coordinate(levels: np.ndarray, idx: int, is_target: bool) -> float:
-        nonlocal tie_breaks
-        n_cand = candidates.size
-        cand_t = np.tile(t_lvl, (n_cand, 1))
-        cand_c = np.tile(c_lvl, (n_cand, 1))
-        (cand_t if is_target else cand_c)[:, idx] = candidates
+    def update_coordinate(levels: np.ndarray, idx: int) -> float:
+        cand_t, cand_c = (np.tile(lvl, (candidates.size, 1)) for lvl in (t_lvl, c_lvl))
+        (cand_t if levels is t_lvl else cand_c)[:, idx] = candidates
         # one broadcast path for every evaluation, so identical configurations
         # evaluate bitwise-identically and the trace stays exactly monotone
         vals = profile_objective(cand_t, cand_c, scenario, q)
-        cur_idx = int(round(levels[idx] / grid_step))
-        v_cur = vals[cur_idx]
         # smallest level within a hair of the maximum wins plateaus, but never
         # accept a value below the incumbent
-        floor = max(vals.max() - 1e-9 * abs(vals.max()), v_cur)
+        floor = max(vals.max() - 1e-9 * abs(vals.max()), vals[int(round(levels[idx] / grid_step))])
         best = int(np.argmax(vals >= floor))
-        tie_breaks += best != int(np.argmax(vals))
         levels[idx] = candidates[best]
         return float(vals[best])
 
@@ -151,12 +154,10 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     sweep = 0
     for sweep in range(1, max_sweeps + 1):
         before = current
-        for i in range(n_t):
-            current = update_coordinate(t_lvl, i, True)
-            trace.append(current)
-        for k in range(K):
-            current = update_coordinate(c_lvl, k, False)
-            trace.append(current)
+        for levels in (t_lvl, c_lvl):
+            for idx in range(levels.size):
+                current = update_coordinate(levels, idx)
+                trace.append(current)
         if current - before <= tol * abs(current):     # 0 <= 0 at zero target power
             converged = True
             break
@@ -164,5 +165,4 @@ def bcd_power_allocation(scenario: Scenario, q: QuantizationModel,
     profile = PowerProfile(grid, t_lvl, scenario.clutter_angles, c_lvl)
     return PowerAllocationResult(profile=profile, objective=current,
                                  trace=np.asarray(trace), sweeps=sweep,
-                                 converged=converged, grid_step=grid_step,
-                                 tie_breaks=tie_breaks)
+                                 converged=converged, grid_step=grid_step)

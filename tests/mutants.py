@@ -39,6 +39,7 @@ ARCSINE_LAW = "tests/test_simulate.py::TestOneBitArcsineLaw::test_engine_samples
 REFUSALS = "tests/test_pipeline_cli.py::TestCliRefusals::test_refused_command_writes_nothing"
 TRIAL_CAP = ("tests/test_pipeline_cli.py::TestCli::"
              "test_sweep_snr_trials_past_the_cap_exit_2_before_design")
+CLOSED_FORM = "tests/test_power_alloc.py::TestPowerProfile::test_closed_form_is_the_search_optimum"
 LOW_POWER_PROFILE = ("tests/test_power_alloc.py::TestBcd::"
                      "test_profile_is_the_same_at_every_low_target_power")
 
@@ -149,6 +150,12 @@ MUTANTS = (
            ("tests/test_model.py::TestScenario::"
             "test_target_grid_outside_half_circle_or_uncountable_rejected[2e6-points]",
             "tests/test_model.py::TestScenario::test_target_grid_may_hold_the_capped_point_count")),
+    Mutant("corner-clutter-at-one", "power_alloc.py",
+           "np.zeros(scenario.n_clutter)", "np.ones(scenario.n_clutter)",
+           (CLOSED_FORM,)),
+    Mutant("corner-target-at-half", "power_alloc.py",
+           "np.ones(grid.size)", "np.full(grid.size, 0.5)",
+           (CLOSED_FORM,)),
     Mutant("bcd-stop-absolute", "power_alloc.py",
            "<= tol * abs(current):", "<= tol:",
            (LOW_POWER_PROFILE,)),

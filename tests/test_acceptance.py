@@ -15,7 +15,7 @@ from cebeam import simulate as SIM
 from cebeam.ce_design import (CeDesignParams, design_problem, penalized_objective,
                                plain_mm, squarem_accelerated_mm)
 from cebeam.model import ADC_DISTORTION
-from cebeam.power_alloc import PowerProfile, bcd_power_allocation
+from cebeam.power_alloc import PowerProfile, power_profile
 from cebeam.quantizer import lloyd_max_codebook
 
 from oracle import exhaustive_onebit, sample_h0_covariance_error
@@ -79,7 +79,7 @@ def _segment_violations(trace, slack=1e-9):
 def test_mm_descent_full_scale():
     t0 = time.perf_counter()
     sc = PL.load_scenario("default128")
-    prof = bcd_power_allocation(sc, M.quantization_model(1)).profile
+    prof = power_profile(sc)
     T0 = M.random_unit_modulus(sc.n_tx, sc.n_rf, np.random.default_rng(0))
     params = CeDesignParams(max_iters=1500, tol=1e-30, seed=0)
     _, tr_mm = plain_mm(T0, prof, params)
@@ -97,7 +97,7 @@ def test_method_ordering_at_full_scale():
     t0 = time.perf_counter()
     sc = PL.load_scenario("default128")
     q = M.quantization_model(1)
-    prof = bcd_power_allocation(sc, q).profile
+    prof = power_profile(sc)
     d_amm, d_mm, d_proj = [], [], []
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -181,11 +181,11 @@ import resource, sys
 import numpy as np
 from cebeam import model as M
 from cebeam.ce_design import CeDesignParams, squarem_accelerated_mm
-from cebeam.pipeline import load_scenario, run_power_allocation
-from cebeam.power_alloc import PowerProfile
+from cebeam.pipeline import load_scenario
+from cebeam.power_alloc import PowerProfile, power_profile
 sc = load_scenario("default128")
 if sys.argv[1] == "default128":
-    profile = run_power_allocation(sc, 1).profile
+    profile = power_profile(sc)
 else:
     angles = np.linspace(-1.4, 1.4, 66)
     levels = np.random.default_rng(1).uniform(0.0, 1.0, 66)
@@ -313,8 +313,8 @@ class TestDesignLoops:
 
     @pytest.mark.parametrize("runner", [C.plain_mm, C.squarem_accelerated_mm])
     def test_monotone_between_penalty_bumps(self, runner, desk_scenario):
-        from cebeam.power_alloc import bcd_power_allocation
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        from cebeam.power_alloc import power_profile
+        prof = power_profile(desk_scenario)
         rng = np.random.default_rng(13)
         T0 = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, rng)
         T, trace = runner(T0, prof, C.CeDesignParams(max_iters=300, seed=13))
@@ -323,8 +323,8 @@ class TestDesignLoops:
                 assert trace.objective[i] <= trace.objective[i - 1] + 1e-9
 
     def test_determinism(self, desk_scenario):
-        from cebeam.power_alloc import bcd_power_allocation
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        from cebeam.power_alloc import power_profile
+        prof = power_profile(desk_scenario)
         params = C.CeDesignParams(max_iters=120, seed=5)
         T0 = M.random_unit_modulus(32, 8, np.random.default_rng(5))
         T_a, tr_a = C.squarem_accelerated_mm(T0, prof, params)
@@ -333,8 +333,8 @@ class TestDesignLoops:
         np.testing.assert_array_equal(tr_a.objective, tr_b.objective)
 
     def test_penalty_schedule_growth(self, desk_scenario):
-        from cebeam.power_alloc import bcd_power_allocation
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        from cebeam.power_alloc import power_profile
+        prof = power_profile(desk_scenario)
         params = C.CeDesignParams(max_iters=120, tol=1e-30)
         T0 = M.random_unit_modulus(32, 8, np.random.default_rng(6))
         _, trace = C.plain_mm(T0, prof, params)
@@ -346,8 +346,8 @@ class TestDesignLoops:
         assert np.count_nonzero(np.diff(trace.penalty)) == 2
 
     def test_accelerated_beats_plain_per_map_eval(self, desk_scenario):
-        from cebeam.power_alloc import bcd_power_allocation
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        from cebeam.power_alloc import power_profile
+        prof = power_profile(desk_scenario)
         rng = np.random.default_rng(14)
         T0 = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, rng)
         params = C.CeDesignParams(max_iters=400, tol=1e-12, seed=14)
@@ -361,15 +361,15 @@ class TestDesignLoops:
         assert evals_accel < evals_plain
 
     def test_unit_modulus_all_the_way(self, desk_scenario):
-        from cebeam.power_alloc import bcd_power_allocation
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        from cebeam.power_alloc import power_profile
+        prof = power_profile(desk_scenario)
         T0 = M.random_unit_modulus(32, 8, np.random.default_rng(15))
         T, _ = C.squarem_accelerated_mm(T0, prof, C.CeDesignParams(max_iters=150))
         assert M.is_unit_modulus(T, 32, tol=1e-14)
 
     def test_orthogonality_residual_reaches_target(self, desk_scenario):
-        from cebeam.power_alloc import bcd_power_allocation
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        from cebeam.power_alloc import power_profile
+        prof = power_profile(desk_scenario)
         T0 = M.random_unit_modulus(32, 8, np.random.default_rng(16))
         T, trace = C.squarem_accelerated_mm(T0, prof, C.CeDesignParams(max_iters=2500))
         assert trace.orth_residual[-1] < 0.05
@@ -680,9 +680,10 @@ def test_optimistic_shift_covers_each_step_it_takes(monkeypatch, name):
     # assumes smax(T') <= 1.05, so it must meet that bound whenever its own
     # step was accepted with smax(T') <= 1.05.  The bound is taken from a
     # dense Q and an inline lam_P, not from the map's own values.
-    from cebeam.pipeline import load_scenario, run_power_allocation
+    from cebeam.pipeline import load_scenario
+    from cebeam.power_alloc import power_profile
     sc = load_scenario(name)
-    prof = run_power_allocation(sc, 1).profile
+    prof = power_profile(sc)
     A, gram_lambda = steering_and_lambda(prof, sc.n_tx)
     shifts, checked = [], []
     direction, mm_map = C.MinorizerState.direction, C.mm_map
@@ -836,8 +837,8 @@ def _assert_fresh(x, problem):
 
 def test_dense_map_is_bit_identical_below_crossover(desk_scenario):
     # a desk32-sized problem (r = 27, n_tx = 32) stays on the dense path, bit for bit
-    from cebeam.power_alloc import bcd_power_allocation
-    prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+    from cebeam.power_alloc import power_profile
+    prof = power_profile(desk_scenario)
     assert not C.takes_low_rank(desk_scenario.n_tx, prof.all_angles().size + desk_scenario.n_rf)
     T = M.random_unit_modulus(desk_scenario.n_tx, desk_scenario.n_rf, np.random.default_rng(30))
     problem = C.design_problem(prof, desk_scenario.n_tx, desk_scenario.n_rf)
@@ -862,10 +863,11 @@ def _poison(problem):
 
 
 def test_low_rank_map_is_bit_identical_to_parent():
-    # default128 with its 1-bit profile (r = 23, n_tx = 128) takes the Gram route, bit for bit
-    from cebeam.pipeline import load_scenario, run_power_allocation
+    # default128 with its profile (r = 23, n_tx = 128) takes the Gram route, bit for bit
+    from cebeam.pipeline import load_scenario
+    from cebeam.power_alloc import power_profile
     sc = load_scenario("default128")
-    prof = run_power_allocation(sc, 1).profile
+    prof = power_profile(sc)
     problem = C.design_problem(prof, sc.n_tx, sc.n_rf)
     assert problem.low_rank
     _poison(problem)

@@ -340,8 +340,8 @@ def _bytes(value):
 
 
 def _desk32_profile(desk_scenario):
-    from cebeam.power_alloc import bcd_power_allocation
-    return bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+    from cebeam.power_alloc import power_profile
+    return power_profile(desk_scenario)
 
 
 class TestLeanLoopIsTheParent:

@@ -18,7 +18,7 @@ from cebeam import model as M
 from cebeam import pipeline as PL
 from cebeam import simulate as SIM
 from cebeam.ce_design import design_problem
-from cebeam.power_alloc import PowerProfile, bcd_power_allocation
+from cebeam.power_alloc import PowerProfile, power_profile
 
 
 _MINI_SCENARIO = {
@@ -107,7 +107,7 @@ class TestDesignReport:
         def no_stage(*args, **kwargs):
             raise AssertionError("a design stage ran before the method was checked")
 
-        for name in ("bcd_power_allocation", "plain_mm", "squarem_accelerated_mm"):
+        for name in ("power_profile", "plain_mm", "squarem_accelerated_mm"):
             monkeypatch.setattr(PL, name, no_stage)
         with pytest.raises(M.ModelError, match="magic"):
             PL.run_ce_design(PL.load_scenario(mini_scenario_file), 1, 0, method="magic")
@@ -120,7 +120,7 @@ class TestDesignReport:
 
 class TestProjectionBaseline:
     def test_output_unit_modulus_and_projection_cost(self, desk_scenario):
-        prof = bcd_power_allocation(desk_scenario, M.quantization_model(1)).profile
+        prof = power_profile(desk_scenario)
         problem = design_problem(prof, desk_scenario.n_tx, desk_scenario.n_rf)
         T, report = PL.projection_baseline(desk_scenario, problem, seed=0, iters=200)
         assert M.is_unit_modulus(T, desk_scenario.n_tx, tol=1e-12)
@@ -136,13 +136,13 @@ class TestPipelineCommands:
                                  bits=2, out_dir=str(out))
         assert PL.run_pipeline(spec) == 0
         prof = json.loads((out / "power_profile.json").read_text())
-        assert prof["converged"]
-        n_levels = len(prof["profile"]["target"]) + len(prof["profile"]["clutter"])
-        assert 0 <= prof["tie_breaks"] <= n_levels * prof["sweeps"]
+        assert sorted(prof) == ["objective", "profile", "provenance"]
+        assert [level for _, level in prof["profile"]["target"]] == [1.0, 1.0, 1.0]
+        assert [level for _, level in prof["profile"]["clutter"]] == [0.0, 0.0]
+        assert prof["objective"] > 0.0
+        assert prof["provenance"]["params"] == {"bits": 2}
         assert "scenario_hash" in prof["provenance"]
-        lines = (out / "power_trace.csv").read_text().splitlines()
-        assert lines[0].startswith("# scenario_hash:")
-        assert "iteration,objective" in lines
+        assert [path.name for path in out.iterdir()] == ["power_profile.json"]
 
     def test_detection_provenance_records_the_monte_carlo_engine(self, mini_scenario_file,
                                                                   tmp_path):
@@ -218,12 +218,28 @@ class TestPipelineCommands:
         def no_allocation(*args, **kwargs):
             raise AssertionError("stage 1 ran before the method was checked")
 
-        monkeypatch.setattr(PL, "bcd_power_allocation", no_allocation)
+        monkeypatch.setattr(PL, "power_profile", no_allocation)
         spec = PL.ExperimentSpec(command="design-ce", scenario=mini_scenario_file, method="foo",
                                  out_dir=str(tmp_path / "o"))
         with pytest.raises(M.ModelError, match="foo"):
             PL.run_pipeline(spec)
         assert not (tmp_path / "o").exists()
+
+
+# the commands with an iterative solver, and those that take --bits
+_ITERATIVE = ("design-ce", "design-onebit", "sweep-bits", "sweep-rf", "sweep-antennas",
+              "sweep-snr")
+_BITS = tuple(c for c in PL.COMMANDS if c not in ("sweep-bits", "fig2"))
+# flags that only some commands take: an accepted value, and those commands;
+# every command takes --scenario, --seed and --out
+_SOME_FLAGS = {"--bits": ("3", _BITS), "--max-iters": ("3", _ITERATIVE),
+               "--tol": ("1e-3", _ITERATIVE), "--method": ("MM", ("design-ce",)),
+               "--design": ("d.txt", ("evaluate",)), "--pfa": ("0.05", ("sweep-snr",)),
+               "--trials": ("2000", ("sweep-snr",)), "--snr": ("0", ("sweep-snr",))}
+
+
+def _takes(command, flag):
+    return flag not in _SOME_FLAGS or command in _SOME_FLAGS[flag][1]
 
 
 class TestCli:
@@ -293,7 +309,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sweep-snr", "design-ce", "evaluate"])
     def test_overflowing_target_power_exits_2(self, mini_scenario_file, tmp_path, capsys,
                                               recwarn, command):
-        argv = [command, "--max-iters", "3", "--out", str(tmp_path / "o")]
+        argv = [command, "--out", str(tmp_path / "o")]
+        if command != "evaluate":
+            argv += ["--max-iters", "3"]
         if command == "sweep-snr":
             argv += ["--scenario", mini_scenario_file, "--snr", "3080", "--trials", "1000",
                      "--pfa", "0.01"]
@@ -386,7 +404,7 @@ class TestCli:
         def no_allocation(*args, **kwargs):
             raise AssertionError("stage 1 ran before the seed was checked")
 
-        monkeypatch.setattr(PL, "bcd_power_allocation", no_allocation)
+        monkeypatch.setattr(PL, "power_profile", no_allocation)
         code = cli.main(["design-ce", "--scenario", mini_scenario_file, "--seed", "-1",
                          "--out", str(tmp_path / "o")])
         assert code == 2
@@ -410,13 +428,16 @@ class TestCli:
 
     def test_report_holding_nan_exits_2(self, mini_scenario_file, tmp_path, monkeypatch,
                                         capsys):
+        # the report refuses the NaN when it is made, before the first artifact
         monkeypatch.setattr(PL, "evaluate_entropies", lambda *args: (math.nan, math.nan))
-        out = tmp_path / "o"
-        code = cli.main(["design-ce", "--scenario", mini_scenario_file, "--max-iters", "3",
-                         "--out", str(out)])
-        assert code == 2
-        assert not (out / "design_report.json").exists()
-        assert "Traceback" not in capsys.readouterr().err
+        for command in ("design-ce", "design-onebit", "sweep-rf"):
+            out = tmp_path / command
+            code = cli.main([command, "--scenario", mini_scenario_file, "--max-iters", "3",
+                             "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert not out.exists()
 
 
 class TestCliSpec:
@@ -433,16 +454,23 @@ class TestCliSpec:
 
     def test_flags_land_on_fields(self, captured):
         cli.main(["evaluate", "--scenario", "desk32", "--seed", "4", "--bits", "ideal",
-                  "--out", "o", "--max-iters", "7", "--tol", "0.5", "--design", "d.txt"])
+                  "--out", "o", "--design", "d.txt"])
         cli.main(["sweep-snr", "--pfa", "0.01", "--trials", "2000", "--snr", "-3", "0"])
-        cli.main(["design-ce", "--method", "MM"])
+        cli.main(["design-ce", "--method", "MM", "--max-iters", "7", "--tol", "0.5"])
         assert captured == [
             PL.ExperimentSpec(command="evaluate", scenario="desk32", seed=4, bits="ideal",
-                              out_dir="o", max_iters=7, tol=0.5, design_path="d.txt"),
+                              out_dir="o", design_path="d.txt"),
             PL.ExperimentSpec(command="sweep-snr", pfa=0.01, trials=2000,
                               snr_grid_db=(-3.0, 0.0)),
-            PL.ExperimentSpec(command="design-ce", method="MM"),
+            PL.ExperimentSpec(command="design-ce", method="MM", max_iters=7, tol=0.5),
         ]
+
+    @pytest.mark.parametrize("flag", sorted(_SOME_FLAGS))
+    def test_each_command_takes_the_flags_it_reads(self, captured, capsys, flag):
+        value, takers = _SOME_FLAGS[flag]
+        for command in PL.COMMANDS:
+            assert cli.main([command, flag, value]) == (0 if command in takers else 2)
+            assert ("unrecognized arguments" in capsys.readouterr().err) != (command in takers)
 
     def test_negative_snr_in_e_notation(self, captured):
         # Python 3.11's argparse took "-1e-3" for an unknown option and exited 2
@@ -492,16 +520,6 @@ class TestIterationFlags:
         report = json.loads((out / "onebit_report.json").read_text())
         assert report["report"]["iterations"] == 1
         assert report["provenance"]["params"]["tol"] == 1e9
-
-    def test_allocate_max_iters_is_honored(self, mini_scenario_file, tmp_path):
-        out = tmp_path / "alloc"
-        cli.main(["allocate-power", "--scenario", mini_scenario_file, "--max-iters", "1",
-                  "--out", str(out)])
-        assert json.loads((out / "power_profile.json").read_text())["sweeps"] == 1
-        for flag, value in (("--max-iters", "0"), ("--tol", "-1"), ("--tol", "nan")):
-            code = cli.main(["allocate-power", "--scenario", mini_scenario_file, flag, value,
-                             "--out", str(out)])
-            assert code == 2
 
 
 class TestSweeps:
@@ -562,9 +580,10 @@ def cli_calls(draw):
     command = draw(st.sampled_from(["allocate-power", "design-ce", "design-onebit",
                                     "evaluate", "sweep-snr"]))
     flags = ["--seed", _flag(draw, ["0", "1", "5"], ["-1"]),
-             "--bits", _flag(draw, ["1", "2", "3", "ideal"], ["0", "9"]),
-             "--max-iters", _flag(draw, ["1", "7", "30"], ["0", "-2"])]
-    if draw(st.booleans()):
+             "--bits", _flag(draw, ["1", "2", "3", "ideal"], ["0", "9"])]
+    if command in _ITERATIVE:
+        flags += ["--max-iters", _flag(draw, ["1", "7", "30"], ["0", "-2"])]
+    if command in _ITERATIVE and draw(st.booleans()):
         flags += ["--tol", _flag(draw, ["1e-4", "0.5", "1e9"], ["0", "-1", "nan", "inf"])]
     if command == "sweep-snr":
         flags += ["--pfa", _flag(draw, ["0.05", "0.2"], ["0", "1", "nan"]),
@@ -612,10 +631,7 @@ class TestCliFuzz:
                 argv += ["--design", str(tmp / "design.txt")]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)   # any other exception is a traceback
-                except SystemExit as exc:   # argparse refused a flag
-                    code = exc.code
+                code = cli.main(argv)       # any exception is a traceback
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
             if (tmp / "out").exists():
@@ -649,18 +665,16 @@ _BAD_SCENARIOS = {**{f"bad-{key}.json": json.dumps({**_MINI_SCENARIO, key: value
                                                   "target_grid_spacing_deg": 1e-11}),
                   "not-json.json": "{not json", "list.json": "[16, 12, 4, 8]"}
 
-_SOLVING = ("allocate-power", "design-ce", "design-onebit", "sweep-bits", "sweep-rf",
-            "sweep-antennas", "sweep-snr")
 # each class of bad input: the commands that read it, and flags holding a bad
-# value whatever the other flags; "{tmp}" is the test's directory
+# value whatever the other flags (one list, or one per command); "{tmp}" is the
+# test's directory
 _BAD_INPUTS = (
     (PL.COMMANDS, [["--seed", v] for v in ("-1", "-7")]),
     (PL.COMMANDS, [["--scenario", "{tmp}/" + name] for name in _BAD_SCENARIOS]
      + [["--scenario", "no-such-scenario"]]),
-    (tuple(c for c in PL.COMMANDS if c not in ("sweep-bits", "fig2")),
-     [["--bits", v] for v in ("0", "6", "7", "-1", "64")]),
-    (_SOLVING, [["--max-iters", v] for v in ("0", "-2")]),
-    (_SOLVING, [["--tol", v] for v in ("0", "-1", "nan", "-1e-9")]),
+    (_BITS, [["--bits", v] for v in ("0", "6", "7", "-1", "64")]),
+    (_ITERATIVE, [["--max-iters", v] for v in ("0", "-2")]),
+    (_ITERATIVE, [["--tol", v] for v in ("0", "-1", "nan", "-1e-9")]),
     (("design-ce",), [["--method", v] for v in ("foo", "", "SQUAREM")]),
     (("sweep-snr",), [["--pfa", v] for v in ("0", "1", "1.5", "-0.1", "nan", "inf")]
      + [["--trials", v] for v in ("0", "-5", "10", "10000001", "10000000000000")]
@@ -669,6 +683,15 @@ _BAD_INPUTS = (
      + [["--snr", "-4000"]]),
     (("evaluate",), [["--design", "{tmp}/" + name] for name in _BAD_DESIGNS]
      + [["--design", "{tmp}/nonexistent"], ["--design", "{tmp}"]]),
+    # values argparse refuses (not of the flag's type, or missing), and flags
+    # the command does not take
+    (PL.COMMANDS, [["--seed", v] for v in ("x", "1.5", "")] + [["--out"], ["--scenario"]]),
+    (_BITS, [["--bits", v] for v in ("x", "1.5", "")]),
+    (_ITERATIVE, [["--max-iters", v] for v in ("x", "1e3")] + [["--tol", "abc"]]),
+    (("sweep-snr",), [["--snr", "-inf"], ["--snr"], ["--trials", "1e4"], ["--pfa", "x"]]),
+    (PL.COMMANDS, {c: [[flag, value] for flag, (value, _) in _SOME_FLAGS.items()
+                       if not _takes(c, flag)] + [["--frobnicate", "1"]]
+                   for c in PL.COMMANDS}),
 )
 # accepted values, given before the bad one so that the bad one is what counts
 _GOOD_FLAGS = {"--seed": ("0", "3"), "--bits": ("1", "3", "ideal"), "--max-iters": ("5",),
@@ -682,12 +705,12 @@ def refused_calls(draw):
     command = draw(st.sampled_from(commands))
     flags = []
     for flag in draw(st.lists(st.sampled_from(sorted(_GOOD_FLAGS)), max_size=3, unique=True)):
-        if flag in ("--pfa", "--trials") and command != "sweep-snr":
-            continue
-        flags += [flag, draw(st.sampled_from(_GOOD_FLAGS[flag]))]
+        if _takes(command, flag):
+            flags += [flag, draw(st.sampled_from(_GOOD_FLAGS[flag]))]
     if command == "evaluate":
         flags += ["--design", "{tmp}/design.txt"]
-    return command, tuple(flags + draw(st.sampled_from(bad)))
+    return command, tuple(flags + draw(st.sampled_from(bad[command] if isinstance(bad, dict)
+                                                       else bad)))
 
 
 def _fail(*args, **kwargs):
@@ -706,6 +729,11 @@ class TestCliRefusals:
     @example(("design-onebit", ("--tol", "-1")))
     @example(("sweep-snr", ("--max-iters", "2", "--trials", "10000000000000")))
     @example(("design-ce", ("--seed", "-1")))
+    @example(("design-ce", ("--bits", "x")))
+    @example(("sweep-snr", ("--snr", "-inf")))
+    @example(("evaluate", ("--max-iters", "3")))
+    @example(("allocate-power", ("--tol", "1e-3")))
+    @example(("fig2", ("--bits", "3")))
     @example(("design-ce", ("--tol", "nan")))
     @example(("allocate-power", ("--scenario", "{tmp}/2e11-points.json")))
     @example(("evaluate", ("--design", "{tmp}/empty.txt")))
