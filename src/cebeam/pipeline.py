@@ -189,7 +189,8 @@ def run_onebit_design(scenario: Scenario, bits, seed: int,
         extras={"momentum_resets": trace.momentum_resets, "halvings": trace.halvings,
                 "final_binary_gap": float(trace.binary_gap[-1]),
                 "warm_start": {"iterations": ce_report.iterations,
-                               "map_evals": ce_report.map_evals, **ce_report.extras}})
+                               "map_evals": ce_report.map_evals,
+                               "wall_time_s": ce_report.wall_time_s, **ce_report.extras}})
     return T, report, trace, profile
 
 
@@ -241,14 +242,16 @@ def sweep(scenario: Scenario, seed: int, swept: str, values, bits=1,
     """(value, D) of an AMM design for each value of ``swept``.
 
     ``swept`` is "bits" (the ADC resolution) or a ``Scenario`` field such as
-    "n_rf" or "n_rx"; the ADC resolution is otherwise held at ``bits``.
+    "n_rf" or "n_rx"; the ADC resolution is otherwise held at ``bits``.  Only
+    an "n_rf" sweep designs for each value: a design reads neither ``bits`` nor ``n_rx``.
     """
-    rows = []
+    rows, T = [], None
     for value in values:
         sc = scenario if swept == "bits" else replace(scenario, **{swept: value})
-        _, report, _, _ = run_ce_design(sc, value if swept == "bits" else bits, seed, "AMM",
-                                        params)
-        rows.append((value, report.avg_relative_entropy))
+        resolution = value if swept == "bits" else bits
+        if T is None or swept == "n_rf":
+            T, _, _, _ = run_ce_design(sc, resolution, seed, "AMM", params)
+        rows.append((value, averaged_relative_entropy(sc, T, quantization_model(resolution))))
     return rows
 
 

@@ -110,6 +110,8 @@ def quantize_values(x: np.ndarray, thresholds: np.ndarray, levels: np.ndarray) -
     """
     half = levels.size // 2
     pos_thresholds, pos_levels = thresholds[half:], levels[half:]
+    if pos_thresholds.size == 0:         # one bit: no positive threshold
+        return np.copysign(pos_levels[0], x)
     mag = np.abs(x)
     idx = np.zeros(mag.shape, dtype=np.uint8)
     for t in pos_thresholds:
@@ -126,10 +128,11 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
 
     Every row (receive antenna) has the complex per-sample variance
     ``row_power``, the model's gain control (``row0`` or ``row1[0]`` of
-    ``low_rank_covariances``): samples are scaled to unit variance per real
-    dimension before quantization and rescaled after.  Any value but one
-    positive, finite number is refused with ``ModelError``.
-    ``quantizer=None`` means ideal conversion and returns the input unchanged.
+    ``low_rank_covariances``): the unit-variance codebook is scaled to the
+    standard deviation of one real dimension, and the samples are quantized
+    as they are.  Any value but one positive, finite number is refused with
+    ``ModelError``.  ``quantizer=None`` means ideal conversion and returns
+    the input unchanged.
 
     ``Y`` may carry leading batch dimensions.
     """
@@ -141,9 +144,6 @@ def quantize_received(Y: np.ndarray, quantizer: ScalarQuantizer | None,
     scale = math.sqrt(row_power / 2.0)       # standard deviation of one real dimension
     # real and imaginary parts interleave along the last axis of the float64
     # view, so one pass quantizes both
-    y = Y.view(np.float64)
-    if quantizer.levels.size == 2:   # y / scale has y's sign; +-level * scale is exact
-        return np.copysign(quantizer.levels[1] * scale, y).view(np.complex128)
-    x = quantize_values(y / scale, quantizer.thresholds, quantizer.levels)
-    x *= scale
+    x = quantize_values(Y.view(np.float64), quantizer.thresholds * scale,
+                        quantizer.levels * scale)
     return x.view(np.complex128)

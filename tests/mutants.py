@@ -36,6 +36,9 @@ POINT_RUNS = f"{ENGINE}::test_point_runs_match_the_per_block_oracle"
 CURVE_POINTS = f"{ENGINE}::test_curve_points_match_the_per_block_oracle"
 EXACT_LAW = "tests/test_exact_detection.py::test_ideal_adc_detection_matches_exact_law"
 ARCSINE_LAW = "tests/test_simulate.py::TestOneBitArcsineLaw::test_engine_samples_follow_the_law"
+KERNEL = ("tests/test_quantizer.py::TestKernelPaths::"
+          "test_scaled_codebook_is_the_three_pass_form_bit_for_bit")
+SWEEPS = "tests/test_pipeline_cli.py::TestSweeps"
 REFUSALS = "tests/test_pipeline_cli.py::TestCliRefusals::test_refused_command_writes_nothing"
 TRIAL_CAP = ("tests/test_pipeline_cli.py::TestCli::"
              "test_sweep_snr_trials_past_the_cap_exit_2_before_design")
@@ -117,11 +120,15 @@ MUTANTS = (
            ("tests/test_quantizer.py::TestQuantizeReceived::"
             "test_row_power_other_than_one_positive_number_refused",)),
     Mutant("one-bit-unscaled", "quantizer.py",
-           "np.copysign(quantizer.levels[1] * scale, y)", "np.copysign(quantizer.levels[1], y)",
-           ("tests/test_quantizer.py::TestKernelPaths::"
-            "test_one_bit_is_the_three_pass_form_bit_for_bit",
-            "tests/test_quantizer.py::TestQuantizeReceived::"
+           "quantizer.levels * scale)", "quantizer.levels)",
+           (KERNEL, "tests/test_quantizer.py::TestQuantizeReceived::"
             "test_measured_distortion_tracks_table", ARCSINE_LAW)),
+    # one bit has no positive threshold, so only the few-bit cases see this
+    Mutant("codebook-thresholds-unscaled", "quantizer.py",
+           "quantizer.thresholds * scale,", "quantizer.thresholds,",
+           (*(f"{KERNEL}[{bits}]" for bits in (2, 3, 4, 5)),
+            "tests/test_quantizer.py::TestKernelPaths::"
+            "test_quantize_received_matches_per_part_oracle")),
     Mutant("grid-ends-unchecked", "model.py",
            "[self.target_mean_angle - half, self.target_mean_angle + half]",
            "[self.target_mean_angle]",
@@ -165,6 +172,9 @@ MUTANTS = (
     Mutant("bcd-zero-gain-runs-on", "power_alloc.py",
            "current - before <= tol", "current - before < tol",
            ("tests/test_power_alloc.py::TestBcd::test_zero_target_power_stops",)),
+    Mutant("sweep-designs-once-for-n_rf", "pipeline.py",
+           'if T is None or swept == "n_rf":', "if T is None:",
+           (f"{SWEEPS}::test_designs_once_unless_n_rf_is_swept[n_rf]",)),
     Mutant("snr-points-checked-after-design", "pipeline.py",
            "simulate.scenario_at_snr(scenario, snr)", "pass",
            ("tests/test_pipeline_cli.py::TestCli::"

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from cebeam import cli
 from cebeam import model as M
 from cebeam import pipeline as PL
 from cebeam import simulate as SIM
-from cebeam.ce_design import design_problem
+from cebeam.ce_design import CeDesignParams, design_problem
 from cebeam.power_alloc import PowerProfile, power_profile
 
 
@@ -496,6 +497,22 @@ class TestReportCounters:
             assert 0 <= counts["squarem_rejections"] <= iterations
         assert ob["extras"]["halvings"] >= 0 and ob["extras"]["momentum_resets"] >= 0
 
+    def test_onebit_report_times_its_warm_start(self, mini_scenario_file, tmp_path,
+                                                monkeypatch):
+        design, warm = PL.run_ce_design, []
+
+        def recorded(*args, **kwargs):
+            result = design(*args, **kwargs)
+            warm.append(result[1].wall_time_s)
+            return result
+
+        monkeypatch.setattr(PL, "run_ce_design", recorded)
+        cli.main(["design-onebit", "--scenario", mini_scenario_file,
+                  "--out", str(tmp_path / "ob")])
+        ob = json.loads((tmp_path / "ob" / "onebit_report.json").read_text())["report"]
+        assert [ob["extras"]["warm_start"]["wall_time_s"]] == warm
+        assert warm[0] > 0.0
+
     def test_reports_name_the_stage2_path(self, tmp_path):
         # default128 (r = 23, n_tx = 128) goes low-rank; desk32 (r = 27, n_tx = 32) stays
         # dense; the plain and the accelerated loop report the side their problem took
@@ -525,16 +542,44 @@ class TestIterationFlags:
 class TestSweeps:
     def test_sweep_bits_rows(self, mini_scenario_file, tmp_path):
         sc = PL.load_scenario(mini_scenario_file)
-        from cebeam.ce_design import CeDesignParams
         rows = PL.sweep(sc, 0, "bits", (1, "ideal"), params=CeDesignParams(max_iters=80))
         assert [r[0] for r in rows] == [1, "ideal"]
         assert all(np.isfinite(r[1]) for r in rows)
 
     def test_sweep_rf_resizes(self, mini_scenario_file):
         sc = PL.load_scenario(mini_scenario_file)
-        from cebeam.ce_design import CeDesignParams
         rows = PL.sweep(sc, 0, "n_rf", (2, 4), bits=1, params=CeDesignParams(max_iters=60))
         assert [r[0] for r in rows] == [2, 4]
+
+    def test_design_reads_no_receive_side_input(self, mini_scenario_file):
+        # the premise of one design per sweep: stage 2 reads neither the ADC
+        # resolution nor the receive array's size
+        sc = PL.load_scenario(mini_scenario_file)
+        params = CeDesignParams(max_iters=40)
+        designs = {PL.run_ce_design(replace(sc, n_rx=n_rx), bits, 0, params=params)[0].tobytes()
+                   for bits in (1, 3, "ideal") for n_rx in (sc.n_rx, 40, 64)}
+        assert len(designs) == 1
+
+    @pytest.mark.parametrize("swept, values, designs", [
+        ("bits", (1, 3, "ideal"), 1), ("n_rx", (12, 40), 1), ("n_rf", (2, 4), 2)],
+        ids=["bits", "n_rx", "n_rf"])
+    def test_designs_once_unless_n_rf_is_swept(self, mini_scenario_file, monkeypatch,
+                                              swept, values, designs):
+        # each row is the D of a design made for its own value, as before
+        sc = PL.load_scenario(mini_scenario_file)
+        params = CeDesignParams(max_iters=40)
+        oracle = [(v, PL.run_ce_design(sc if swept == "bits" else replace(sc, **{swept: v}),
+                                       v if swept == "bits" else 3, 0, params=params
+                                       )[1].avg_relative_entropy) for v in values]
+        design, calls = PL.run_ce_design, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(PL, "run_ce_design", counted)
+        assert PL.sweep(sc, 0, swept, values, bits=3, params=params) == oracle
+        assert len(calls) == designs
 
 
 # -- bounded fuzz of the CLI on tiny scenario files ---------------------------

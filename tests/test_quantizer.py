@@ -163,23 +163,31 @@ class TestKernelPaths:
                 np.testing.assert_array_equal(quantize_received(Y, q, row_power=power), oracle)
 
     @staticmethod
-    def three_pass_one_bit(Y, q, row_power):
-        """One-bit quantization as divide by the row scale, sign, and rescale."""
+    def three_pass(Y, q, row_power):
+        """Divide by the row scale, quantize on the unit codebook, and rescale;
+        one bit as a sign copy of the level."""
         scale = np.sqrt(row_power / 2.0)
-        x = np.divide(np.ascontiguousarray(Y).view(np.float64), scale)
-        x = np.copysign(q.levels[1], x, out=x)
+        with np.errstate(over="ignore"):           # 1e300 over a tiny scale is inf
+            x = np.divide(np.ascontiguousarray(Y).view(np.float64), scale)
+        if q.bits == 1:
+            x = np.copysign(q.levels[1], x, out=x)
+        else:
+            x = quantize_values(x, q.thresholds, q.levels)
         x *= scale
         return x.view(np.complex128)
 
-    def test_one_bit_is_the_three_pass_form_bit_for_bit(self):
-        # large and small row powers, +-0, subnormals and extremes
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+    def test_scaled_codebook_is_the_three_pass_form_bit_for_bit(self, bits):
+        # draws at the row power's scale, with +-0, subnormals and extremes,
+        # at large and small row powers
         rng = np.random.default_rng(11)
-        q = lloyd_max_codebook(1)
-        Y = rng.standard_normal((4, 6, 10)) + 1j * rng.standard_normal((4, 6, 10))
+        q = lloyd_max_codebook(bits)
+        base = rng.standard_normal((4, 6, 10)) + 1j * rng.standard_normal((4, 6, 10))
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -np.inf])
-        Y.real[0, :, :8], Y.imag[0, :, :8] = special, special[::-1]
-        for power in (2.0, 0.02, 1e-3, 7.0):
-            expected = self.three_pass_one_bit(Y, q, power).tobytes()
+        for power in (2.0, 0.02, 1e-3, 7.0, 1e-300, 1e300):
+            Y = base * np.sqrt(power / 2.0)
+            Y.real[0, :, :8], Y.imag[0, :, :8] = special, special[::-1]
+            expected = self.three_pass(Y, q, power).tobytes()
             assert quantize_received(Y, q, row_power=power).tobytes() == expected
 
     def test_asymmetric_codebook_rejected(self):
